@@ -12,11 +12,7 @@ from .analyses import (
     Engine,
     RaceReport,
     run_analysis,
-    run_hb,
-    run_maz,
-    run_shb,
     race_event_indices,
-    unordered_conflicting_pairs,
 )
 from .metrics import CSV_COLUMNS, MetricsRecord, collect, vc_work, verify_bounds, vtwork
 from .tracegen import PATTERNS, STAR_STYLES, GenSpec, SplitMix64, generate
@@ -44,11 +40,7 @@ __all__ = [
     "Engine",
     "RaceReport",
     "run_analysis",
-    "run_hb",
-    "run_shb",
-    "run_maz",
     "race_event_indices",
-    "unordered_conflicting_pairs",
     "CSV_COLUMNS",
     "MetricsRecord",
     "collect",

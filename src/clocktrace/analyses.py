@@ -251,21 +251,6 @@ def run_analysis(trace, po, clock_kind="tree", *, debug=False,
     )
 
 
-def run_hb(trace, clock_kind="tree", **kw):
-    kw.setdefault("record_timestamps", True)
-    return run_analysis(trace, HB, clock_kind, **kw)
-
-
-def run_shb(trace, clock_kind="tree", **kw):
-    kw.setdefault("record_timestamps", True)
-    return run_analysis(trace, SHB, clock_kind, **kw)
-
-
-def run_maz(trace, clock_kind="tree", **kw):
-    kw.setdefault("record_timestamps", True)
-    return run_analysis(trace, MAZ, clock_kind, **kw)
-
-
 def race_event_indices(trace, races):
     """Map race reports to (kind, var, earlier_index, later_index) using
     each thread's event positions; the brute-force oracle reports races
@@ -275,22 +260,3 @@ def race_event_indices(trace, races):
         nth.setdefault(ev.tid, []).append(i)
     return [(r.kind, r.var, nth[r.earlier.tid][r.earlier.clk - 1], r.index)
             for r in races]
-
-
-def unordered_conflicting_pairs(trace, timestamps):
-    """Count conflicting access pairs (same variable, at least one write)
-    whose recorded timestamps are incomparable. Works per variable; in
-    these orders an earlier event is ordered at-or-before a later one
-    exactly when its timestamp is pointwise below the later one's."""
-    by_var = {}
-    count = 0
-    for i, ev in enumerate(trace.events):
-        if ev.op == READ or ev.op == WRITE:
-            prior = by_var.setdefault(ev.target, [])
-            ts = timestamps[i]
-            wr = ev.op == WRITE
-            for ts2, t2, w2 in prior:
-                if (w2 or wr) and any(a > b for a, b in zip(ts2, ts)):
-                    count += 1
-            prior.append((ts, ev.tid, wr))
-    return count

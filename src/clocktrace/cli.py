@@ -14,10 +14,7 @@ Four commands:
 
 Exit codes: 0 success; 1 divergence, race-check mismatch, or assertion
 failure; 2 usage or I/O errors. Timing uses a monotonic clock, excludes
-parsing, and reports the median over --repeat runs (default 3). Bench
-cells can run on a process pool sized by the CLOCKTRACE_WORKERS
-environment variable (default 1); rows are written by the parent in
-submission order, so output is deterministic regardless of pool size.
+parsing, and reports the median over --repeat runs (default 3).
 """
 
 import argparse
@@ -32,8 +29,6 @@ from .metrics import CSV_COLUMNS, collect, verify_bounds
 from .oracle import ORACLE_MAX_EVENTS, oracle_races, oracle_timestamps
 from .trace import TraceParseError, parse_trace, serialize_trace
 from .tracegen import PATTERNS, STAR_STYLES, GenSpec, generate
-
-WORKERS_ENV = "CLOCKTRACE_WORKERS"
 
 
 def main(argv=None):
@@ -109,13 +104,15 @@ def _read_trace(path):
         return parse_trace(fh.read())
 
 
-def _timed_runs(trace, po, kind, repeat, debug, record_timestamps):
+def _timed_runs(trace, po, kind, repeat, debug=False, record_timestamps=False,
+                count_unordered=True):
     """Run `repeat` times; return (last run, median elapsed ms)."""
     elapsed = []
     run = None
     for _ in range(max(1, repeat)):
         run = run_analysis(trace, po, kind, debug=debug,
-                           record_timestamps=record_timestamps)
+                           record_timestamps=record_timestamps,
+                           count_unordered=count_unordered)
         elapsed.append(run.elapsed)
     return run, statistics.median(elapsed) * 1000.0
 
@@ -216,21 +213,11 @@ def _cmd_gen(args):
     return 0
 
 
-def _bench_cell(cell):
-    """One (pattern, threads, clock) cell; module-level so pools can pickle it."""
-    (pattern, threads, events, seed, star_style, po, kind, repeat) = cell
-    spec = GenSpec(pattern, threads, events, seed=seed, star_style=star_style)
-    trace = generate(spec)
-    elapsed = []
-    run = None
-    for _ in range(max(1, repeat)):
-        run = run_analysis(trace, po, kind, count_unordered=False)
-        elapsed.append(run.elapsed)
+def _bench_cell(trace, name, po, kind, repeat):
+    """One (pattern, threads, clock) cell of the bench matrix."""
+    run, ms = _timed_runs(trace, po, kind, repeat, count_unordered=False)
     verify_bounds(run)
-    name = f"{pattern}-k{threads}"
-    if pattern == "star":
-        name += f"-{star_style}"
-    return collect(run, name, time_ms=statistics.median(elapsed) * 1000.0)
+    return collect(run, name, time_ms=ms)
 
 
 def _cmd_bench(args):
@@ -245,21 +232,17 @@ def _cmd_bench(args):
         print(f"error: bad thread grid {args.threads!r}", file=sys.stderr)
         return 2
 
-    cells = []
+    records = []
     for pattern in patterns:
         for k in grid:
             n = args.events if args.events else 100 * k
+            trace = generate(GenSpec(pattern, k, n, seed=args.seed,
+                                     star_style=args.star_style))
+            name = f"{pattern}-k{k}"
+            if pattern == "star":
+                name += f"-{args.star_style}"
             for kind in ("tree", "vector"):
-                cells.append((pattern, k, n, args.seed, args.star_style,
-                              args.po, kind, args.repeat))
-
-    workers = int(os.environ.get(WORKERS_ENV, "1") or "1")
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_bench_cell, cells))
-    else:
-        records = [_bench_cell(c) for c in cells]
+                records.append(_bench_cell(trace, name, args.po, kind, args.repeat))
 
     _append_csv(args.csv, records)
     for rec in records:

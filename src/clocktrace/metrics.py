@@ -20,7 +20,10 @@ Two cost models for the same run:
 
 - every run: events <= vt_work, since each event increments one entry;
 - "hb" runs: vt_work <= events * threads, and on tree runs
-  impl_work <= 3 * vt_work.
+  impl_work <= 3 * vt_work. With one thread the ceiling is replaced by
+  the exact count vt_work == events + copies: acquires change nothing
+  beyond the increment, and every release's copy changes the lock's
+  single entry, so the ceiling n*1 would reject every release.
 
 The upper bound is a theorem about the pure lock order only. Under
 "shb" it fails outright: two threads alternating writes to one variable
@@ -199,10 +202,10 @@ def vtwork(trace: Trace, po: str) -> int:
 def verify_bounds(run: AnalysisRun) -> None:
     """Hard-assert the work-accounting invariants for a finished run.
 
-    The lower bound holds for every order; the upper bound and the 3x
-    optimality bound are theorems about the pure lock order (see the
-    module docstring for why the upper bound cannot hold under the
-    stronger orders)."""
+    The lower bound holds for every order; the upper bound (exact with one
+    thread) and the 3x optimality bound are theorems about the pure lock
+    order (see the module docstring for why the upper bound cannot hold
+    under the stronger orders)."""
     n, k = run.events, run.threads
     if n == 0:
         assert run.vt_work == 0, f"empty trace with vt_work={run.vt_work}"
@@ -211,13 +214,21 @@ def verify_bounds(run: AnalysisRun) -> None:
         f"vt_work={run.vt_work} below event count {n} "
         f"(po={run.po}, clock={run.clock_kind})"
     )
-    if run.po == HB:
+    if run.po != HB:
+        return
+    if k == 1:
+        exact = n + run.counter.copies
+        assert run.vt_work == exact, (
+            f"vt_work={run.vt_work} != events+copies={exact} on a "
+            f"one-thread hb run (clock={run.clock_kind})"
+        )
+    else:
         assert run.vt_work <= n * k, (
             f"vt_work={run.vt_work} above {n}*{k}={n * k} on an hb run "
             f"(clock={run.clock_kind})"
         )
-        if run.clock_kind == "tree":
-            assert run.impl_work <= 3 * run.vt_work, (
-                f"tree impl_work={run.impl_work} exceeds "
-                f"3*vt_work={3 * run.vt_work} (events={n}, threads={k})"
-            )
+    if run.clock_kind == "tree":
+        assert run.impl_work <= 3 * run.vt_work, (
+            f"tree impl_work={run.impl_work} exceeds "
+            f"3*vt_work={3 * run.vt_work} (events={n}, threads={k})"
+        )

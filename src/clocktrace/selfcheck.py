@@ -16,7 +16,7 @@ from .metrics import verify_bounds, vtwork
 from .oracle import oracle_races, oracle_timestamps
 from .trace import ACQ, REL, READ, WRITE, Event, Trace, parse_trace
 from .tracegen import SplitMix64
-from .vclock import vt_increment, vt_join, vt_leq
+from .vclock import vt_join, vt_leq
 
 # A five-thread, three-lock trace whose processing exercises joins that
 # carry whole subtrees, nested acquires, and an early-exit reacquire.
@@ -169,8 +169,6 @@ def check_vector_arithmetic():
         fails.append("vector arithmetic: pointwise order is not antisymmetric here")
     if vt_join(c, a) != tuple(b):
         fails.append(f"vector arithmetic: join gave {vt_join(c, a)}")
-    if vt_increment([27, 5], 0) != (28, 5):
-        fails.append("vector arithmetic: increment")
     return fails
 
 

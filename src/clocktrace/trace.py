@@ -41,9 +41,6 @@ class Event:
     op: str
     target: int  # lock id for acq/rel, variable id for r/w
 
-    def is_access(self):
-        return self.op == READ or self.op == WRITE
-
 
 @dataclass
 class Trace:
@@ -161,13 +158,3 @@ def validate_trace(trace):
             else:
                 del holder[ev.target]
     return problems
-
-
-def local_times(trace):
-    """1-based position of each event within its own thread."""
-    counts = [0] * trace.thread_count
-    out = []
-    for ev in trace.events:
-        counts[ev.tid] += 1
-        out.append(counts[ev.tid])
-    return out

@@ -105,7 +105,7 @@ class TreeClock:
         counterparts, rebuilds them mirroring the source, and hangs the
         rebuilt subtree at the front of self's root. A source that is
         strictly ahead on self's *own* root thread is outside this
-        operation's contract (see sub_root_join).
+        operation's contract.
         """
         c = self.counter
         if src.root == NIL:
@@ -123,49 +123,15 @@ class TreeClock:
             raise ClockContractError(
                 "join source is ahead on the target's own root thread"
             )
-        stack, visited = self._gather(src, sub_root=False)
-        touched = self._detach_and_attach(src, stack, z, copy_mode=False, skip=NIL)
+        stack, visited = self._gather(src, copy_mode=False)
+        self._detach_and_attach(src, stack, z, copy_mode=False)
         # hang the rebuilt subtree as the newest child of our root
         self.aclk[z] = self.clk[self.root]
         self._link_front(self.root, z)
         if c is not None:
-            c.impl_work += visited + touched
+            c.impl_work += visited + len(stack)  # examined + rebuilt
             if c.debug:
                 self.check_integrity()
-
-    def sub_root_join(self, src):
-        """self <- self max src on every thread except self's own root thread.
-
-        Same machinery as join with three changes: no early exit on an
-        unprogressed source root, the sibling-list pruning is not applied
-        when scanning children of a node for self's root thread, and the
-        node for self's root thread is never updated or moved. Needed by
-        analyses whose partial order does not include each thread's own
-        program order, where the target's entry for its own thread says
-        nothing about what hangs below that thread's node in the source.
-
-        Precondition (free in any live run, since a thread's own entry is
-        authored only by that thread): the source's entry for self's root
-        thread does not exceed self's root time.
-        """
-        c = self.counter
-        if src.root == NIL:
-            return
-        if self.root == NIL:
-            raise ClockContractError("join into an uninitialized tree clock")
-        if c is not None:
-            c.joins += 1
-        t = self.root
-        z = src.root
-        stack, visited = self._gather(src, sub_root=True)
-        touched = self._detach_and_attach(src, stack, z, copy_mode=False, skip=t)
-        if z != t:
-            self.aclk[z] = self.clk[self.root]
-            self._link_front(self.root, z)
-        if c is not None:
-            c.impl_work += visited + touched
-            if c.debug:
-                self.check_integrity(strict_aclk=False)
 
     def monotone_copy(self, src):
         """self <- src, assuming self <= src entrywise.
@@ -186,16 +152,15 @@ class TreeClock:
             if c.debug and not self.leq(src):
                 raise ClockContractError("monotone copy target is not below source")
         z = src.root
-        stack, visited = self._gather(src, sub_root=False, copy_mode=True)
-        old_root = self.root
-        touched = self._detach_and_attach(src, stack, z, copy_mode=True, skip=NIL)
+        stack, visited = self._gather(src, copy_mode=True)
+        self._detach_and_attach(src, stack, z, copy_mode=True)
         self.aclk[z] = BOT
         self.parent[z] = NIL
         self.prv[z] = NIL
         self.nxt[z] = NIL
         self.root = z
         if c is not None:
-            c.impl_work += visited + touched
+            c.impl_work += visited + len(stack)  # examined + rebuilt
             if c.debug:
                 self.check_integrity()
 
@@ -221,22 +186,9 @@ class TreeClock:
         self._become_copy_of(src)
         return "deep"
 
-    def clone(self):
-        """Standalone structural copy (no work accounting)."""
-        out = TreeClock(self.k)
-        out.clk = self.clk[:]
-        out.aclk = self.aclk[:]
-        out.parent = self.parent[:]
-        out.head = self.head[:]
-        out.nxt = self.nxt[:]
-        out.prv = self.prv[:]
-        out.intree = self.intree[:]
-        out.root = self.root
-        return out
-
     # --- internals -------------------------------------------------------
 
-    def _gather(self, src, sub_root, copy_mode=False):
+    def _gather(self, src, copy_mode):
         """Walk src from its root, collecting nodes ahead of self in
         post-order (so the stack pops parents before children). Returns
         (stack, examined-node count)."""
@@ -258,30 +210,25 @@ class TreeClock:
                 descend = True  # the old root must be regathered to be reseated
             # later siblings were attached no later than v; if we already
             # know the parent's thread past v's attachment, they are stale
-            stop = src.aclk[v] <= get(u) and not (sub_root and u == self.root)
+            stop = src.aclk[v] <= get(u)
             frames[-1] = (u, NIL if stop else src.nxt[v])
             if descend:
-                if v == self.root and not copy_mode and not sub_root:
+                if v == self.root and not copy_mode:
                     raise ClockContractError(
                         "join source is ahead on the target's own root thread"
                     )
                 frames.append((v, src.head[v]))
         return out, visited
 
-    def _detach_and_attach(self, src, stack, z, copy_mode, skip):
+    def _detach_and_attach(self, src, stack, z, copy_mode):
         """Unlink every gathered node from self, then rebuild them in
-        stack order (parents first) mirroring the source's shape. Nodes
-        equal to `skip` are left entirely alone. Returns touched count."""
+        stack order (parents first) mirroring the source's shape."""
         intree = self.intree
         for u in stack:
-            if u != skip and intree[u] and u != self.root:
+            if intree[u] and u != self.root:
                 self._unlink(u)
-        touched = 0
         for i in range(len(stack) - 1, -1, -1):
             u = stack[i]
-            if u == skip:
-                continue
-            touched += 1
             fresh = not intree[u]
             if fresh:
                 intree[u] = True
@@ -299,7 +246,6 @@ class TreeClock:
             if u != z:
                 self.aclk[u] = src.aclk[u]
                 self._link_front(src.parent[u], u)
-        return touched
 
     def _unlink(self, u):
         p, before, after = self.parent[u], self.prv[u], self.nxt[u]
@@ -369,14 +315,13 @@ class TreeClock:
                 stack.append((v, depth + 1))
         return "\n".join(lines) + "\n"
 
-    def check_integrity(self, strict_aclk=True):
+    def check_integrity(self):
         """Verify the structural invariants; raises AssertionError if broken.
 
         Checked: the in-tree flags agree with what is reachable from the
         root, parent/sibling links are mutually consistent, sibling aclk
-        values never increase front to back, and (unless strict_aclk is
-        off, for clocks just touched by sub_root_join) every non-root
-        node's aclk is at most its parent's clk.
+        values never increase front to back, and every non-root node's
+        aclk is at most its parent's clk.
         """
         if self.root == NIL:
             assert not any(self.intree), "nodes present in an empty clock"
@@ -398,11 +343,10 @@ class TreeClock:
                     assert self.head[u] == v
                 else:
                     assert self.nxt[self.prv[v]] == v
-                if strict_aclk:
-                    assert self.aclk[v] <= self.clk[u], (
-                        f"child {v} attached later ({self.aclk[v]}) than its "
-                        f"parent's time ({self.clk[u]})"
-                    )
+                assert self.aclk[v] <= self.clk[u], (
+                    f"child {v} attached later ({self.aclk[v]}) than its "
+                    f"parent's time ({self.clk[u]})"
+                )
                 if last_aclk is not None:
                     assert self.aclk[v] <= last_aclk, (
                         f"sibling list of {u} not ordered by attachment time"

@@ -33,13 +33,6 @@ def vt_join(a, b):
     return tuple(x if x >= y else y for x, y in zip(a, b))
 
 
-def vt_increment(v, tid, amount=1):
-    """Copy of v with v[tid] bumped by amount."""
-    out = list(v)
-    out[tid] += amount
-    return tuple(out)
-
-
 class WorkCounter:
     """Tallies work done by clock operations during one analysis run.
 
@@ -116,22 +109,17 @@ class VectorClock:
         c = self.counter
         if c is not None and c.debug and not self.leq(src):
             raise ClockContractError("monotone copy target is not below source")
-        mine, theirs = self.clk, src.clk
-        changed = 0
-        for i, v in enumerate(theirs):
-            if mine[i] != v:
-                mine[i] = v
-                changed += 1
-        if c is not None:
-            c.copies += 1
-            c.impl_work += len(mine)
-            c.vt_work += changed
-        return changed
+        return self._copy(src)
 
     def copy_check_monotone(self, src):
         """Copy src into self. Vector clocks have no cheaper monotone path,
         so this is always a plain copy; the return value mirrors the tree
         clock API and never reports a deep rebuild."""
+        self._copy(src)
+        return "monotone"
+
+    def _copy(self, src):
+        """self <- src entrywise; returns the number of entries changed."""
         mine, theirs = self.clk, src.clk
         changed = 0
         for i, v in enumerate(theirs):
@@ -143,18 +131,13 @@ class VectorClock:
             c.copies += 1
             c.impl_work += len(mine)
             c.vt_work += changed
-        return "monotone"
+        return changed
 
     def leq(self, other):
         return vt_leq(self.clk, other.clk)
 
     def flatten(self):
         return tuple(self.clk)
-
-    def clone(self):
-        out = VectorClock(len(self.clk), owner=self.owner)
-        out.clk = list(self.clk)
-        return out
 
     def __repr__(self):
         return f"VectorClock({self.clk!r}, owner={self.owner!r})"

@@ -11,10 +11,6 @@ from clocktrace.analyses import (
     SHB,
     race_event_indices,
     run_analysis,
-    run_hb,
-    run_maz,
-    run_shb,
-    unordered_conflicting_pairs,
 )
 from clocktrace.oracle import (
     oracle_forced_deep_copies,
@@ -64,7 +60,7 @@ def test_order_strength_nests(seed):
 class TestRaceReporting:
     def test_kinds_name_the_earlier_access_first(self):
         trace = parse_trace("t0 w x\nt1 r x\nt1 w x\n")
-        run = run_hb(trace)
+        run = run_analysis(trace, HB, "tree")
         assert race_event_indices(trace, run.races) == [
             ("write-read", 0, 0, 1),
             ("write-write", 0, 0, 2),
@@ -74,7 +70,7 @@ class TestRaceReporting:
         # the later write races with both an earlier write and an earlier
         # read; only one report is made and the write pair wins
         trace = parse_trace("t0 w x\nt1 r x\nt2 w x\n")
-        run = run_hb(trace)
+        run = run_analysis(trace, HB, "tree")
         assert race_event_indices(trace, run.races) == [
             ("write-read", 0, 0, 1),
             ("write-write", 0, 0, 2),
@@ -82,7 +78,7 @@ class TestRaceReporting:
 
     def test_first_unordered_reader_is_reported(self):
         trace = parse_trace("t0 r x\nt1 r x\nt2 w x\n")
-        run = run_hb(trace)
+        run = run_analysis(trace, HB, "tree")
         assert race_event_indices(trace, run.races) == [
             ("read-write", 0, 0, 2),
         ]
@@ -90,7 +86,7 @@ class TestRaceReporting:
     def test_one_report_per_variable_and_later_access(self):
         # three earlier unordered writes, one later write: a single report
         trace = parse_trace("t0 w x\nt1 w x\nt2 w x\nt3 w x\n")
-        run = run_hb(trace)
+        run = run_analysis(trace, HB, "tree")
         later = [(r.var, r.index) for r in run.races]
         assert len(later) == len(set(later))
         assert [r.index for r in run.races] == [1, 2, 3]
@@ -98,26 +94,26 @@ class TestRaceReporting:
 
     def test_reads_do_not_race_each_other(self):
         trace = parse_trace("t0 r x\nt1 r x\nt2 r x\n")
-        assert run_hb(trace).races == []
+        assert run_analysis(trace, HB, "tree").races == []
 
     def test_synchronized_accesses_do_not_race(self):
         trace = parse_trace(
             "t0 acq m\nt0 w x\nt0 rel m\nt1 acq m\nt1 w x\nt1 rel m\n"
         )
-        run = run_hb(trace)
+        run = run_analysis(trace, HB, "tree")
         assert run.races == []
         assert run.unordered_pairs == 0
 
 
 def test_shb_orders_reads_after_the_last_write():
     trace = parse_trace("t0 w x\nt1 r x\n")
-    assert run_hb(trace).races != []
-    assert run_shb(trace).races == []
+    assert run_analysis(trace, HB, "tree").races != []
+    assert run_analysis(trace, SHB, "tree").races == []
 
 
 def test_maz_write_orders_after_prior_readers():
     trace = parse_trace("t0 r x\nt1 w x\nt0 r x\n")
-    run = run_maz(trace)
+    run = run_analysis(trace, MAZ, "tree", record_timestamps=True)
     assert run.timestamps == [(1, 0), (1, 1), (2, 1)]
     assert run.races == []
     assert run.unordered_pairs == 0
@@ -138,7 +134,7 @@ def test_race_free_trace_has_no_deep_copies():
     trace = parse_trace(
         "t0 acq m\nt0 w x\nt0 rel m\nt1 acq m\nt1 w x\nt1 r x\nt1 rel m\n"
     )
-    run = run_shb(trace)
+    run = run_analysis(trace, SHB, "tree")
     assert run.races == []
     assert run.deep_copies == 0
     assert run.fresh_copies == 1
@@ -146,26 +142,9 @@ def test_race_free_trace_has_no_deep_copies():
 
 def test_fresh_copies_count_first_writes():
     trace = parse_trace("t0 w x\nt1 w x\nt0 w y\nt1 r x\n")
-    assert run_shb(trace).fresh_copies == 2
-    assert run_maz(trace).fresh_copies == 2
-    assert run_hb(trace).fresh_copies == 0
-
-
-def test_wrappers_record_timestamps_by_default():
-    trace = random_trace(1, events=40)
-    hb = run_hb(trace)
-    assert hb.po == HB and hb.timestamps is not None
-    assert len(hb.timestamps) == len(trace.events)
-    assert run_shb(trace).po == SHB
-    assert run_maz(trace).po == MAZ
-    assert run_analysis(trace, HB, "tree").timestamps is None
-
-
-@pytest.mark.parametrize("po", ORDERS)
-def test_unordered_pairs_static_recount(po):
-    trace = random_trace(77, events=150, threads=5, locks=2, variables=4)
-    run = run_analysis(trace, po, "tree", record_timestamps=True)
-    assert unordered_conflicting_pairs(trace, run.timestamps) == run.unordered_pairs
+    assert run_analysis(trace, SHB, "tree").fresh_copies == 2
+    assert run_analysis(trace, MAZ, "tree").fresh_copies == 2
+    assert run_analysis(trace, HB, "tree").fresh_copies == 0
 
 
 def test_unordered_pairs_can_be_skipped():
@@ -175,7 +154,7 @@ def test_unordered_pairs_can_be_skipped():
 
 
 def test_empty_trace():
-    run = run_hb(parse_trace(""))
+    run = run_analysis(parse_trace(""), HB, "tree", record_timestamps=True)
     assert run.events == 0
     assert run.races == []
     assert run.vt_work == 0
@@ -184,7 +163,7 @@ def test_empty_trace():
 
 def test_single_thread_counts_its_own_events():
     trace = parse_trace("t0 w x\nt0 r x\nt0 w y\n")
-    run = run_hb(trace)
+    run = run_analysis(trace, HB, "tree", record_timestamps=True)
     assert run.timestamps == [(1,), (2,), (3,)]
     assert run.vt_work == 3
     assert run.unordered_pairs == 0
@@ -192,7 +171,9 @@ def test_single_thread_counts_its_own_events():
 
 def test_run_metadata_fields():
     trace = random_trace(5, events=80, threads=4, locks=2, variables=2)
-    run = run_maz(trace, "vector")
+    run = run_analysis(trace, MAZ, "vector")
+    assert run.po == MAZ
+    assert run.timestamps is None  # recorded only on request
     assert run.events == len(trace.events)
     assert run.threads == trace.thread_count
     assert run.locks == trace.lock_count
@@ -211,8 +192,8 @@ def test_debug_mode_is_clean_on_legal_traces(po):
 
 def test_runs_are_deterministic():
     trace = random_trace(123, events=200, threads=6, locks=3, variables=4)
-    a = run_maz(trace)
-    b = run_maz(trace)
+    a = run_analysis(trace, MAZ, "tree", record_timestamps=True)
+    b = run_analysis(trace, MAZ, "tree", record_timestamps=True)
     assert a.timestamps == b.timestamps
     assert a.vt_work == b.vt_work
     assert a.impl_work == b.impl_work

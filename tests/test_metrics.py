@@ -112,6 +112,10 @@ class TestBounds:
         run.counter.impl_work = 3 * run.vt_work + 1  # structure overspent
         with pytest.raises(AssertionError):
             verify_bounds(run)
+        run = run_analysis(parse_trace("t0 acq l0\nt0 rel l0\n"), HB, "tree")
+        run.counter.vt_work -= 1  # within n*k, but one-thread counts are exact
+        with pytest.raises(AssertionError):
+            verify_bounds(run)
 
     def test_empty_run_passes_with_zero_work(self):
         run = run_analysis(parse_trace(""), HB, "tree")
@@ -133,6 +137,30 @@ def test_vc_work_is_the_vector_cost_of_the_same_ops():
             vec.counter.increments,
         )
         assert vc_work(tree) == vc_work(vec)
+
+
+# Whole-run counters on one seeded trace with locks, reads and writes,
+# per (order, clock kind): vt_work, impl_work, races, unordered pairs,
+# deep copies. Any change to what a clock operation visits or counts
+# moves impl_work here.
+PINNED_COUNTERS = {
+    (HB, "tree"): (278, 427, 114, 802, 0),
+    (HB, "vector"): (278, 460, 114, 802, 0),
+    (SHB, "tree"): (584, 1342, 59, 400, 44),
+    (SHB, "vector"): (584, 1165, 59, 400, 44),
+    (MAZ, "tree"): (1033, 2349, 0, 0, 0),
+    (MAZ, "vector"): (1033, 2185, 0, 0, 0),
+}
+
+
+def test_counters_are_pinned_on_a_seeded_trace():
+    trace = random_trace(2026, events=200, threads=5, locks=3, variables=4)
+    got = {}
+    for po, kind in PINNED_COUNTERS:
+        run = run_analysis(trace, po, kind)
+        got[po, kind] = (run.vt_work, run.impl_work, len(run.races),
+                         run.unordered_pairs, run.deep_copies)
+    assert got == PINNED_COUNTERS
 
 
 class TestRecords:

@@ -10,7 +10,6 @@ from clocktrace.trace import (
     Event,
     Trace,
     TraceParseError,
-    local_times,
     parse_trace,
     serialize_trace,
     validate_trace,
@@ -126,15 +125,3 @@ def test_validate_release_free():
 def test_validate_unreleased_at_end_is_fine():
     tr = parse_trace("t0 acq l0\n")
     assert validate_trace(tr) == []
-
-
-def test_local_times():
-    tr = parse_trace("t0 w x0\nt1 w x0\nt0 r x0\nt0 w x1\nt1 r x1\n")
-    assert local_times(tr) == [1, 1, 2, 3, 2]
-
-
-def test_event_is_access():
-    assert Event(0, READ, 0).is_access()
-    assert Event(0, WRITE, 0).is_access()
-    assert not Event(0, ACQ, 0).is_access()
-    assert not Event(0, REL, 0).is_access()
