@@ -24,6 +24,7 @@ name the earlier access first ("write-read" = earlier write, later read).
 
 import time
 from dataclasses import dataclass
+from operator import ne
 
 from .trace import ACQ, REL, READ, WRITE, Trace
 from .vclock import Epoch, VectorClock, WorkCounter
@@ -148,7 +149,7 @@ class Engine:
                 for rt in rts:
                     C.join(self.read_clocks[(x, rt)])
                 if multi:
-                    net = sum(1 for a, b in zip(pre, C.flatten()) if a != b)
+                    net = sum(map(ne, pre, C.flatten()))
                     self.counter.vt_work = vt0 + net
             self._check_write(x, t, C, i)
             if po == SHB:

@@ -13,8 +13,10 @@ Four commands:
 - selfcheck: run the embedded fixture suite.
 
 Exit codes: 0 success; 1 divergence, race-check mismatch, or assertion
-failure; 2 usage or I/O errors. Timing uses a monotonic clock, excludes
-parsing, and reports the median over --repeat runs (default 3).
+failure; 2 usage or I/O errors, malformed traces, and traces that break
+lock discipline (the first violation's line is named). Timing uses a
+monotonic clock, excludes parsing, and reports the median over --repeat
+runs (default 3).
 """
 
 import argparse
@@ -27,7 +29,8 @@ from . import selfcheck as selfcheck_mod
 from .analyses import CLOCK_KINDS, ORDERS, race_event_indices, run_analysis
 from .metrics import CSV_COLUMNS, collect, verify_bounds
 from .oracle import ORACLE_MAX_EVENTS, oracle_races, oracle_timestamps
-from .trace import TraceParseError, parse_trace, serialize_trace
+from .trace import (TraceParseError, event_source, parse_trace, serialize_trace,
+                    validate_trace)
 from .tracegen import PATTERNS, STAR_STYLES, GenSpec, generate
 
 
@@ -98,10 +101,22 @@ def _build_parser():
 
 
 def _read_trace(path):
+    """Parse and validate a trace file. Raises TraceParseError, naming the
+    line, on malformed text or the first lock-discipline violation: the
+    analyses assume well-formed lock use and would answer wrongly."""
     if path == "-":
-        return parse_trace(sys.stdin.read())
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_trace(fh.read())
+        text = sys.stdin.read()
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    trace = parse_trace(text)
+    problems = validate_trace(trace)
+    if problems:
+        lineno, line = event_source(text, problems[0].index)
+        raise TraceParseError(
+            lineno, f"lock discipline violated ({problems[0].kind}): {line!r}"
+        )
+    return trace
 
 
 def _timed_runs(trace, po, kind, repeat, debug=False, record_timestamps=False,

@@ -14,8 +14,8 @@ Each check returns a list of failure strings; `run` aggregates them.
 from .analyses import HB, ORDERS, race_event_indices, run_analysis
 from .metrics import verify_bounds, vtwork
 from .oracle import oracle_races, oracle_timestamps
-from .trace import ACQ, REL, READ, WRITE, Event, Trace, parse_trace
-from .tracegen import SplitMix64
+from .trace import parse_trace
+from .tracegen import random_trace
 from .vclock import vt_join, vt_leq
 
 # A five-thread, three-lock trace whose processing exercises joins that
@@ -170,36 +170,6 @@ def check_vector_arithmetic():
     if vt_join(c, a) != tuple(b):
         fails.append(f"vector arithmetic: join gave {vt_join(c, a)}")
     return fails
-
-
-def random_trace(seed, events=120, threads=4, locks=3, variables=3):
-    """Small legal trace, deterministic in seed (lock discipline holds)."""
-    if locks == 0 and variables == 0:
-        raise ValueError("need at least one lock or variable to emit events")
-    rng = SplitMix64(seed)
-    held = {}
-    out = []
-    while len(out) < events:
-        t = rng.below(threads)
-        c = rng.below(10)
-        if c < 2:
-            free = [l for l in range(locks) if l not in held]
-            if free:
-                lock = free[rng.below(len(free))]
-                held[lock] = t
-                out.append(Event(t, ACQ, lock))
-        elif c < 4:
-            mine = [l for l, h in held.items() if h == t]
-            if mine:
-                lock = mine[rng.below(len(mine))]
-                del held[lock]
-                out.append(Event(t, REL, lock))
-        elif c < 7:
-            if variables:
-                out.append(Event(t, READ, rng.below(variables)))
-        elif variables:
-            out.append(Event(t, WRITE, rng.below(variables)))
-    return Trace(out, threads, locks, variables)
 
 
 def check_sweep(seeds=range(6)):

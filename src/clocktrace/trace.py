@@ -106,6 +106,19 @@ def parse_trace(text):
     return Trace(events, len(threads), len(locks), len(variables))
 
 
+def event_source(text, index):
+    """(1-based line number, text without comment) of the index-th event
+    in trace text, counting the lines parse_trace turns into events."""
+    seen = -1
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            seen += 1
+            if seen == index:
+                return lineno, line
+    raise IndexError(f"trace text has no event {index}")
+
+
 def serialize_trace(trace):
     """Render a Trace back to canonical text (t<i>, l<i>, x<i> names)."""
     lines = []

@@ -21,14 +21,17 @@ platforms and releases for a given spec:
   picks an ordered pair (i, j) uniformly and emits four events —
   i acq/rel then j acq/rel of the pair's lock.
 
-Event counts round down to whole rounds (2 or 4 events each). No read
-or write events are generated; var_count is 0.
+Event counts round down to whole rounds (2 or 4 events each). These
+patterns emit no read or write events; var_count is 0.
+
+random_trace draws small legal traces that mix lock events with reads
+and writes, for tests and the selfcheck sweep.
 """
 
 import math
 from dataclasses import dataclass
 
-from .trace import ACQ, REL, Event, Trace, validate_trace
+from .trace import ACQ, READ, REL, WRITE, Event, Trace, validate_trace
 
 PATTERNS = ("single_lock", "skewed_locks", "star", "pairwise")
 STAR_STYLES = ("paired", "relay")
@@ -160,3 +163,33 @@ def generate(spec: GenSpec) -> Trace:
 def _pair_lock(a: int, b: int, k: int) -> int:
     """Index of pair (a, b), a < b, in lexicographic pair order."""
     return a * (2 * k - a - 1) // 2 + (b - a - 1)
+
+
+def random_trace(seed, events=120, threads=4, locks=3, variables=3):
+    """Small legal trace, deterministic in seed (lock discipline holds)."""
+    if locks == 0 and variables == 0:
+        raise ValueError("need at least one lock or variable to emit events")
+    rng = SplitMix64(seed)
+    held = {}
+    out = []
+    while len(out) < events:
+        t = rng.below(threads)
+        c = rng.below(10)
+        if c < 2:
+            free = [l for l in range(locks) if l not in held]
+            if free:
+                lock = free[rng.below(len(free))]
+                held[lock] = t
+                out.append(Event(t, ACQ, lock))
+        elif c < 4:
+            mine = [l for l, h in held.items() if h == t]
+            if mine:
+                lock = mine[rng.below(len(mine))]
+                del held[lock]
+                out.append(Event(t, REL, lock))
+        elif c < 7:
+            if variables:
+                out.append(Event(t, READ, rng.below(variables)))
+        elif variables:
+            out.append(Event(t, WRITE, rng.below(variables)))
+    return Trace(out, threads, locks, variables)

@@ -15,9 +15,25 @@ past the attachment time of the current child (all later siblings were
 attached even earlier). Both prunings are exercised and cross-checked
 against flat vector clocks throughout the test suite.
 
-Nodes live in dense arrays indexed by thread id, so thread-id lookup is O(1)
-and a structural copy is an array copy. All traversals are iterative.
+Nodes live in six dense arrays indexed by thread id (clk, aclk, parent,
+head, nxt, prv), so thread-id lookup is O(1) and a structural copy is an
+array copy. Nodes are only ever added: a thread joins the tree when a
+join or copy first brings it in, and leaves only when a deep copy
+replaces every array. Three invariants follow and check_integrity
+asserts them:
+
+- clk[t] == 0 for every thread t outside the tree, so an entry is read
+  as clk[t] with no membership test, and flatten is tuple(clk);
+- a thread is in the tree iff it is the root or parent[t] != NIL, and a
+  thread outside it has no children (head[t] == NIL);
+- nodes counts the threads in the tree.
+
+An empty clock (aux) holds a zero clk tuple and no link arrays. Its first
+mutation is always a deep copy, which allocates exactly the arrays it
+keeps. All traversals are iterative.
 """
+
+from operator import ne
 
 from .vclock import ClockContractError
 
@@ -27,31 +43,33 @@ BOT = -1  # "no attachment time" marker for the root; never compared, only shown
 
 class TreeClock:
     __slots__ = (
-        "k", "clk", "aclk", "parent", "head", "nxt", "prv", "intree",
+        "k", "clk", "aclk", "parent", "head", "nxt", "prv", "nodes",
         "root", "counter",
     )
 
-    def __init__(self, size, counter=None):
+    def __init__(self, size, counter=None, owner=NIL):
         self.k = size
+        self.root = owner
+        self.counter = counter
+        if owner == NIL:  # empty: no link arrays until the first copy
+            self.clk = (0,) * size
+            self.aclk = self.parent = self.head = self.nxt = self.prv = None
+            self.nodes = 0
+            return
         self.clk = [0] * size
         self.aclk = [BOT] * size
         self.parent = [NIL] * size
         self.head = [NIL] * size  # first (most recently attached) child
         self.nxt = [NIL] * size   # next younger sibling
         self.prv = [NIL] * size   # previous (more recently attached) sibling
-        self.intree = [False] * size
-        self.root = NIL
-        self.counter = counter
+        self.nodes = 1
 
     # --- construction -----------------------------------------------------
 
     @classmethod
     def owned(cls, tid, size, counter=None):
         """A thread's own clock: a single root node at time 0."""
-        tc = cls(size, counter=counter)
-        tc.root = tid
-        tc.intree[tid] = True
-        return tc
+        return cls(size, counter, owner=tid)
 
     @classmethod
     def aux(cls, size, counter=None):
@@ -64,11 +82,10 @@ class TreeClock:
         return self.root == NIL
 
     def get(self, tid):
-        return self.clk[tid] if self.intree[tid] else 0
+        return self.clk[tid]
 
     def flatten(self):
-        clk, intree = self.clk, self.intree
-        return tuple(clk[t] if intree[t] else 0 for t in range(self.k))
+        return tuple(self.clk)
 
     def leq(self, other):
         """True iff every entry of self is <= the matching entry of other.
@@ -115,7 +132,7 @@ class TreeClock:
         if c is not None:
             c.joins += 1
         z = src.root
-        if src.clk[z] <= self.get(z):
+        if src.clk[z] <= self.clk[z]:
             if c is not None:
                 c.impl_work += 1  # examined the source root, nothing to do
             return
@@ -168,12 +185,15 @@ class TreeClock:
         """Copy src into self, deciding in O(1) whether the cheap monotone
         path applies: it does iff the source's entry for self's root thread
         has not fallen behind self's root time. Returns "monotone" or
-        "deep". An empty target takes the deep (full structural) path."""
+        "deep". An empty target takes the deep (full structural) path; an
+        empty source is outside the contract, as for monotone_copy."""
+        if src.root == NIL:
+            raise ClockContractError("copy from an empty clock")
         if self.root == NIL:
             self._become_copy_of(src)
             return "deep"
         r = self.root
-        monotone = src.get(r) >= self.clk[r]
+        monotone = src.clk[r] >= self.clk[r]
         if self.counter is not None and self.counter.debug:
             # a non-monotone target must be caught by the single-entry test
             if monotone and not self.leq(src):
@@ -192,7 +212,7 @@ class TreeClock:
         """Walk src from its root, collecting nodes ahead of self in
         post-order (so the stack pops parents before children). Returns
         (stack, examined-node count)."""
-        get = self.get
+        clk = self.clk
         z = src.root
         # (node, next child to look at); the root itself is always gathered
         frames = [(z, src.head[z])]
@@ -205,12 +225,12 @@ class TreeClock:
                 out.append(u)
                 continue
             visited += 1
-            descend = src.clk[v] > get(v)
+            descend = src.clk[v] > clk[v]
             if copy_mode and v == self.root:
                 descend = True  # the old root must be regathered to be reseated
             # later siblings were attached no later than v; if we already
             # know the parent's thread past v's attachment, they are stale
-            stop = src.aclk[v] <= get(u)
+            stop = src.aclk[v] <= clk[u]
             frames[-1] = (u, NIL if stop else src.nxt[v])
             if descend:
                 if v == self.root and not copy_mode:
@@ -222,18 +242,19 @@ class TreeClock:
 
     def _detach_and_attach(self, src, stack, z, copy_mode):
         """Unlink every gathered node from self, then rebuild them in
-        stack order (parents first) mirroring the source's shape."""
-        intree = self.intree
+        stack order (parents first) mirroring the source's shape. A
+        gathered thread outside the tree already reads clk 0 and has no
+        children, so it needs no reset to join."""
+        parent, root = self.parent, self.root
+        fresh = 0
         for u in stack:
-            if intree[u] and u != self.root:
+            if parent[u] != NIL:
                 self._unlink(u)
+            elif u != root:
+                fresh += 1
+        self.nodes += fresh
         for i in range(len(stack) - 1, -1, -1):
             u = stack[i]
-            fresh = not intree[u]
-            if fresh:
-                intree[u] = True
-                self.head[u] = NIL
-                self.clk[u] = 0
             newclk = src.clk[u]
             if copy_mode:
                 if self.counter is not None and newclk != self.clk[u]:
@@ -272,27 +293,20 @@ class TreeClock:
         """Full structural copy (the deep path). Arena layout makes this an
         array copy; work is everything discarded plus everything built."""
         c = self.counter
-        vt_changed = 0
-        old_nodes = sum(self.intree)
         if c is not None:
-            before = self.flatten()
-            after = src.flatten()
-            vt_changed = sum(1 for a, b in zip(before, after) if a != b)
+            c.copies += 1
+            c.impl_work += 2 * src.nodes + self.nodes
+            c.vt_work += sum(map(ne, self.clk, src.clk))
         self.clk = src.clk[:]
         self.aclk = src.aclk[:]
         self.parent = src.parent[:]
         self.head = src.head[:]
         self.nxt = src.nxt[:]
         self.prv = src.prv[:]
-        self.intree = src.intree[:]
+        self.nodes = src.nodes
         self.root = src.root
-        if c is not None:
-            c.copies += 1
-            src_nodes = sum(src.intree)
-            c.impl_work += 2 * src_nodes + old_nodes
-            c.vt_work += vt_changed
-            if c.debug:
-                self.check_integrity()
+        if c is not None and c.debug:
+            self.check_integrity()
 
     # --- diagnostics -------------------------------------------------------
 
@@ -318,15 +332,16 @@ class TreeClock:
     def check_integrity(self):
         """Verify the structural invariants; raises AssertionError if broken.
 
-        Checked: the in-tree flags agree with what is reachable from the
-        root, parent/sibling links are mutually consistent, sibling aclk
-        values never increase front to back, and every non-root node's
-        aclk is at most its parent's clk.
+        Checked: parent/sibling links are mutually consistent, sibling
+        aclk values never increase front to back, every non-root node's
+        aclk is at most its parent's clk, the node count equals the
+        number of nodes reachable from the root, and every thread outside
+        the tree has clk 0, no parent and no children.
         """
         if self.root == NIL:
-            assert not any(self.intree), "nodes present in an empty clock"
+            assert self.nodes == 0, f"empty clock counts {self.nodes} nodes"
+            assert not any(self.clk), "empty clock has a nonzero entry"
             return
-        assert self.intree[self.root], "root not marked in-tree"
         assert self.parent[self.root] == NIL, "root has a parent"
         seen = [False] * self.k
         stack = [self.root]
@@ -337,7 +352,6 @@ class TreeClock:
             v = self.head[u]
             last_aclk = None
             while v != NIL:
-                assert self.intree[v], f"linked node {v} not marked in-tree"
                 assert self.parent[v] == u, f"parent link of {v} is stale"
                 if self.prv[v] == NIL:
                     assert self.head[u] == v
@@ -354,10 +368,15 @@ class TreeClock:
                 last_aclk = self.aclk[v]
                 stack.append(v)
                 v = self.nxt[v]
+        reached = sum(seen)
+        assert reached == self.nodes, (
+            f"{reached} nodes reachable but {self.nodes} counted"
+        )
         for t in range(self.k):
-            assert seen[t] == self.intree[t], (
-                f"node {t}: reachable={seen[t]} but intree={self.intree[t]}"
-            )
+            if not seen[t]:
+                assert self.clk[t] == 0, f"absent thread {t} has clk {self.clk[t]}"
+                assert self.parent[t] == NIL, f"absent thread {t} has a parent"
+                assert self.head[t] == NIL, f"absent thread {t} has children"
 
     def __repr__(self):
         return f"TreeClock(root={self.root}, {list(self.flatten())!r})"

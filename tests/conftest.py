@@ -1,7 +1,6 @@
 """Shared test helpers: deterministic random traces of varying shape."""
 
-from clocktrace.selfcheck import random_trace
-from clocktrace.tracegen import SplitMix64
+from clocktrace.tracegen import SplitMix64, random_trace
 from clocktrace.trace import Trace
 
 __all__ = ["random_trace", "corpus_trace"]

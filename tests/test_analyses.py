@@ -18,8 +18,8 @@ from clocktrace.oracle import (
     oracle_timestamps,
     oracle_unordered_pairs,
 )
-from clocktrace.selfcheck import random_trace
 from clocktrace.trace import parse_trace
+from clocktrace.tracegen import random_trace
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -1,13 +1,19 @@
 """End-to-end tests of the command line interface, driven in-process
 through main() so exit codes and output can be asserted directly."""
 
+import contextlib
 import csv
 import io
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clocktrace import cli
+from clocktrace.analyses import ORDERS
 from clocktrace.metrics import CSV_COLUMNS
+from clocktrace.trace import parse_trace, validate_trace
 
 TIME_COL = CSV_COLUMNS.index("time_ms")
 
@@ -172,6 +178,27 @@ class TestExitCodes:
         assert cli.main(["analyze", "--po", "hb", "--input", str(bad)]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("clock", ["tree", "vector", "both"])
+    def test_lock_misuse_exits_2_naming_the_line(self, tmp_path, capsys, clock):
+        # t0 releases l0 while t1 holds it
+        bad = tmp_path / "misuse.trace"
+        bad.write_text("t0 acq l0\nt0 rel l0\nt1 acq l0\nt0 rel l0\nt1 rel l0\n")
+        rc = cli.main(["analyze", "--po", "hb", "--clock", clock,
+                       "--input", str(bad), "--repeat", "1"])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "line 4:" in err and "t0 rel l0" in err
+
+    def test_lock_misuse_line_counts_comments_and_blanks(self, tmp_path, capsys):
+        bad = tmp_path / "misuse.trace"
+        bad.write_text("# header\n\nt3 acq m  # take m\n   \nt3 acq m\n")
+        rc = cli.main(["analyze", "--po", "hb", "--clock", "tree",
+                       "--input", str(bad), "--repeat", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "line 5: lock discipline violated (reacquire): 't3 acq m'" in err
+
     def test_usage_errors(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["analyze", "--po", "nope", "--input", "-"])
@@ -205,6 +232,29 @@ class TestExitCodes:
                        "--repeat", "1"])
         assert rc == 1
         assert "divergence" in capsys.readouterr().err
+
+
+LINE = st.tuples(st.integers(0, 2), st.sampled_from(["acq", "rel", "r", "w"]),
+                 st.integers(0, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(lines=st.lists(LINE, min_size=2, max_size=11),
+       po=st.sampled_from(ORDERS), clock=st.sampled_from(["tree", "vector", "both"]))
+def test_lock_misuse_is_rejected_never_misanalysed(lines, po, clock):
+    """Random traces that may misuse locks (release a free or foreign lock,
+    re-acquire a held one) exit 2 exactly when they break lock discipline
+    and 0 otherwise; none reaches a divergence or a failed bound (exit 1)."""
+    text = "".join(
+        f"t{t} {op} {'l' if op in ('acq', 'rel') else 'x'}{target}\n"
+        for t, op, target in lines
+    )
+    with mock.patch("sys.stdin", io.StringIO(text)), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        rc = cli.main(["analyze", "--po", po, "--clock", clock,
+                       "--input", "-", "--repeat", "1"])
+    assert rc == (2 if validate_trace(parse_trace(text)) else 0)
 
 
 class TestBench:

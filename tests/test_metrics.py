@@ -13,8 +13,8 @@ from clocktrace.metrics import (
     verify_bounds,
     vtwork,
 )
-from clocktrace.selfcheck import random_trace
 from clocktrace.trace import parse_trace
+from clocktrace.tracegen import random_trace
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -3,6 +3,7 @@ their documented shape."""
 
 from clocktrace import selfcheck
 from clocktrace.trace import parse_trace, serialize_trace, validate_trace
+from clocktrace.tracegen import random_trace
 
 
 def test_all_embedded_checks_pass():
@@ -28,8 +29,8 @@ def test_spotlight_costs_differ_by_structure():
 
 
 def test_random_trace_is_legal_and_deterministic():
-    a = selfcheck.random_trace(3, events=100)
-    b = selfcheck.random_trace(3, events=100)
+    a = random_trace(3, events=100)
+    b = random_trace(3, events=100)
     assert serialize_trace(a) == serialize_trace(b)
     assert validate_trace(a) == []
     assert len(a.events) == 100

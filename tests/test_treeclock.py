@@ -10,9 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clocktrace.analyses import HB, MAZ, run_analysis
-from clocktrace.selfcheck import random_trace
-from clocktrace.tracegen import GenSpec, SplitMix64, generate
+from clocktrace.analyses import HB, MAZ, SHB, run_analysis
+from clocktrace.tracegen import GenSpec, SplitMix64, generate, random_trace
 from clocktrace.treeclock import BOT, NIL, TreeClock, pruning_violations
 from clocktrace.vclock import ClockContractError, VectorClock, WorkCounter
 
@@ -20,19 +19,20 @@ from clocktrace.vclock import ClockContractError, VectorClock, WorkCounter
 def build(k, spec, counter=None):
     """White-box constructor: spec is (tid, clk, aclk, [children]) with
     children given in display (most recently attached first) order."""
-    tc = TreeClock(k, counter=counter)
-    tc.root = spec[0]
+    tc = TreeClock.owned(spec[0], k, counter=counter)
 
-    def place(node, parent_tid):
+    def place(node):
+        """Set the node's fields and link its subtree; returns its size."""
         tid, clk, aclk, kids = node
         tc.clk[tid] = clk
         tc.aclk[tid] = aclk
-        tc.intree[tid] = True
+        size = 1
         for kid in reversed(kids):
-            place(kid, tid)
+            size += place(kid)
             tc._link_front(tid, kid[0])
+        return size
 
-    place(spec, None)
+    tc.nodes = place(spec)
     return tc
 
 
@@ -107,6 +107,51 @@ class TestBasics:
         t = TreeClock.owned(0, 3)
         assert l.leq(t)
         assert l.leq(TreeClock.aux(3))
+        t.increment()
+        assert not t.leq(l)
+
+    def test_empty_aux_holds_no_link_arrays(self):
+        l = TreeClock.aux(4)
+        assert l.nodes == 0
+        assert (l.aclk, l.parent, l.head, l.nxt, l.prv) == (None,) * 5
+        assert [l.get(t) for t in range(4)] == [0, 0, 0, 0]
+        assert repr(l) == "TreeClock(root=-1, [0, 0, 0, 0])"
+
+    @pytest.mark.parametrize("copy", ["monotone_copy", "copy_check_monotone"])
+    def test_first_copy_does_not_alias_the_source(self, copy):
+        c = WorkCounter(debug=True)
+        a = TreeClock.owned(0, 4, c)
+        b = TreeClock.owned(1, 4, c)
+        lk = TreeClock.aux(4, c)
+        b.increment()
+        lk.monotone_copy(b)
+        a.increment()
+        a.join(lk)
+        target = TreeClock.aux(4, c)
+        getattr(target, copy)(a)
+        flat, shape = target.flatten(), target.dump()
+        assert flat == (1, 1, 0, 0)
+        # every array of the source moves on: its root entry, a new child,
+        # and a reordered child list
+        a.increment()
+        b.increment()
+        lk.monotone_copy(b)
+        a.join(lk)
+        d = TreeClock.owned(2, 4, c)
+        d.increment()
+        a.join(d)
+        assert a.flatten() == (2, 2, 1, 0)
+        assert target.flatten() == flat
+        assert target.dump() == shape
+        target.check_integrity()
+
+    def test_copy_from_empty_source_raises(self):
+        t = TreeClock.owned(0, 3)
+        for target in (TreeClock.aux(3), t):
+            with pytest.raises(ClockContractError):
+                target.copy_check_monotone(TreeClock.aux(3))
+            with pytest.raises(ClockContractError):
+                target.monotone_copy(TreeClock.aux(3))
 
     def test_increment_empty_raises(self):
         with pytest.raises(ClockContractError):
@@ -121,6 +166,46 @@ class TestBasics:
         assert c.increments == 2
         assert c.impl_work == 2
         assert c.vt_work == 2  # one entry changed per increment event
+
+
+class TestInvariants:
+    """check_integrity asserts the layout the fast paths rely on: absent
+    threads read clk 0 and hold no links, and nodes counts the tree."""
+
+    def test_absent_entries_are_zero_on_every_clock(self):
+        trace = random_trace(17, events=150, threads=5, locks=3, variables=3)
+
+        def check(i, ev, engine):
+            clocks = list(engine.thread_clocks) + list(engine.lock_clocks.values()) \
+                + list(engine.write_clocks.values()) + list(engine.read_clocks.values())
+            for clock in clocks:
+                present = set(walk_nodes(clock))
+                assert clock.nodes == len(present)
+                for t in range(clock.k):
+                    if t not in present:
+                        assert clock.clk[t] == 0
+                        assert clock.get(t) == 0
+                        assert clock.flatten()[t] == 0
+
+        for po in (HB, SHB, MAZ):
+            run_analysis(trace, po, "tree", debug=True, inspect=check)
+
+    def test_nonzero_absent_entry_is_caught(self):
+        a = build(5, TREE_A)
+        a.check_integrity()
+        a.clk[4] = 1
+        with pytest.raises(AssertionError, match="absent thread 4"):
+            a.check_integrity()
+
+    def test_wrong_node_count_is_caught(self):
+        a = build(4, TREE_A)
+        a.nodes += 1
+        with pytest.raises(AssertionError, match="counted"):
+            a.check_integrity()
+        l = TreeClock.aux(3)
+        l.nodes = 1
+        with pytest.raises(AssertionError, match="empty clock"):
+            l.check_integrity()
 
 
 class TestJoin:
@@ -386,6 +471,15 @@ def test_differential_scripts_hypothesis(seed, k, locks, steps):
 
 
 # --- learned-edge invariant -------------------------------------------------
+
+
+def walk_nodes(tc):
+    """Yield every thread reachable from the root, root first."""
+    if tc.is_empty():
+        return
+    yield tc.root
+    for _, child, _, _ in walk_edges(tc):
+        yield child
 
 
 def walk_edges(tc):
