@@ -131,7 +131,7 @@ class Engine:
                     rc = self.read_clocks[(x, t)] = self._aux()
                 rc.monotone_copy(C)
             reads = self.read_epochs.setdefault(x, {})
-            reads[t] = C.get(t)  # re-reads keep the thread's original position
+            reads[t] = C.clk[t]  # re-reads keep the thread's original position
         elif ev.op == WRITE:
             x = ev.target
             lw = self.write_clocks.get(x)
@@ -163,7 +163,7 @@ class Engine:
                     # unordered with the previous one — an O(1) epoch test
                     # that both clock structures answer the same way
                     ew = self.write_epochs[x]
-                    forced = C.get(ew.tid) < ew.clk
+                    forced = C.clk[ew.tid] < ew.clk
                     if forced:
                         self.deep_copies += 1
                     status = lw.copy_check_monotone(C)
@@ -175,7 +175,7 @@ class Engine:
                     lw = self.write_clocks[x] = self._aux()
                     self.fresh_copies += 1
                 lw.monotone_copy(C)
-            self.write_epochs[x] = Epoch(t, C.get(t))
+            self.write_epochs[x] = Epoch(t, C.clk[t])
             self.read_epochs[x] = {}
         if self._access_log is not None and (ev.op == READ or ev.op == WRITE):
             self._count_unordered(ev, C)
@@ -184,22 +184,22 @@ class Engine:
 
     def _check_read(self, x, t, C, i):
         ew = self.write_epochs.get(x)
-        if ew is not None and C.get(ew.tid) < ew.clk:
+        if ew is not None and C.clk[ew.tid] < ew.clk:
             self.races.append(
-                RaceReport("write-read", x, ew, Epoch(t, C.get(t)), i)
+                RaceReport("write-read", x, ew, Epoch(t, C.clk[t]), i)
             )
 
     def _check_write(self, x, t, C, i):
         ew = self.write_epochs.get(x)
-        if ew is not None and C.get(ew.tid) < ew.clk:
+        if ew is not None and C.clk[ew.tid] < ew.clk:
             self.races.append(
-                RaceReport("write-write", x, ew, Epoch(t, C.get(t)), i)
+                RaceReport("write-write", x, ew, Epoch(t, C.clk[t]), i)
             )
             return
         for rt, rc in self.read_epochs.get(x, {}).items():
-            if C.get(rt) < rc:
+            if C.clk[rt] < rc:
                 self.races.append(
-                    RaceReport("read-write", x, Epoch(rt, rc), Epoch(t, C.get(t)), i)
+                    RaceReport("read-write", x, Epoch(rt, rc), Epoch(t, C.clk[t]), i)
                 )
                 return
 
@@ -208,10 +208,11 @@ class Engine:
         # event's timestamp covers t2 through c2 (its joins are all done)
         log = self._access_log.setdefault(ev.target, [])
         wr = ev.op == WRITE
+        clk = C.clk
         for t2, c2, w2 in log:
-            if (w2 or wr) and C.get(t2) < c2:
+            if (w2 or wr) and clk[t2] < c2:
                 self.unordered_pairs += 1
-        log.append((ev.tid, C.get(ev.tid), wr))
+        log.append((ev.tid, clk[ev.tid], wr))
 
 
 def run_analysis(trace, po, clock_kind="tree", *, debug=False,

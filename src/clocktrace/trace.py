@@ -134,6 +134,10 @@ def validate_trace(trace):
     Flagged: acquiring a lock that is already held by anyone (reentrant
     locking included), releasing a lock the thread does not hold, and
     releasing a lock nobody holds.
+
+    Messages name threads and locks by their interned ids ("thread #1",
+    "lock #0"), which number each kind in order of first appearance in
+    the trace, not by the names the trace text used.
     """
     holder = {}  # lock id -> tid
     problems = []
@@ -144,8 +148,8 @@ def validate_trace(trace):
                     Violation(
                         i,
                         "reacquire",
-                        f"event {i}: t{ev.tid} acquires l{ev.target} "
-                        f"already held by t{holder[ev.target]}",
+                        f"event {i}: thread #{ev.tid} acquires lock #{ev.target} "
+                        f"already held by thread #{holder[ev.target]}",
                     )
                 )
             else:
@@ -156,7 +160,8 @@ def validate_trace(trace):
                     Violation(
                         i,
                         "release-free",
-                        f"event {i}: t{ev.tid} releases l{ev.target} which is not held",
+                        f"event {i}: thread #{ev.tid} releases lock #{ev.target} "
+                        f"which is not held",
                     )
                 )
             elif holder[ev.target] != ev.tid:
@@ -164,8 +169,8 @@ def validate_trace(trace):
                     Violation(
                         i,
                         "release-not-held",
-                        f"event {i}: t{ev.tid} releases l{ev.target} "
-                        f"held by t{holder[ev.target]}",
+                        f"event {i}: thread #{ev.tid} releases lock #{ev.target} "
+                        f"held by thread #{holder[ev.target]}",
                     )
                 )
             else:

@@ -15,6 +15,15 @@ past the attachment time of the current child (all later siblings were
 attached even earlier). Both prunings are exercised and cross-checked
 against flat vector clocks throughout the test suite.
 
+Join and monotone copy share one traversal (_move) in two passes. The
+gather pass walks the source in pre-order, pushing siblings newest first
+so they pop oldest first. The rebuild pass visits the gathered nodes in
+that order and, for each, unlinks it from self (or counts it as new),
+takes the source's clk and links it at the front of its source parent's
+child list. Parents are thus placed before their children, and siblings
+linked oldest first end up newest first, as in the source, ahead of the
+children self kept.
+
 Nodes live in six dense arrays indexed by thread id (clk, aclk, parent,
 head, nxt, prv), so thread-id lookup is O(1) and a structural copy is an
 array copy. Nodes are only ever added: a thread joins the tree when a
@@ -93,7 +102,7 @@ class TreeClock:
         stack = [self.root] if self.root != NIL else []
         while stack:
             u = stack.pop()
-            if self.clk[u] > other.get(u):
+            if self.clk[u] > other.clk[u]:
                 return False
             v = self.head[u]
             while v != NIL:
@@ -117,11 +126,11 @@ class TreeClock:
     def join(self, src):
         """self <- self max src.
 
-        Gathers the source nodes that are ahead of self (with the two
-        prunings described in the module docstring), detaches self's stale
-        counterparts, rebuilds them mirroring the source, and hangs the
-        rebuilt subtree at the front of self's root. A source that is
-        strictly ahead on self's *own* root thread is outside this
+        One gather pass collects the source nodes that are ahead of self
+        (with the two prunings described in the module docstring); one
+        rebuild pass moves each into place mirroring the source and hangs
+        the source root as the newest child of self's root. A source that
+        is strictly ahead on self's *own* root thread is outside this
         operation's contract.
         """
         c = self.counter
@@ -140,23 +149,18 @@ class TreeClock:
             raise ClockContractError(
                 "join source is ahead on the target's own root thread"
             )
-        stack, visited = self._gather(src, copy_mode=False)
-        self._detach_and_attach(src, stack, z, copy_mode=False)
-        # hang the rebuilt subtree as the newest child of our root
-        self.aclk[z] = self.clk[self.root]
-        self._link_front(self.root, z)
-        if c is not None:
-            c.impl_work += visited + len(stack)  # examined + rebuilt
-            if c.debug:
-                self.check_integrity()
+        self._move(src, copy_mode=False)
+        if c is not None and c.debug:
+            self.check_integrity()
 
     def monotone_copy(self, src):
         """self <- src, assuming self <= src entrywise.
 
-        Like join, but the target is wholly superseded: the result's root
-        moves to the source's root thread. The node for self's current root
-        thread is always regathered (even if its time is unchanged) so it
-        can be reseated wherever the source holds it.
+        The same gather and rebuild passes as join, but the target is wholly
+        superseded: the result's root moves to the source's root thread. The
+        node for self's current root thread is always gathered (even if its
+        time is unchanged) so the rebuild can reseat it wherever the source
+        holds it.
         """
         c = self.counter
         if src.root == NIL:
@@ -168,18 +172,10 @@ class TreeClock:
             c.copies += 1
             if c.debug and not self.leq(src):
                 raise ClockContractError("monotone copy target is not below source")
-        z = src.root
-        stack, visited = self._gather(src, copy_mode=True)
-        self._detach_and_attach(src, stack, z, copy_mode=True)
-        self.aclk[z] = BOT
-        self.parent[z] = NIL
-        self.prv[z] = NIL
-        self.nxt[z] = NIL
-        self.root = z
-        if c is not None:
-            c.impl_work += visited + len(stack)  # examined + rebuilt
-            if c.debug:
-                self.check_integrity()
+        self._move(src, copy_mode=True)
+        self.root = src.root
+        if c is not None and c.debug:
+            self.check_integrity()
 
     def copy_check_monotone(self, src):
         """Copy src into self, deciding in O(1) whether the cheap monotone
@@ -208,86 +204,80 @@ class TreeClock:
 
     # --- internals -------------------------------------------------------
 
-    def _gather(self, src, copy_mode):
-        """Walk src from its root, collecting nodes ahead of self in
-        post-order (so the stack pops parents before children). Returns
-        (stack, examined-node count)."""
-        clk = self.clk
-        z = src.root
-        # (node, next child to look at); the root itself is always gathered
-        frames = [(z, src.head[z])]
-        out = []
+    def _move(self, src, copy_mode):
+        """Bring the source nodes ahead of self into self's tree in the
+        source's shape (gather, then rebuild; see the module docstring) and
+        tally the work. The source root becomes the newest child of self's
+        root (join) or the root (copy_mode, which always gathers self's old
+        root so the rebuild can reseat it)."""
+        clk, aclk, parent, head, nxt, prv = (
+            self.clk, self.aclk, self.parent, self.head, self.nxt, self.prv)
+        sclk, saclk, sparent, shead, snxt = (
+            src.clk, src.aclk, src.parent, src.head, src.nxt)
+        root, z = self.root, src.root
+        keep = root if copy_mode else NIL  # gathered even when not ahead
+        guard = NIL if copy_mode else root  # must never be ahead in a join
+        moved = []
+        stack = [z]
         visited = 1
-        while frames:
-            u, v = frames[-1]
-            if v == NIL:
-                frames.pop()
-                out.append(u)
-                continue
-            visited += 1
-            descend = src.clk[v] > clk[v]
-            if copy_mode and v == self.root:
-                descend = True  # the old root must be regathered to be reseated
-            # later siblings were attached no later than v; if we already
-            # know the parent's thread past v's attachment, they are stale
-            stop = src.aclk[v] <= clk[u]
-            frames[-1] = (u, NIL if stop else src.nxt[v])
-            if descend:
-                if v == self.root and not copy_mode:
-                    raise ClockContractError(
-                        "join source is ahead on the target's own root thread"
-                    )
-                frames.append((v, src.head[v]))
-        return out, visited
-
-    def _detach_and_attach(self, src, stack, z, copy_mode):
-        """Unlink every gathered node from self, then rebuild them in
-        stack order (parents first) mirroring the source's shape. A
-        gathered thread outside the tree already reads clk 0 and has no
-        children, so it needs no reset to join."""
-        parent, root = self.parent, self.root
-        fresh = 0
-        for u in stack:
-            if parent[u] != NIL:
-                self._unlink(u)
+        while stack:
+            u = stack.pop()
+            moved.append(u)
+            cu = clk[u]  # self's time for u before this operation
+            v = shead[u]
+            while v != NIL:
+                visited += 1
+                if sclk[v] > clk[v]:
+                    if v == guard:
+                        raise ClockContractError(
+                            "join source is ahead on the target's own root thread"
+                        )
+                    stack.append(v)
+                elif v == keep:
+                    stack.append(v)
+                # later siblings were attached no later than v; if self
+                # already knows u's thread past v's attachment, they are stale
+                if saclk[v] <= cu:
+                    break
+                v = snxt[v]
+        fresh = changed = 0
+        for u in moved:
+            p = parent[u]
+            if p != NIL:
+                before, after = prv[u], nxt[u]
+                if before != NIL:
+                    nxt[before] = after
+                else:
+                    head[p] = after
+                if after != NIL:
+                    prv[after] = before
             elif u != root:
-                fresh += 1
+                fresh += 1  # outside the tree: clk 0 and no children
+            if clk[u] != sclk[u]:
+                clk[u] = sclk[u]
+                changed += 1
+            p = sparent[u]
+            if p == NIL:  # u is z, the first node moved
+                if copy_mode:
+                    aclk[u] = BOT
+                    parent[u] = prv[u] = nxt[u] = NIL
+                    continue
+                p = root
+                aclk[u] = clk[root]
+            else:
+                aclk[u] = saclk[u]
+            after = head[p]
+            head[p] = u
+            prv[u] = NIL
+            nxt[u] = after
+            if after != NIL:
+                prv[after] = u
+            parent[u] = p
         self.nodes += fresh
-        for i in range(len(stack) - 1, -1, -1):
-            u = stack[i]
-            newclk = src.clk[u]
-            if copy_mode:
-                if self.counter is not None and newclk != self.clk[u]:
-                    self.counter.vt_work += 1
-                self.clk[u] = newclk
-            elif newclk > self.clk[u]:
-                if self.counter is not None:
-                    self.counter.vt_work += 1
-                self.clk[u] = newclk
-            if u != z:
-                self.aclk[u] = src.aclk[u]
-                self._link_front(src.parent[u], u)
-
-    def _unlink(self, u):
-        p, before, after = self.parent[u], self.prv[u], self.nxt[u]
-        if before != NIL:
-            self.nxt[before] = after
-        else:
-            self.head[p] = after
-        if after != NIL:
-            self.prv[after] = before
-        self.parent[u] = NIL
-        self.prv[u] = NIL
-        self.nxt[u] = NIL
-
-    def _link_front(self, p, u):
-        old = self.head[p]
-        self.head[p] = u
-        self.prv[u] = NIL
-        self.nxt[u] = old
-        if old != NIL:
-            self.prv[old] = u
-        self.parent[u] = p
+        c = self.counter
+        if c is not None:
+            c.impl_work += visited + len(moved)  # examined + rebuilt
+            c.vt_work += changed
 
     def _become_copy_of(self, src):
         """Full structural copy (the deep path). Arena layout makes this an
@@ -384,8 +374,8 @@ class TreeClock:
 
 def pruning_violations(a, b):
     """Check the two pruning soundness conditions of tree clock a against
-    clock b (any clock with .get). Returns a list of human-readable
-    violation strings; empty means both hold.
+    clock b (either kind; both index entries as b.clk[tid]). Returns a list
+    of human-readable violation strings; empty means both hold.
 
     Direct: if b knows a's node u at least to u's clk, then every
     descendant of u is also known to b. Indirect: if b knows u's thread at
@@ -406,14 +396,14 @@ def pruning_violations(a, b):
             v = a.nxt[v]
     stale = [False] * a.k  # "subtree of u holds a node b does not know"
     for u in reversed(order):
-        miss = a.clk[u] > b.get(u)
+        miss = a.clk[u] > b.clk[u]
         v = a.head[u]
         while not miss and v != NIL:
             miss = stale[v]
             v = a.nxt[v]
         stale[u] = miss
     for u in order:
-        known = a.clk[u] <= b.get(u)
+        known = a.clk[u] <= b.clk[u]
         v = a.head[u]
         while v != NIL:
             if known and stale[v]:
@@ -421,7 +411,7 @@ def pruning_violations(a, b):
                     f"direct: node {u} is known to the other clock but its "
                     f"descendant subtree under {v} is not"
                 )
-            if a.aclk[v] <= b.get(u) and (stale[v] or a.clk[v] > b.get(v)):
+            if a.aclk[v] <= b.clk[u] and (stale[v] or a.clk[v] > b.clk[v]):
                 out.append(
                     f"indirect: child {v} of {u} attached within the other "
                     f"clock's knowledge yet its subtree is not covered"

@@ -117,6 +117,17 @@ def test_validate_release_not_held():
     assert [p.kind for p in validate_trace(tr)] == ["release-not-held"]
 
 
+def test_validate_message_names_interned_ids_not_trace_names():
+    # t5 and m are interned as thread #0 and lock #0, t7 as thread #1;
+    # naming them t1/l0 would read as names the trace never used
+    tr = parse_trace("t5 acq m\nt7 rel m\n")
+    (problem,) = validate_trace(tr)
+    assert problem.message == (
+        "event 1: thread #1 releases lock #0 held by thread #0"
+    )
+    assert "t1" not in problem.message and "l0" not in problem.message
+
+
 def test_validate_release_free():
     tr = parse_trace("t0 rel l0\n")
     assert [p.kind for p in validate_trace(tr)] == ["release-free"]

@@ -6,6 +6,8 @@ its contract error, both copy operations, the learned-edge invariant
 that justifies pruning, and the pruning soundness checker itself.
 """
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,10 +28,13 @@ def build(k, spec, counter=None):
         tid, clk, aclk, kids = node
         tc.clk[tid] = clk
         tc.aclk[tid] = aclk
+        tc.head[tid] = kids[0][0] if kids else NIL
         size = 1
-        for kid in reversed(kids):
+        for i, kid in enumerate(kids):
             size += place(kid)
-            tc._link_front(tid, kid[0])
+            tc.parent[kid[0]] = tid
+            tc.prv[kid[0]] = kids[i - 1][0] if i else NIL
+            tc.nxt[kid[0]] = kids[i + 1][0] if i + 1 < len(kids) else NIL
         return size
 
     tc.nodes = place(spec)
@@ -206,6 +211,47 @@ class TestInvariants:
         l.nodes = 1
         with pytest.raises(AssertionError, match="empty clock"):
             l.check_integrity()
+
+
+SHAPE_TRACES = {
+    "star-relay": lambda: generate(
+        GenSpec("star", 16, 1200, seed=5, star_style="relay")),
+    "single-lock": lambda: generate(GenSpec("single_lock", 12, 1200, seed=5)),
+    "random": lambda: random_trace(5, events=1000, threads=6, locks=3, variables=4),
+}
+
+# sha256 prefixes of every clock's dump() after every event; any change to
+# sibling order, attachment times or placement moves them
+SHAPE_DIGESTS = {
+    ("star-relay", HB): "1e0fd3018054df72",
+    ("star-relay", SHB): "1e0fd3018054df72",
+    ("star-relay", MAZ): "1e0fd3018054df72",
+    ("single-lock", HB): "68f10d8aafbba414",
+    ("single-lock", SHB): "68f10d8aafbba414",
+    ("single-lock", MAZ): "68f10d8aafbba414",
+    ("random", HB): "fde050ec5eac4168",
+    ("random", SHB): "aa6a4bc6bbff9c1e",
+    ("random", MAZ): "1fa4a90fc5cbc108",
+}
+
+
+@pytest.mark.parametrize("name,po", sorted(SHAPE_DIGESTS))
+def test_tree_shapes_are_pinned(name, po):
+    """Differential tests compare flattened values only; sibling order is
+    invisible to them yet decides later pruning and impl_work. Pin the
+    full shape of every thread, lock, write and reader clock."""
+    h = hashlib.sha256()
+
+    def digest(i, ev, engine):
+        for t, clock in enumerate(engine.thread_clocks):
+            h.update(f"t{t}\n{clock.dump()}".encode())
+        for tag, clocks in (("l", engine.lock_clocks), ("w", engine.write_clocks),
+                            ("r", engine.read_clocks)):
+            for key in sorted(clocks):
+                h.update(f"{tag}{key}\n{clocks[key].dump()}".encode())
+
+    run_analysis(SHAPE_TRACES[name](), po, "tree", inspect=digest)
+    assert h.hexdigest()[:16] == SHAPE_DIGESTS[name, po]
 
 
 class TestJoin:
