@@ -14,7 +14,7 @@ from .analyses import (
     run_analysis,
     race_event_indices,
 )
-from .metrics import CSV_COLUMNS, MetricsRecord, collect, vc_work, verify_bounds, vtwork
+from .metrics import vc_work, verify_bounds, vtwork
 from .tracegen import PATTERNS, STAR_STYLES, GenSpec, SplitMix64, generate
 
 __all__ = [
@@ -41,9 +41,6 @@ __all__ = [
     "RaceReport",
     "run_analysis",
     "race_event_indices",
-    "CSV_COLUMNS",
-    "MetricsRecord",
-    "collect",
     "vc_work",
     "verify_bounds",
     "vtwork",

@@ -60,7 +60,6 @@ class AnalysisRun:
     deep_copies: int  # non-fresh last-write copies that had to rebuild
     fresh_copies: int  # first write to a variable (empty target)
     unordered_pairs: int | None
-    timestamps: list | None
     elapsed: float  # seconds spent processing events (parsing excluded)
 
     @property
@@ -73,10 +72,12 @@ class AnalysisRun:
 
 
 class Engine:
-    """One analysis in progress. Feed events in trace order via process()."""
+    """One analysis in progress. Feed events in trace order via process(),
+    which returns the acting thread's clock: its flatten() is the event's
+    timestamp."""
 
     def __init__(self, po, thread_count, clock_kind="tree", *, debug=False,
-                 count_unordered=True, record_timestamps=False):
+                 count_unordered=True):
         if po not in ORDERS:
             raise ValueError(f"unknown partial order {po!r}")
         if clock_kind not in CLOCK_KINDS:
@@ -99,7 +100,6 @@ class Engine:
         self.fresh_copies = 0
         self.unordered_pairs = 0 if count_unordered else None
         self._access_log = {} if count_unordered else None
-        self.timestamps = [] if record_timestamps else None
         self.index = 0
 
     def process(self, ev):
@@ -179,8 +179,7 @@ class Engine:
             self.read_epochs[x] = {}
         if self._access_log is not None and (ev.op == READ or ev.op == WRITE):
             self._count_unordered(ev, C)
-        if self.timestamps is not None:
-            self.timestamps.append(C.flatten())
+        return C
 
     def _check_read(self, x, t, C, i):
         ew = self.write_epochs.get(x)
@@ -216,25 +215,18 @@ class Engine:
 
 
 def run_analysis(trace, po, clock_kind="tree", *, debug=False,
-                 count_unordered=True, record_timestamps=False, inspect=None):
+                 count_unordered=True):
     """Run one analysis over a whole trace and return an AnalysisRun.
 
     With debug set, structural invariants are re-verified after every
-    clock operation (slow; for tests). inspect, if given, is called as
-    inspect(index, event, engine) after each event.
+    clock operation (slow; for tests). Callers that need each event's
+    timestamp or clock state drive an Engine themselves.
     """
-    engine = Engine(
-        po, trace.thread_count, clock_kind, debug=debug,
-        count_unordered=count_unordered, record_timestamps=record_timestamps,
-    )
+    engine = Engine(po, trace.thread_count, clock_kind, debug=debug,
+                    count_unordered=count_unordered)
     t0 = time.perf_counter()
-    if inspect is None:
-        for ev in trace.events:
-            engine.process(ev)
-    else:
-        for i, ev in enumerate(trace.events):
-            engine.process(ev)
-            inspect(i, ev, engine)
+    for ev in trace.events:
+        engine.process(ev)
     elapsed = time.perf_counter() - t0
     return AnalysisRun(
         po=po,
@@ -248,7 +240,6 @@ def run_analysis(trace, po, clock_kind="tree", *, debug=False,
         deep_copies=engine.deep_copies,
         fresh_copies=engine.fresh_copies,
         unordered_pairs=engine.unordered_pairs,
-        timestamps=engine.timestamps,
         elapsed=elapsed,
     )
 

@@ -3,9 +3,12 @@
 Four commands:
 
 - analyze: run one partial order over a trace file with tree clocks,
-  vector clocks, or both (lockstep comparison), print a summary,
-  optionally append a CSV row per run, list races, or cross-check
-  against the brute-force oracle on small inputs.
+  vector clocks, or both, print a summary line per run, optionally
+  append a CSV row per run, and list races. With both clocks, or with
+  --oracle (small inputs only), one untimed pass then replays the trace
+  through one engine per clock kind in lockstep and compares every
+  event's timestamp across the kinds and with the brute-force oracle;
+  races and vt_work are compared once the runs are done.
 - gen: write a synthetic trace from the deterministic generator.
 - bench: run a (pattern x thread-count x clock) matrix, append all rows
   to a CSV, and optionally emit a dependency-free SVG chart of the
@@ -15,8 +18,8 @@ Four commands:
 Exit codes: 0 success; 1 divergence, race-check mismatch, or assertion
 failure; 2 usage or I/O errors, malformed traces, and traces that break
 lock discipline (the first violation's line is named). Timing uses a
-monotonic clock, excludes parsing, and reports the median over --repeat
-runs (default 3).
+monotonic clock, covers only the engine (not parsing or the comparison
+pass), and reports the median over --repeat runs (default 3).
 """
 
 import argparse
@@ -26,12 +29,17 @@ import statistics
 import sys
 
 from . import selfcheck as selfcheck_mod
-from .analyses import CLOCK_KINDS, ORDERS, race_event_indices, run_analysis
-from .metrics import CSV_COLUMNS, collect, verify_bounds
+from .analyses import CLOCK_KINDS, ORDERS, Engine, race_event_indices, run_analysis
+from .metrics import verify_bounds
 from .oracle import ORACLE_MAX_EVENTS, oracle_races, oracle_timestamps
 from .trace import (TraceParseError, event_source, parse_trace, serialize_trace,
                     validate_trace)
 from .tracegen import PATTERNS, STAR_STYLES, GenSpec, generate
+
+CSV_COLUMNS = (
+    "trace", "po", "clock", "events", "threads", "locks", "vars", "time_ms",
+    "races", "pairs_unordered", "vt_work", "impl_work", "deep_copies",
+)
 
 
 def main(argv=None):
@@ -119,38 +127,61 @@ def _read_trace(path):
     return trace
 
 
-def _timed_runs(trace, po, kind, repeat, debug=False, record_timestamps=False,
-                count_unordered=True):
+def _timed_runs(trace, po, kind, repeat, debug=False, count_unordered=True):
     """Run `repeat` times; return (last run, median elapsed ms)."""
     elapsed = []
     run = None
     for _ in range(max(1, repeat)):
         run = run_analysis(trace, po, kind, debug=debug,
-                           record_timestamps=record_timestamps,
                            count_unordered=count_unordered)
         elapsed.append(run.elapsed)
     return run, statistics.median(elapsed) * 1000.0
 
 
-def _append_csv(path, records):
+def _append_csv(path, results):
+    """Append one CSV_COLUMNS row per (trace name, run, ms) result; an
+    uncounted pair count is written as an empty field."""
     new_file = not os.path.exists(path) or os.path.getsize(path) == 0
     with open(path, "a", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         if new_file:
             writer.writerow(CSV_COLUMNS)
-        for rec in records:
-            writer.writerow(rec.row())
+        for name, run, ms in results:
+            pairs = "" if run.unordered_pairs is None else run.unordered_pairs
+            writer.writerow((
+                name, run.po, run.clock_kind, run.events, run.threads,
+                run.locks, run.vars, f"{ms:.3f}", len(run.races), pairs,
+                run.vt_work, run.impl_work, run.deep_copies,
+            ))
 
 
-def _summary_line(rec):
-    pairs = "-" if rec.pairs_unordered is None else rec.pairs_unordered
+def _summary_line(run, ms):
+    pairs = "-" if run.unordered_pairs is None else run.unordered_pairs
     return (
-        f"po={rec.po} clock={rec.clock} events={rec.events} threads={rec.threads} "
-        f"locks={rec.locks} vars={rec.vars} races={rec.races} "
-        f"pairs_unordered={pairs} vt_work={rec.vt_work} "
-        f"impl_work={rec.impl_work} deep_copies={rec.deep_copies} "
-        f"time_ms={rec.time_ms:.3f}"
+        f"po={run.po} clock={run.clock_kind} events={run.events} "
+        f"threads={run.threads} locks={run.locks} vars={run.vars} "
+        f"races={len(run.races)} pairs_unordered={pairs} "
+        f"vt_work={run.vt_work} impl_work={run.impl_work} "
+        f"deep_copies={run.deep_copies} time_ms={ms:.3f}"
     )
+
+
+def _compare_timestamps(trace, po, kinds, want):
+    """Replay the trace untimed through one engine per clock kind in
+    lockstep, keeping nothing per event. Returns (kinds differ, oracle
+    differs): whether any event's timestamps differ between the kinds,
+    and whether the first kind's differ from want, the oracle's list
+    (None to skip that check)."""
+    engines = [Engine(po, trace.thread_count, kind, count_unordered=False)
+               for kind in kinds]
+    kinds_differ = oracle_differs = False
+    for i, ev in enumerate(trace.events):
+        stamps = [engine.process(ev).flatten() for engine in engines]
+        if stamps[-1] != stamps[0]:
+            kinds_differ = True
+        if want is not None and stamps[0] != want[i]:
+            oracle_differs = True
+    return kinds_differ, oracle_differs
 
 
 def _cmd_analyze(args):
@@ -163,28 +194,30 @@ def _cmd_analyze(args):
         return 2
 
     name = "-" if args.input == "-" else os.path.basename(args.input)
-    runs, records = {}, []
+    runs, results = [], []
     for kind in kinds:
-        run, ms = _timed_runs(trace, args.po, kind, args.repeat,
-                              args.debug, record_timestamps=compare)
+        run, ms = _timed_runs(trace, args.po, kind, args.repeat, args.debug)
         verify_bounds(run)
-        runs[kind] = run
-        rec = collect(run, name, time_ms=ms)
-        records.append(rec)
-        print(_summary_line(rec))
+        runs.append(run)
+        results.append((name, run, ms))
+        print(_summary_line(run, ms))
 
     if args.races:
-        shown = runs[kinds[0]].races
-        for r in shown:
+        for r in runs[0].races:
             print(f"race {r.kind} var=x{r.var} earlier=t{r.earlier.tid}@{r.earlier.clk} "
                   f"later=t{r.later.tid}@{r.later.clk} event={r.index}")
 
     if args.csv:
-        _append_csv(args.csv, records)
+        _append_csv(args.csv, results)
+
+    if not compare:
+        return 0
+    want = oracle_timestamps(trace, args.po) if args.oracle else None
+    kinds_differ, oracle_differs = _compare_timestamps(trace, args.po, kinds, want)
 
     if args.clock == "both":
-        a, b = runs["tree"], runs["vector"]
-        if a.timestamps != b.timestamps:
+        a, b = runs
+        if kinds_differ:
             print("divergence: tree and vector timestamps differ", file=sys.stderr)
             return 1
         if a.races != b.races:
@@ -197,11 +230,10 @@ def _cmd_analyze(args):
         print("clocks agree: timestamps, races, and entries changed identical")
 
     if args.oracle:
-        run = runs[kinds[0]]
-        if list(run.timestamps) != oracle_timestamps(trace, args.po):
+        if oracle_differs:
             print("divergence: engine timestamps differ from oracle", file=sys.stderr)
             return 1
-        if race_event_indices(trace, run.races) != oracle_races(trace, args.po):
+        if race_event_indices(trace, runs[0].races) != oracle_races(trace, args.po):
             print("divergence: engine races differ from oracle", file=sys.stderr)
             return 1
         print("oracle agreement: timestamps and races match")
@@ -232,7 +264,7 @@ def _bench_cell(trace, name, po, kind, repeat):
     """One (pattern, threads, clock) cell of the bench matrix."""
     run, ms = _timed_runs(trace, po, kind, repeat, count_unordered=False)
     verify_bounds(run)
-    return collect(run, name, time_ms=ms)
+    return name, run, ms
 
 
 def _cmd_bench(args):
@@ -247,7 +279,7 @@ def _cmd_bench(args):
         print(f"error: bad thread grid {args.threads!r}", file=sys.stderr)
         return 2
 
-    records = []
+    results = []
     for pattern in patterns:
         for k in grid:
             n = args.events if args.events else 100 * k
@@ -257,37 +289,37 @@ def _cmd_bench(args):
             if pattern == "star":
                 name += f"-{args.star_style}"
             for kind in ("tree", "vector"):
-                records.append(_bench_cell(trace, name, args.po, kind, args.repeat))
+                results.append(_bench_cell(trace, name, args.po, kind, args.repeat))
 
-    _append_csv(args.csv, records)
-    for rec in records:
-        print(f"{rec.trace}: {_summary_line(rec)}")
-    _print_speedups(records)
+    _append_csv(args.csv, results)
+    for name, run, ms in results:
+        print(f"{name}: {_summary_line(run, ms)}")
+    _print_speedups(results)
     if args.svg:
-        _write_ratio_chart(args.svg, records)
+        _write_ratio_chart(args.svg, results)
         print(f"wrote {args.svg}")
     return 0
 
 
-def _print_speedups(records):
+def _print_speedups(results):
     """Informational wall-clock comparison per (trace, po); no threshold."""
     by_cell = {}
-    for rec in records:
-        by_cell.setdefault((rec.trace, rec.po), {})[rec.clock] = rec
+    for name, run, ms in results:
+        by_cell.setdefault((name, run.po), {})[run.clock_kind] = ms
     for (name, po), kinds in sorted(by_cell.items()):
-        if "tree" in kinds and "vector" in kinds and kinds["tree"].time_ms > 0:
-            ratio = kinds["vector"].time_ms / kinds["tree"].time_ms
+        if "tree" in kinds and "vector" in kinds and kinds["tree"] > 0:
+            ratio = kinds["vector"] / kinds["tree"]
             print(f"speedup {name} {po}: vector/tree wall time = {ratio:.2f}x")
 
 
-def _write_ratio_chart(path, records):
+def _write_ratio_chart(path, results):
     """Grouped bar chart of impl_work / vt_work per cell, one bar per
     clock kind. Hand-written SVG, no dependencies, deterministic."""
     cells = {}
-    for rec in records:
-        if rec.vt_work:
-            cells.setdefault((rec.trace, rec.po), {})[rec.clock] = (
-                rec.impl_work / rec.vt_work
+    for name, run, _ in results:
+        if run.vt_work:
+            cells.setdefault((name, run.po), {})[run.clock_kind] = (
+                run.impl_work / run.vt_work
             )
     groups = sorted(cells.items())
     if not groups:

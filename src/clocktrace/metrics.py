@@ -34,90 +34,8 @@ thread clock and mirrors those gains into its reader clock, so the
 per-event total can exceed k as well.
 """
 
-from dataclasses import dataclass
-from typing import Optional
-
 from .analyses import HB, MAZ, SHB, AnalysisRun
 from .trace import ACQ, READ, REL, WRITE, Trace
-
-CSV_COLUMNS = (
-    "trace",
-    "po",
-    "clock",
-    "events",
-    "threads",
-    "locks",
-    "vars",
-    "time_ms",
-    "races",
-    "pairs_unordered",
-    "vt_work",
-    "impl_work",
-    "deep_copies",
-)
-
-
-@dataclass(frozen=True)
-class MetricsRecord:
-    """One row of the benchmark CSV, plus derived conveniences."""
-
-    trace: str
-    po: str
-    clock: str
-    events: int
-    threads: int
-    locks: int
-    vars: int
-    time_ms: float
-    races: int
-    pairs_unordered: Optional[int]
-    vt_work: int
-    impl_work: int
-    deep_copies: int
-
-    def row(self):
-        """Values in CSV_COLUMNS order, formatted for csv.writer."""
-        pairs = "" if self.pairs_unordered is None else self.pairs_unordered
-        return (
-            self.trace,
-            self.po,
-            self.clock,
-            self.events,
-            self.threads,
-            self.locks,
-            self.vars,
-            f"{self.time_ms:.3f}",
-            self.races,
-            pairs,
-            self.vt_work,
-            self.impl_work,
-            self.deep_copies,
-        )
-
-
-def collect(run: AnalysisRun, trace_name: str, time_ms: Optional[float] = None) -> MetricsRecord:
-    """Flatten an analysis run into a MetricsRecord.
-
-    time_ms overrides the run's own wall time (used when the caller
-    re-times the analysis, e.g. median of several repeats).
-    """
-    if time_ms is None:
-        time_ms = run.elapsed * 1000.0
-    return MetricsRecord(
-        trace=trace_name,
-        po=run.po,
-        clock=run.clock_kind,
-        events=run.events,
-        threads=run.threads,
-        locks=run.locks,
-        vars=run.vars,
-        time_ms=time_ms,
-        races=len(run.races),
-        pairs_unordered=run.unordered_pairs,
-        vt_work=run.vt_work,
-        impl_work=run.impl_work,
-        deep_copies=run.deep_copies,
-    )
 
 
 def vc_work(run: AnalysisRun) -> int:

@@ -11,7 +11,7 @@ with debug assertions on.
 Each check returns a list of failure strings; `run` aggregates them.
 """
 
-from .analyses import HB, ORDERS, race_event_indices, run_analysis
+from .analyses import HB, ORDERS, Engine, race_event_indices, run_analysis
 from .metrics import verify_bounds, vtwork
 from .oracle import oracle_races, oracle_timestamps
 from .trace import parse_trace
@@ -105,25 +105,29 @@ INTUITION_INDIRECT = (
 INTUITION_TREE_COST = 4
 INTUITION_VECTOR_COST = 5
 
+# Pinned six-thread example: one timestamp strictly below another, and a
+# third, incomparable with the first, whose join with it is the second.
+VECTOR_SMALL = (11, 6, 5, 32, 14, 20)
+VECTOR_LARGE = (28, 6, 9, 45, 17, 26)
+VECTOR_OTHER = (28, 5, 9, 45, 17, 26)
+
 
 def check_walkthrough():
     fails = []
     trace = parse_trace(WALKTHROUGH_TRACE)
     dumps = {}
-
-    def grab(i, ev, engine):
-        if i in (7, 14):
-            dumps[i] = engine.thread_clocks[ev.tid].dump()
-
     for kind in ("tree", "vector"):
-        run = run_analysis(
-            trace, HB, kind, debug=True, record_timestamps=True,
-            inspect=grab if kind == "tree" else None,
-        )
-        if list(run.timestamps) != WALKTHROUGH_TIMESTAMPS:
-            fails.append(f"walkthrough {kind}: timestamps diverge: {run.timestamps}")
-        if run.races:
-            fails.append(f"walkthrough {kind}: unexpected races {run.races}")
+        engine = Engine(HB, trace.thread_count, kind, debug=True)
+        stamps = []
+        for i, ev in enumerate(trace.events):
+            clock = engine.process(ev)
+            stamps.append(clock.flatten())
+            if kind == "tree" and i in (7, 14):
+                dumps[i] = clock.dump()
+        if stamps != WALKTHROUGH_TIMESTAMPS:
+            fails.append(f"walkthrough {kind}: timestamps diverge: {stamps}")
+        if engine.races:
+            fails.append(f"walkthrough {kind}: unexpected races {engine.races}")
     if dumps.get(7) != WALKTHROUGH_DUMP_E8:
         fails.append(f"walkthrough: tree after event 8:\n{dumps.get(7)}")
     if dumps.get(14) != WALKTHROUGH_DUMP_E15:
@@ -137,19 +141,15 @@ def check_intuitions():
     fails = []
     for name, text in (("direct", INTUITION_DIRECT), ("indirect", INTUITION_INDIRECT)):
         trace = parse_trace(text)
-        last = len(trace.events) - 1
         costs = {}
         for kind in ("tree", "vector"):
-            marks = {}
-
-            def grab(i, ev, engine):
-                marks[i] = engine.counter.impl_work
-
-            run = run_analysis(
-                trace, HB, kind, debug=True, record_timestamps=True, inspect=grab
-            )
-            costs[kind] = marks[last] - marks[last - 1]
-            if list(run.timestamps) != oracle_timestamps(trace, HB):
+            engine = Engine(HB, trace.thread_count, kind, debug=True)
+            stamps, marks = [], []
+            for ev in trace.events:
+                stamps.append(engine.process(ev).flatten())
+                marks.append(engine.counter.impl_work)
+            costs[kind] = marks[-1] - marks[-2]
+            if stamps != oracle_timestamps(trace, HB):
                 fails.append(f"intuition {name} {kind}: timestamps diverge")
         if costs["tree"] != INTUITION_TREE_COST:
             fails.append(f"intuition {name}: tree spotlight cost {costs['tree']} != {INTUITION_TREE_COST}")
@@ -160,14 +160,12 @@ def check_intuitions():
 
 def check_vector_arithmetic():
     fails = []
-    a = [11, 6, 5, 32, 14, 20]
-    b = [28, 6, 9, 45, 17, 26]
-    c = [28, 5, 9, 45, 17, 26]
+    a, b, c = VECTOR_SMALL, VECTOR_LARGE, VECTOR_OTHER
     if not vt_leq(a, b):
         fails.append("vector arithmetic: pointwise order on the pinned pair")
     if vt_leq(b, a):
         fails.append("vector arithmetic: pointwise order is not antisymmetric here")
-    if vt_join(c, a) != tuple(b):
+    if vt_join(c, a) != b:
         fails.append(f"vector arithmetic: join gave {vt_join(c, a)}")
     return fails
 
@@ -181,9 +179,11 @@ def check_sweep(seeds=range(6)):
             want_races = oracle_races(trace, po)
             want_vt = vtwork(trace, po)
             for kind in ("tree", "vector"):
-                run = run_analysis(trace, po, kind, debug=True, record_timestamps=True)
+                run = run_analysis(trace, po, kind, debug=True)
+                engine = Engine(po, trace.thread_count, kind)
+                stamps = [engine.process(ev).flatten() for ev in trace.events]
                 where = f"sweep seed={seed} po={po} {kind}"
-                if list(run.timestamps) != want_ts:
+                if stamps != want_ts:
                     fails.append(f"{where}: timestamps diverge from oracle")
                 if race_event_indices(trace, run.races) != want_races:
                     fails.append(f"{where}: races diverge from oracle")

@@ -90,9 +90,6 @@ class TreeClock:
     def is_empty(self):
         return self.root == NIL
 
-    def get(self, tid):
-        return self.clk[tid]
-
     def flatten(self):
         return tuple(self.clk)
 

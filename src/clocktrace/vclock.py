@@ -70,13 +70,6 @@ class VectorClock:
     def aux(cls, size, counter=None):
         return cls(size, counter=counter)
 
-    @property
-    def size(self):
-        return len(self.clk)
-
-    def get(self, tid):
-        return self.clk[tid]
-
     def increment(self, amount=1):
         if self.owner is None:
             raise ClockContractError("increment on a clock with no owning thread")

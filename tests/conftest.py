@@ -1,9 +1,26 @@
-"""Shared test helpers: deterministic random traces of varying shape."""
+"""Shared test helpers: deterministic random traces of varying shape, and
+per-event views of an engine run."""
 
+from clocktrace.analyses import Engine
 from clocktrace.tracegen import SplitMix64, random_trace
 from clocktrace.trace import Trace
 
-__all__ = ["random_trace", "corpus_trace"]
+__all__ = ["random_trace", "corpus_trace", "each_event", "engine_timestamps"]
+
+
+def each_event(trace, po, debug=False):
+    """Drive a tree-clock Engine over the trace, yielding (index, event,
+    engine) after each event has been processed."""
+    engine = Engine(po, trace.thread_count, "tree", debug=debug)
+    for i, ev in enumerate(trace.events):
+        engine.process(ev)
+        yield i, ev, engine
+
+
+def engine_timestamps(trace, po, kind):
+    """Each event's timestamp, as Engine.process reports it."""
+    engine = Engine(po, trace.thread_count, kind)
+    return [engine.process(ev).flatten() for ev in trace.events]
 
 
 def corpus_trace(seed, max_events=500, max_threads=8, max_locks=4, max_vars=6):

@@ -11,13 +11,14 @@ failure with a pinned counterexample — see the docstrings of the two tests.
 import time
 
 import pytest
-from conftest import corpus_trace
+from conftest import corpus_trace, each_event
 
 from clocktrace.analyses import (
     HB,
     MAZ,
     ORDERS,
     SHB,
+    Engine,
     race_event_indices,
     run_analysis,
 )
@@ -43,9 +44,10 @@ def test_criterion_01_tree_and_vector_runs_are_identical():
         assert len(trace.events) <= 500 and trace.thread_count <= 8
         assert trace.lock_count <= 4 and trace.var_count <= 6
         for po in ORDERS:
-            tree = run_analysis(trace, po, "tree", record_timestamps=True)
-            vec = run_analysis(trace, po, "vector", record_timestamps=True)
-            assert tree.timestamps == vec.timestamps
+            tree = Engine(po, trace.thread_count, "tree")
+            vec = Engine(po, trace.thread_count, "vector")
+            for ev in trace.events:
+                assert tree.process(ev).flatten() == vec.process(ev).flatten()
             assert tree.races == vec.races
     assert time.monotonic() - t0 < 120.0
 
@@ -58,9 +60,10 @@ def test_criterion_02_engine_matches_transitive_closure_oracle():
     for seed in range(200):
         trace = corpus_trace(seed + 5000, max_events=300)
         for po in ORDERS:
-            run = run_analysis(trace, po, "tree", record_timestamps=True)
-            assert run.timestamps == oracle_timestamps(trace, po)
-            assert race_event_indices(trace, run.races) == oracle_races(trace, po)
+            engine = Engine(po, trace.thread_count, "tree")
+            stamps = [engine.process(ev).flatten() for ev in trace.events]
+            assert stamps == oracle_timestamps(trace, po)
+            assert race_event_indices(trace, engine.races) == oracle_races(trace, po)
     assert time.monotonic() - t0 < 120.0
 
 
@@ -166,7 +169,8 @@ def test_criterion_06_pruning_monotonicity_after_every_event():
                     assert pruning_violations(a, b) == []
                     assert pruning_violations(b, a) == []
 
-        run_analysis(trace, po, "tree", inspect=check)
+        for i, ev, engine in each_event(trace, po):
+            check(i, ev, engine)
 
     for seed in range(100):
         trace = corpus_trace(seed + 17000, max_events=200)
@@ -233,7 +237,7 @@ def test_criterion_10_pinned_seed_pipeline_is_deterministic(tmp_path):
     """The same gen command twice yields byte-identical trace files; the
     same analyze command twice yields identical CSV rows except for the
     wall-time column."""
-    from clocktrace.metrics import CSV_COLUMNS
+    from clocktrace.cli import CSV_COLUMNS
 
     tcol = CSV_COLUMNS.index("time_ms")
     outputs = []

@@ -3,12 +3,14 @@ nesting of the three partial orders, race reporting discipline, copy
 accounting, and run metadata."""
 
 import pytest
+from conftest import engine_timestamps
 
 from clocktrace.analyses import (
     HB,
     MAZ,
     ORDERS,
     SHB,
+    Engine,
     race_event_indices,
     run_analysis,
 )
@@ -30,8 +32,8 @@ def test_engines_match_oracle(seed):
         expect_races = oracle_races(trace, po)
         expect_unordered = oracle_unordered_pairs(trace, po)
         for kind in ("tree", "vector"):
-            run = run_analysis(trace, po, kind, record_timestamps=True)
-            assert run.timestamps == expect_ts
+            run = run_analysis(trace, po, kind)
+            assert engine_timestamps(trace, po, kind) == expect_ts
             assert race_event_indices(trace, run.races) == expect_races
             assert run.unordered_pairs == expect_unordered
 
@@ -41,12 +43,10 @@ def test_order_strength_nests(seed):
     """Each order is a refinement of the previous one: timestamps dominate
     pointwise, unordered pairs shrink, and reported races only disappear."""
     trace = random_trace(seed + 900, events=150, threads=5, locks=3, variables=4)
-    runs = {
-        po: run_analysis(trace, po, "tree", record_timestamps=True)
-        for po in (HB, SHB, MAZ)
-    }
+    runs = {po: run_analysis(trace, po, "tree") for po in (HB, SHB, MAZ)}
+    stamps = {po: engine_timestamps(trace, po, "tree") for po in (HB, SHB, MAZ)}
     for weak, strong in ((HB, SHB), (SHB, MAZ)):
-        for a, b in zip(runs[weak].timestamps, runs[strong].timestamps):
+        for a, b in zip(stamps[weak], stamps[strong]):
             assert all(x <= y for x, y in zip(a, b))
         assert runs[strong].unordered_pairs <= runs[weak].unordered_pairs
         weak_keys = {(r.var, r.index) for r in runs[weak].races}
@@ -113,8 +113,8 @@ def test_shb_orders_reads_after_the_last_write():
 
 def test_maz_write_orders_after_prior_readers():
     trace = parse_trace("t0 r x\nt1 w x\nt0 r x\n")
-    run = run_analysis(trace, MAZ, "tree", record_timestamps=True)
-    assert run.timestamps == [(1, 0), (1, 1), (2, 1)]
+    run = run_analysis(trace, MAZ, "tree")
+    assert engine_timestamps(trace, MAZ, "tree") == [(1, 0), (1, 1), (2, 1)]
     assert run.races == []
     assert run.unordered_pairs == 0
 
@@ -154,17 +154,17 @@ def test_unordered_pairs_can_be_skipped():
 
 
 def test_empty_trace():
-    run = run_analysis(parse_trace(""), HB, "tree", record_timestamps=True)
+    run = run_analysis(parse_trace(""), HB, "tree")
     assert run.events == 0
     assert run.races == []
     assert run.vt_work == 0
-    assert run.timestamps == []
+    assert engine_timestamps(parse_trace(""), HB, "tree") == []
 
 
 def test_single_thread_counts_its_own_events():
     trace = parse_trace("t0 w x\nt0 r x\nt0 w y\n")
-    run = run_analysis(trace, HB, "tree", record_timestamps=True)
-    assert run.timestamps == [(1,), (2,), (3,)]
+    run = run_analysis(trace, HB, "tree")
+    assert engine_timestamps(trace, HB, "tree") == [(1,), (2,), (3,)]
     assert run.vt_work == 3
     assert run.unordered_pairs == 0
 
@@ -173,7 +173,6 @@ def test_run_metadata_fields():
     trace = random_trace(5, events=80, threads=4, locks=2, variables=2)
     run = run_analysis(trace, MAZ, "vector")
     assert run.po == MAZ
-    assert run.timestamps is None  # recorded only on request
     assert run.events == len(trace.events)
     assert run.threads == trace.thread_count
     assert run.locks == trace.lock_count
@@ -192,16 +191,18 @@ def test_debug_mode_is_clean_on_legal_traces(po):
 
 def test_runs_are_deterministic():
     trace = random_trace(123, events=200, threads=6, locks=3, variables=4)
-    a = run_analysis(trace, MAZ, "tree", record_timestamps=True)
-    b = run_analysis(trace, MAZ, "tree", record_timestamps=True)
-    assert a.timestamps == b.timestamps
+    a = run_analysis(trace, MAZ, "tree")
+    b = run_analysis(trace, MAZ, "tree")
+    assert engine_timestamps(trace, MAZ, "tree") == engine_timestamps(trace, MAZ, "tree")
     assert a.vt_work == b.vt_work
     assert a.impl_work == b.impl_work
     assert race_event_indices(trace, a.races) == race_event_indices(trace, b.races)
 
 
-def test_inspect_callback_sees_every_event():
+@pytest.mark.parametrize("kind", ["tree", "vector"])
+def test_process_returns_the_acting_threads_clock(kind):
     trace = random_trace(9, events=50)
-    seen = []
-    run_analysis(trace, HB, "tree", inspect=lambda i, ev, eng: seen.append(i))
-    assert seen == list(range(len(trace.events)))
+    engine = Engine(SHB, trace.thread_count, kind)
+    for ev in trace.events:
+        assert engine.process(ev) is engine.thread_clocks[ev.tid]
+    assert engine.index == len(trace.events)

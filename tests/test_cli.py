@@ -3,7 +3,9 @@ through main() so exit codes and output can be asserted directly."""
 
 import contextlib
 import csv
+import hashlib
 import io
+import re
 from unittest import mock
 
 import pytest
@@ -11,9 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clocktrace import cli
-from clocktrace.analyses import ORDERS
-from clocktrace.metrics import CSV_COLUMNS
-from clocktrace.trace import parse_trace, validate_trace
+from clocktrace.analyses import HB, MAZ, ORDERS, run_analysis
+from clocktrace.cli import CSV_COLUMNS
+from clocktrace.trace import parse_trace, serialize_trace, validate_trace
+from clocktrace.tracegen import random_trace
+from clocktrace.vclock import VectorClock
 
 TIME_COL = CSV_COLUMNS.index("time_ms")
 
@@ -38,6 +42,14 @@ def gen_trace(tmp_path, name="t.trace", pattern="skewed_locks", threads=4,
     ])
     assert rc == 0
     return out
+
+
+def racy_trace(tmp_path):
+    """A seeded random trace with races under every order but maz."""
+    path = tmp_path / "pin.trace"
+    path.write_text(serialize_trace(
+        random_trace(41, events=40, threads=3, locks=2, variables=2)))
+    return path
 
 
 class TestGen:
@@ -218,20 +230,55 @@ class TestExitCodes:
         assert "invariant broken" in capsys.readouterr().err
 
     def test_divergence_exits_1(self, tmp_path, capsys, monkeypatch):
+        # hb engines never flatten, so only the comparison pass sees the skew
         trace = gen_trace(tmp_path, events=40)
-        real = cli._timed_runs
-
-        def skew(trace, po, kind, repeat, debug, record_timestamps):
-            run, ms = real(trace, po, kind, repeat, debug, record_timestamps)
-            if kind == "vector":
-                run.timestamps[-1] = tuple(v + 1 for v in run.timestamps[-1])
-            return run, ms
-
-        monkeypatch.setattr(cli, "_timed_runs", skew)
+        real = VectorClock.flatten
+        monkeypatch.setattr(VectorClock, "flatten",
+                            lambda self: tuple(v + 1 for v in real(self)))
         rc = cli.main(["analyze", "--po", "hb", "--input", str(trace),
                        "--repeat", "1"])
         assert rc == 1
-        assert "divergence" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert err == "divergence: tree and vector timestamps differ\n"
+        assert "clocks agree" not in out
+
+    @pytest.mark.parametrize("clock,fault,message", [
+        ("both", "vector races", "tree and vector race reports differ"),
+        ("both", "vector vt_work", "vt_work differs (tree=41, vector=42)"),
+        ("tree", "oracle timestamps", "engine timestamps differ from oracle"),
+        ("both", "oracle timestamps", "engine timestamps differ from oracle"),
+        ("vector", "oracle races", "engine races differ from oracle"),
+    ])
+    def test_each_divergence_exits_1(self, tmp_path, capsys, monkeypatch,
+                                     clock, fault, message):
+        real_run, real_ts, real_races = (cli.run_analysis, cli.oracle_timestamps,
+                                         cli.oracle_races)
+
+        def doctored_run(trace, po, kind, **kw):
+            run = real_run(trace, po, kind, **kw)
+            if kind == "vector" and fault == "vector races":
+                run.races.pop()
+            if kind == "vector" and fault == "vector vt_work":
+                run.counter.vt_work += 1
+            return run
+
+        def doctored_ts(trace, po):
+            stamps = real_ts(trace, po)
+            stamps[-1] = tuple(v + 1 for v in stamps[-1])
+            return stamps
+
+        monkeypatch.setattr(cli, "run_analysis", doctored_run)
+        if fault == "oracle timestamps":
+            monkeypatch.setattr(cli, "oracle_timestamps", doctored_ts)
+        if fault == "oracle races":
+            monkeypatch.setattr(cli, "oracle_races",
+                                lambda trace, po: real_races(trace, po)[:-1])
+        rc = cli.main(["analyze", "--po", HB, "--clock", clock, "--oracle",
+                       "--input", str(racy_trace(tmp_path)), "--repeat", "1"])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert err == f"divergence: {message}\n"
+        assert "oracle agreement" not in out
 
 
 LINE = st.tuples(st.integers(0, 2), st.sampled_from(["acq", "rel", "r", "w"]),
@@ -298,6 +345,139 @@ class TestBench:
         events_col = CSV_COLUMNS.index("events")
         assert all(r[events_col] == "300" for r in rows[1:])
         capsys.readouterr()
+
+
+# Exact `analyze --clock both --races --oracle --csv` output and CSV rows on
+# a seeded random trace, and exact `bench` rows and chart, time_ms masked.
+# Scripts parse this text, so any change to it must be deliberate.
+PINNED_SUMMARY = {
+    "hb": """\
+po=hb clock=tree events=40 threads=3 locks=2 vars=2 races=27 pairs_unordered=193 vt_work=41 impl_work=42 deep_copies=0 time_ms=*
+po=hb clock=vector events=40 threads=3 locks=2 vars=2 races=27 pairs_unordered=193 vt_work=41 impl_work=43 deep_copies=0 time_ms=*
+race write-write var=x0 earlier=t0@2 later=t1@1 event=2
+race write-read var=x0 earlier=t1@1 later=t2@1 event=5
+race write-read var=x0 earlier=t1@1 later=t0@4 event=6
+race read-write var=x0 earlier=t2@1 later=t1@3 event=7
+race write-read var=x0 earlier=t1@3 later=t0@5 event=8
+race write-read var=x0 earlier=t1@3 later=t0@6 event=9
+race read-write var=x1 earlier=t2@2 later=t1@4 event=11
+race write-write var=x0 earlier=t1@3 later=t2@3 event=14
+race write-read var=x1 earlier=t1@6 later=t2@5 event=16
+race write-write var=x1 earlier=t1@6 later=t0@7 event=17
+race write-write var=x0 earlier=t2@3 later=t1@7 event=19
+race write-read var=x0 earlier=t1@7 later=t2@7 event=20
+race write-read var=x1 earlier=t0@7 later=t1@8 event=21
+race write-read var=x0 earlier=t1@7 later=t2@8 event=22
+race write-write var=x0 earlier=t1@7 later=t0@8 event=23
+race write-read var=x0 earlier=t0@8 later=t1@9 event=24
+race write-write var=x0 earlier=t0@8 later=t1@10 event=25
+race write-write var=x0 earlier=t1@11 later=t2@9 event=27
+race write-read var=x1 earlier=t0@7 later=t2@10 event=29
+race write-write var=x0 earlier=t2@9 later=t0@10 event=30
+race write-write var=x0 earlier=t0@10 later=t2@11 event=31
+race read-write var=x1 earlier=t1@8 later=t0@11 event=32
+race write-read var=x1 earlier=t0@11 later=t2@12 event=33
+race write-read var=x1 earlier=t0@11 later=t2@13 event=34
+race write-read var=x0 earlier=t2@11 later=t0@12 event=35
+race write-write var=x0 earlier=t2@11 later=t1@12 event=36
+race read-write var=x1 earlier=t2@13 later=t0@13 event=37
+""",
+    "shb": """\
+po=shb clock=tree events=40 threads=3 locks=2 vars=2 races=13 pairs_unordered=110 vt_work=86 impl_work=154 deep_copies=9 time_ms=*
+po=shb clock=vector events=40 threads=3 locks=2 vars=2 races=13 pairs_unordered=110 vt_work=86 impl_work=148 deep_copies=9 time_ms=*
+race write-write var=x0 earlier=t0@2 later=t1@1 event=2
+race read-write var=x0 earlier=t2@1 later=t1@3 event=7
+race read-write var=x1 earlier=t2@2 later=t1@4 event=11
+race write-write var=x0 earlier=t1@3 later=t2@3 event=14
+race write-write var=x1 earlier=t1@6 later=t0@7 event=17
+race write-write var=x0 earlier=t2@3 later=t1@7 event=19
+race write-write var=x0 earlier=t1@7 later=t0@8 event=23
+race write-write var=x0 earlier=t1@11 later=t2@9 event=27
+race write-write var=x0 earlier=t2@9 later=t0@10 event=30
+race write-write var=x0 earlier=t0@10 later=t2@11 event=31
+race read-write var=x1 earlier=t1@8 later=t0@11 event=32
+race write-write var=x0 earlier=t2@11 later=t1@12 event=36
+race read-write var=x1 earlier=t2@13 later=t0@13 event=37
+""",
+    "maz": """\
+po=maz clock=tree events=40 threads=3 locks=2 vars=2 races=0 pairs_unordered=0 vt_work=152 impl_work=360 deep_copies=0 time_ms=*
+po=maz clock=vector events=40 threads=3 locks=2 vars=2 races=0 pairs_unordered=0 vt_work=152 impl_work=298 deep_copies=0 time_ms=*
+""",
+}
+PINNED_TRAILER = (
+    "clocks agree: timestamps, races, and entries changed identical\n"
+    "oracle agreement: timestamps and races match\n"
+)
+PINNED_ANALYZE_ROWS = {
+    "hb": [["pin.trace", "hb", "tree", "40", "3", "2", "2", "27", "193", "41", "42", "0"],
+           ["pin.trace", "hb", "vector", "40", "3", "2", "2", "27", "193", "41", "43", "0"]],
+    "shb": [["pin.trace", "shb", "tree", "40", "3", "2", "2", "13", "110", "86", "154", "9"],
+            ["pin.trace", "shb", "vector", "40", "3", "2", "2", "13", "110", "86", "148", "9"]],
+    "maz": [["pin.trace", "maz", "tree", "40", "3", "2", "2", "0", "0", "152", "360", "0"],
+            ["pin.trace", "maz", "vector", "40", "3", "2", "2", "0", "0", "152", "298", "0"]],
+}
+PINNED_BENCH_ROWS = [
+    ["single_lock-k3", "hb", "tree", "120", "3", "1", "0", "0", "", "233", "536", "0"],
+    ["single_lock-k3", "hb", "vector", "120", "3", "1", "0", "0", "", "233", "477", "0"],
+    ["single_lock-k5", "hb", "tree", "120", "5", "1", "0", "0", "", "294", "732", "0"],
+    ["single_lock-k5", "hb", "vector", "120", "5", "1", "0", "0", "", "294", "715", "0"],
+    ["star-k3-paired", "hb", "tree", "120", "3", "2", "0", "0", "", "271", "635", "0"],
+    ["star-k3-paired", "hb", "vector", "120", "3", "2", "0", "0", "", "271", "474", "0"],
+    ["star-k5-paired", "hb", "tree", "120", "5", "4", "0", "0", "", "311", "727", "0"],
+    ["star-k5-paired", "hb", "vector", "120", "5", "4", "0", "0", "", "311", "700", "0"],
+]
+PINNED_BENCH_SVG_SHA256 = "1d9158d241c48007da8cad1fa69022bc9648222bdfe4b76cbd8bf8dcd2739860"
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("po", ORDERS)
+    def test_analyze_output_and_csv(self, tmp_path, capsys, po):
+        path = racy_trace(tmp_path)
+        csv_path = tmp_path / "pin.csv"
+        rc = cli.main(["analyze", "--po", po, "--clock", "both", "--races",
+                       "--oracle", "--csv", str(csv_path), "--input", str(path),
+                       "--repeat", "1"])
+        assert rc == 0
+        out = re.sub(r"time_ms=\d+\.\d{3}", "time_ms=*", capsys.readouterr().out)
+        assert out == PINNED_SUMMARY[po] + PINNED_TRAILER
+        header = [c for c in CSV_COLUMNS if c != "time_ms"]
+        assert rows_without_time(csv_path) == [header] + PINNED_ANALYZE_ROWS[po]
+
+    def test_bench_csv_and_svg(self, tmp_path, capsys):
+        csv_path, svg_path = tmp_path / "bench.csv", tmp_path / "ratio.svg"
+        rc = cli.main(["bench", "--patterns", "single_lock,star", "--threads", "3,5",
+                       "--events", "120", "--po", "hb", "--seed", "3",
+                       "--csv", str(csv_path), "--svg", str(svg_path), "--repeat", "1"])
+        assert rc == 0
+        header = [c for c in CSV_COLUMNS if c != "time_ms"]
+        assert rows_without_time(csv_path) == [header] + PINNED_BENCH_ROWS
+        assert hashlib.sha256(svg_path.read_bytes()).hexdigest() == PINNED_BENCH_SVG_SHA256
+        capsys.readouterr()
+
+
+class TestRendering:
+    def test_csv_row_in_column_order(self, tmp_path):
+        trace = random_trace(3, events=60, threads=4, locks=2, variables=2)
+        run = run_analysis(trace, MAZ, "vector")
+        path = tmp_path / "rows.csv"
+        cli._append_csv(path, [("sample", run, 12.3456)])
+        header, row = read_csv_rows(path)
+        assert header == list(CSV_COLUMNS) == [
+            "trace", "po", "clock", "events", "threads", "locks", "vars",
+            "time_ms", "races", "pairs_unordered", "vt_work", "impl_work",
+            "deep_copies"]
+        assert row == [str(v) for v in (
+            "sample", MAZ, "vector", run.events, run.threads, run.locks,
+            run.vars, "12.346", len(run.races), run.unordered_pairs,
+            run.vt_work, run.impl_work, run.deep_copies)]
+
+    def test_uncounted_pairs_render_empty(self, tmp_path):
+        run = run_analysis(parse_trace("t0 w x\n"), HB, "tree", count_unordered=False)
+        path = tmp_path / "rows.csv"
+        cli._append_csv(path, [("t", run, 0.5)])
+        got = dict(zip(CSV_COLUMNS, read_csv_rows(path)[1]))
+        assert got["pairs_unordered"] == ""
+        assert " pairs_unordered=- " in cli._summary_line(run, 0.5)
 
 
 def test_selfcheck_command_passes(capsys):

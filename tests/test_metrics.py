@@ -1,18 +1,11 @@
 """Tests for the work metrics: the independent entries-changed recount,
-the bound checks and their documented scope, the hypothetical vector cost,
-and CSV record formatting."""
+the bound checks and their documented scope, and the hypothetical vector
+cost."""
 
 import pytest
 
 from clocktrace.analyses import HB, MAZ, ORDERS, SHB, run_analysis
-from clocktrace.metrics import (
-    CSV_COLUMNS,
-    MetricsRecord,
-    collect,
-    vc_work,
-    verify_bounds,
-    vtwork,
-)
+from clocktrace.metrics import vc_work, verify_bounds, vtwork
 from clocktrace.trace import parse_trace
 from clocktrace.tracegen import random_trace
 
@@ -162,32 +155,3 @@ def test_counters_are_pinned_on_a_seeded_trace():
                          run.unordered_pairs, run.deep_copies)
     assert got == PINNED_COUNTERS
 
-
-class TestRecords:
-    def test_collect_fills_row_in_column_order(self):
-        trace = random_trace(3, events=60, threads=4, locks=2, variables=2)
-        run = run_analysis(trace, MAZ, "vector", record_timestamps=True)
-        rec = collect(run, "sample", time_ms=12.3456)
-        assert isinstance(rec, MetricsRecord)
-        row = rec.row()
-        assert len(row) == len(CSV_COLUMNS)
-        got = dict(zip(CSV_COLUMNS, row))
-        assert got["trace"] == "sample"
-        assert got["po"] == MAZ
-        assert got["clock"] == "vector"
-        assert got["events"] == run.events
-        assert got["threads"] == run.threads
-        assert got["time_ms"] == "12.346"
-        assert got["races"] == len(run.races)
-        assert got["vt_work"] == run.vt_work
-        assert got["impl_work"] == run.impl_work
-        assert got["deep_copies"] == run.deep_copies
-
-    def test_uncounted_pairs_render_empty(self):
-        trace = parse_trace("t0 w x\n")
-        run = run_analysis(trace, HB, "tree", count_unordered=False)
-        rec = collect(run, "t")
-        got = dict(zip(CSV_COLUMNS, rec.row()))
-        assert got["pairs_unordered"] == ""
-        # with no explicit timing, the run's own wall time is used
-        assert float(got["time_ms"]) >= 0.0

@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clocktrace.analyses import HB, MAZ, SHB, run_analysis
+from conftest import each_event
+
+from clocktrace.analyses import HB, MAZ, SHB
 from clocktrace.tracegen import GenSpec, SplitMix64, generate, random_trace
 from clocktrace.treeclock import BOT, NIL, TreeClock, pruning_violations
 from clocktrace.vclock import ClockContractError, VectorClock, WorkCounter
@@ -79,7 +81,7 @@ class TestHandBuiltTrees:
 
     def test_get(self):
         a = build(4, TREE_A)
-        assert [a.get(t) for t in range(4)] == [1, 2, 2, 2]
+        assert [a.clk[t] for t in range(4)] == [1, 2, 2, 2]
 
     def test_incomparable(self):
         a, b = build(4, TREE_A), build(4, TREE_B)
@@ -104,7 +106,7 @@ class TestBasics:
         assert l.is_empty()
         assert l.dump() == "(empty)\n"
         assert l.flatten() == (0, 0, 0)
-        assert l.get(0) == 0
+        assert l.clk[0] == 0
         l.check_integrity()
 
     def test_empty_leq_anything(self):
@@ -119,7 +121,7 @@ class TestBasics:
         l = TreeClock.aux(4)
         assert l.nodes == 0
         assert (l.aclk, l.parent, l.head, l.nxt, l.prv) == (None,) * 5
-        assert [l.get(t) for t in range(4)] == [0, 0, 0, 0]
+        assert [l.clk[t] for t in range(4)] == [0, 0, 0, 0]
         assert repr(l) == "TreeClock(root=-1, [0, 0, 0, 0])"
 
     @pytest.mark.parametrize("copy", ["monotone_copy", "copy_check_monotone"])
@@ -189,11 +191,11 @@ class TestInvariants:
                 for t in range(clock.k):
                     if t not in present:
                         assert clock.clk[t] == 0
-                        assert clock.get(t) == 0
                         assert clock.flatten()[t] == 0
 
         for po in (HB, SHB, MAZ):
-            run_analysis(trace, po, "tree", debug=True, inspect=check)
+            for i, ev, engine in each_event(trace, po, debug=True):
+                check(i, ev, engine)
 
     def test_nonzero_absent_entry_is_caught(self):
         a = build(5, TREE_A)
@@ -250,7 +252,8 @@ def test_tree_shapes_are_pinned(name, po):
             for key in sorted(clocks):
                 h.update(f"{tag}{key}\n{clocks[key].dump()}".encode())
 
-    run_analysis(SHAPE_TRACES[name](), po, "tree", inspect=digest)
+    for i, ev, engine in each_event(SHAPE_TRACES[name](), po):
+        digest(i, ev, engine)
     assert h.hexdigest()[:16] == SHAPE_DIGESTS[name, po]
 
 
@@ -370,7 +373,8 @@ class TestMonotoneCopy:
                 deltas.append(w - state["prev"])
             state["prev"] = w
 
-        run_analysis(trace, HB, "tree", inspect=watch)
+        for i, ev, engine in each_event(trace, HB):
+            watch(i, ev, engine)
         assert deltas, "trace has no steady-state releases"
         deltas.sort()
         median = deltas[len(deltas) // 2]
@@ -565,7 +569,8 @@ def test_every_edge_records_a_first_learn(po, seed):
                 assert histories[w][a][u] >= c
                 assert histories[w][a - 1][u] < c
 
-    run_analysis(trace, po, "tree", inspect=check)
+    for i, ev, engine in each_event(trace, po):
+        check(i, ev, engine)
 
 
 # --- pruning soundness checker ----------------------------------------------

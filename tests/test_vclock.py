@@ -2,6 +2,9 @@
 
 import pytest
 
+# the pinned six-thread vectors that `clocktrace selfcheck` also checks
+from clocktrace.selfcheck import (VECTOR_LARGE as LARGE, VECTOR_OTHER as OTHER,
+                                  VECTOR_SMALL as SMALL)
 from clocktrace.vclock import (
     ClockContractError,
     Epoch,
@@ -11,12 +14,6 @@ from clocktrace.vclock import (
     vt_leq,
 )
 
-# Pinned six-thread example: one timestamp strictly below another and the
-# join that produces the larger one.
-SMALL = [11, 6, 5, 32, 14, 20]
-LARGE = [28, 6, 9, 45, 17, 26]
-OTHER = [28, 5, 9, 45, 17, 26]
-
 
 def test_pinned_pointwise_order():
     assert vt_leq(SMALL, LARGE)
@@ -25,8 +22,8 @@ def test_pinned_pointwise_order():
 
 
 def test_pinned_join():
-    assert vt_join(OTHER, SMALL) == tuple(LARGE)
-    assert vt_join(SMALL, OTHER) == tuple(LARGE)
+    assert vt_join(OTHER, SMALL) == LARGE
+    assert vt_join(SMALL, OTHER) == LARGE
 
 
 def test_incomparable_pair():
