@@ -2,7 +2,7 @@
 
 from .trace import Event, Trace, TraceParseError, parse_trace, serialize_trace, validate_trace
 from .vclock import ClockContractError, Epoch, VectorClock, WorkCounter, vt_join, vt_leq
-from .treeclock import TreeClock, pruning_violations
+from .treeclock import TreeClock
 from .analyses import (
     HB,
     MAZ,
@@ -14,7 +14,7 @@ from .analyses import (
     run_analysis,
     race_event_indices,
 )
-from .metrics import vc_work, verify_bounds, vtwork
+from .metrics import verify_bounds, vtwork
 from .tracegen import PATTERNS, STAR_STYLES, GenSpec, SplitMix64, generate
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "vt_join",
     "vt_leq",
     "TreeClock",
-    "pruning_violations",
     "HB",
     "SHB",
     "MAZ",
@@ -41,7 +40,6 @@ __all__ = [
     "RaceReport",
     "run_analysis",
     "race_event_indices",
-    "vc_work",
     "verify_bounds",
     "vtwork",
     "PATTERNS",

@@ -24,6 +24,7 @@ name the earlier access first ("write-read" = earlier write, later read).
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from operator import ne
 
 from .trace import ACQ, REL, READ, WRITE, Trace
@@ -86,10 +87,12 @@ class Engine:
         self.clock_kind = clock_kind
         self.k = thread_count
         self.counter = WorkCounter(debug=debug)
+        # read the class from the module globals now (a caller may swap in
+        # a subclass); bind it, not self, so the engine holds no cycle
         cls = TreeClock if clock_kind == "tree" else VectorClock
-        self._owned = lambda t: cls.owned(t, thread_count, self.counter)
-        self._aux = lambda: cls.aux(thread_count, self.counter)
-        self.thread_clocks = [self._owned(t) for t in range(thread_count)]
+        self._aux = partial(cls.aux, thread_count, self.counter)
+        self.thread_clocks = [cls.owned(t, thread_count, self.counter)
+                              for t in range(thread_count)]
         self.lock_clocks = {}
         self.write_clocks = {}  # var -> clock of the last write (shb/maz)
         self.read_clocks = {}  # (var, tid) -> clock at that thread's last read (maz)
@@ -109,15 +112,17 @@ class Engine:
         C = self.thread_clocks[t]
         C.increment()
         po = self.po
+        dst = None  # the clock that receives a copy of C, if any
+        deep = False  # whether the engine's state forces a deep copy
         if ev.op == ACQ:
             L = self.lock_clocks.get(ev.target)
             if L is not None:
                 C.join(L)
         elif ev.op == REL:
-            L = self.lock_clocks.get(ev.target)
-            if L is None:
-                L = self.lock_clocks[ev.target] = self._aux()
-            L.monotone_copy(C)
+            dst = self.lock_clocks.get(ev.target)
+            if dst is None:
+                dst = self.lock_clocks[ev.target] = self._aux()
+                deep = True
         elif ev.op == READ:
             x = ev.target
             if po != HB:
@@ -126,10 +131,10 @@ class Engine:
                     C.join(lw)
             self._check_read(x, t, C, i)
             if po == MAZ:
-                rc = self.read_clocks.get((x, t))
-                if rc is None:
-                    rc = self.read_clocks[(x, t)] = self._aux()
-                rc.monotone_copy(C)
+                dst = self.read_clocks.get((x, t))
+                if dst is None:
+                    dst = self.read_clocks[(x, t)] = self._aux()
+                    deep = True
             reads = self.read_epochs.setdefault(x, {})
             reads[t] = C.clk[t]  # re-reads keep the thread's original position
         elif ev.op == WRITE:
@@ -152,31 +157,30 @@ class Engine:
                     net = sum(map(ne, pre, C.flatten()))
                     self.counter.vt_work = vt0 + net
             self._check_write(x, t, C, i)
-            if po == SHB:
-                # the last write need not be ordered before us; test first
+            if po != HB:
                 if lw is None:
                     lw = self.write_clocks[x] = self._aux()
                     self.fresh_copies += 1
-                    lw.copy_check_monotone(C)
-                else:
-                    # a full rebuild is forced exactly when this write is
-                    # unordered with the previous one — an O(1) epoch test
-                    # that both clock structures answer the same way
+                    deep = True
+                elif po == SHB:
+                    # the last write need not be ordered before us: a deep
+                    # copy is forced exactly when this write is unordered
+                    # with the previous one, an O(1) epoch test that both
+                    # clock structures answer the same way (under maz we
+                    # just joined the last write, so the copy is monotone)
                     ew = self.write_epochs[x]
-                    forced = C.clk[ew.tid] < ew.clk
-                    if forced:
+                    if C.clk[ew.tid] < ew.clk:
                         self.deep_copies += 1
-                    status = lw.copy_check_monotone(C)
-                    if self.counter.debug and self.clock_kind == "tree":
-                        assert status == ("deep" if forced else "monotone")
-            elif po == MAZ:
-                # we just joined the last write, so the copy is monotone
-                if lw is None:
-                    lw = self.write_clocks[x] = self._aux()
-                    self.fresh_copies += 1
-                lw.monotone_copy(C)
+                        deep = True
+                dst = lw
             self.write_epochs[x] = Epoch(t, C.clk[t])
             self.read_epochs[x] = {}
+        if dst is not None:
+            status = dst.copy_check_monotone(C)
+            if self.counter.debug and self.clock_kind == "tree":
+                expected = "deep" if deep else "monotone"
+                assert status == expected, (
+                    f"event {i}: {status} copy where the engine predicts {expected}")
         if self._access_log is not None and (ev.op == READ or ev.op == WRITE):
             self._count_unordered(ev, C)
         return C
@@ -219,7 +223,8 @@ def run_analysis(trace, po, clock_kind="tree", *, debug=False,
     """Run one analysis over a whole trace and return an AnalysisRun.
 
     With debug set, structural invariants are re-verified after every
-    clock operation (slow; for tests). Callers that need each event's
+    clock operation, and every tree copy must take the path the engine
+    predicts (slow; for tests). Callers that need each event's
     timestamp or clock state drive an Engine themselves.
     """
     engine = Engine(po, trace.thread_count, clock_kind, debug=debug,

@@ -38,13 +38,6 @@ from .analyses import HB, MAZ, SHB, AnalysisRun
 from .trace import ACQ, READ, REL, WRITE, Trace
 
 
-def vc_work(run: AnalysisRun) -> int:
-    """Entries a flat-vector implementation touches for the same run:
-    every join and copy scans thread_count entries, every increment one."""
-    c = run.counter
-    return run.threads * (c.joins + c.copies) + c.increments
-
-
 def vtwork(trace: Trace, po: str) -> int:
     """Reference vector-time work: run the analysis on plain dicts,
     snapshot every maintained clock after each event, and count the

@@ -1,13 +1,14 @@
 """Brute-force reference implementations for small traces.
 
 Everything here favors obviousness over speed: partial orders are built as
-explicit reachability bitsets from their generating edges, timestamps are
-popcounts over those bitsets, and the work/race reference interpreter runs
-on plain dicts. The streaming engines are tested against these, never the
-other way around. Inputs are capped to keep the quadratic blowup honest.
+explicit reachability bitsets from their generating edges, and timestamps,
+races and unordered pairs are read off those bitsets. The streaming engines
+are tested against these, never the other way around. Inputs are capped to
+keep the quadratic blowup honest. (The reference for vt_work is
+`metrics.vtwork`, an interpreter on plain dicts.)
 """
 
-from .analyses import HB, MAZ, ORDERS, SHB
+from .analyses import HB, MAZ, ORDERS
 from .trace import ACQ, REL, READ, WRITE
 
 ORACLE_MAX_EVENTS = 5000
@@ -147,19 +148,3 @@ def oracle_unordered_pairs(trace, po):
                     count += 1
             prior.append((i, wr))
     return count
-
-
-def oracle_forced_deep_copies(trace):
-    """Writes whose preceding write on the same variable is not ordered
-    before them under the stronger-than-races order (SHB): exactly the
-    occasions on which a last-write clock cannot be updated monotonically."""
-    leq = oracle_order(trace, SHB)
-    last_write = {}
-    n = 0
-    for i, ev in enumerate(trace.events):
-        if ev.op == WRITE:
-            w = last_write.get(ev.target)
-            if w is not None and not leq(w, i):
-                n += 1
-            last_write[ev.target] = i
-    return n

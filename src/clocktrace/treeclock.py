@@ -15,14 +15,16 @@ past the attachment time of the current child (all later siblings were
 attached even earlier). Both prunings are exercised and cross-checked
 against flat vector clocks throughout the test suite.
 
-Join and monotone copy share one traversal (_move) in two passes. The
-gather pass walks the source in pre-order, pushing siblings newest first
-so they pop oldest first. The rebuild pass visits the gathered nodes in
-that order and, for each, unlinks it from self (or counts it as new),
-takes the source's clk and links it at the front of its source parent's
-child list. Parents are thus placed before their children, and siblings
-linked oldest first end up newest first, as in the source, ahead of the
-children self kept.
+Each clock has one copy operation, which picks its path in O(1): the
+monotone path when the target is below the source, else a deep
+(structural) copy. Join and the monotone copy path share one traversal
+(_move) in two passes. The gather pass walks the source in pre-order,
+pushing siblings newest first so they pop oldest first. The rebuild pass
+visits the gathered nodes in that order and, for each, unlinks it from
+self (or counts it as new), takes the source's clk and links it at the
+front of its source parent's child list. Parents are thus placed before
+their children, and siblings linked oldest first end up newest first, as
+in the source, ahead of the children self kept.
 
 Nodes live in six dense arrays indexed by thread id (clk, aclk, parent,
 head, nxt, prv), so thread-id lookup is O(1) and a structural copy is an
@@ -44,7 +46,7 @@ keeps. All traversals are iterative.
 
 from operator import ne
 
-from .vclock import ClockContractError
+from .vclock import ClockContractError, vt_leq
 
 NIL = -1  # empty link
 BOT = -1  # "no attachment time" marker for the root; never compared, only shown
@@ -87,25 +89,13 @@ class TreeClock:
 
     # --- basic queries ------------------------------------------------------
 
-    def is_empty(self):
-        return self.root == NIL
-
     def flatten(self):
         return tuple(self.clk)
 
     def leq(self, other):
-        """True iff every entry of self is <= the matching entry of other.
-        Walks only self's nodes."""
-        stack = [self.root] if self.root != NIL else []
-        while stack:
-            u = stack.pop()
-            if self.clk[u] > other.clk[u]:
-                return False
-            v = self.head[u]
-            while v != NIL:
-                stack.append(v)
-                v = self.nxt[v]
-        return True
+        """True iff every entry of self is <= the matching entry of other
+        (absent threads read 0 on either side)."""
+        return vt_leq(self.clk, other.clk)
 
     # --- mutation ------------------------------------------------------------
 
@@ -126,8 +116,9 @@ class TreeClock:
         One gather pass collects the source nodes that are ahead of self
         (with the two prunings described in the module docstring); one
         rebuild pass moves each into place mirroring the source and hangs
-        the source root as the newest child of self's root. A source that
-        is strictly ahead on self's *own* root thread is outside this
+        the source root as the newest child of self's root. The monotone
+        copy path runs the same two passes (see _move). A source that is
+        strictly ahead on self's *own* root thread is outside this
         operation's contract.
         """
         c = self.counter
@@ -147,66 +138,43 @@ class TreeClock:
                 "join source is ahead on the target's own root thread"
             )
         self._move(src, copy_mode=False)
-        if c is not None and c.debug:
-            self.check_integrity()
-
-    def monotone_copy(self, src):
-        """self <- src, assuming self <= src entrywise.
-
-        The same gather and rebuild passes as join, but the target is wholly
-        superseded: the result's root moves to the source's root thread. The
-        node for self's current root thread is always gathered (even if its
-        time is unchanged) so the rebuild can reseat it wherever the source
-        holds it.
-        """
-        c = self.counter
-        if src.root == NIL:
-            raise ClockContractError("monotone copy from an empty clock")
-        if self.root == NIL:
-            self._become_copy_of(src)
-            return
-        if c is not None:
-            c.copies += 1
-            if c.debug and not self.leq(src):
-                raise ClockContractError("monotone copy target is not below source")
-        self._move(src, copy_mode=True)
-        self.root = src.root
-        if c is not None and c.debug:
-            self.check_integrity()
 
     def copy_check_monotone(self, src):
-        """Copy src into self, deciding in O(1) whether the cheap monotone
-        path applies: it does iff the source's entry for self's root thread
-        has not fallen behind self's root time. Returns "monotone" or
-        "deep". An empty target takes the deep (full structural) path; an
-        empty source is outside the contract, as for monotone_copy."""
+        """self <- src. Returns "monotone" or "deep", the path taken.
+
+        One entry decides the path in O(1). If the source has not fallen
+        behind self's root time, self <= src (every entry of self is what
+        its root thread knew at that time), and the monotone path runs
+        join's traversal in copy mode. An empty target, or one the source
+        has fallen behind, takes the deep path, a full structural copy.
+        An empty source is outside the contract.
+        """
         if src.root == NIL:
             raise ClockContractError("copy from an empty clock")
-        if self.root == NIL:
+        c = self.counter
+        if c is not None:
+            c.copies += 1
+        r = self.root
+        if r == NIL or src.clk[r] < self.clk[r]:
             self._become_copy_of(src)
             return "deep"
-        r = self.root
-        monotone = src.clk[r] >= self.clk[r]
-        if self.counter is not None and self.counter.debug:
-            # a non-monotone target must be caught by the single-entry test
-            if monotone and not self.leq(src):
-                raise ClockContractError(
-                    "single-entry monotonicity test missed a non-monotone target"
-                )
-        if monotone:
-            self.monotone_copy(src)
-            return "monotone"
-        self._become_copy_of(src)
-        return "deep"
+        # a non-monotone target must be caught by the single-entry test
+        if c is not None and c.debug and not self.leq(src):
+            raise ClockContractError(
+                "single-entry monotonicity test missed a non-monotone target")
+        self._move(src, copy_mode=True)
+        return "monotone"
 
     # --- internals -------------------------------------------------------
 
     def _move(self, src, copy_mode):
         """Bring the source nodes ahead of self into self's tree in the
         source's shape (gather, then rebuild; see the module docstring) and
-        tally the work. The source root becomes the newest child of self's
-        root (join) or the root (copy_mode, which always gathers self's old
-        root so the rebuild can reseat it)."""
+        tally the work. This is the body of both join and the monotone path
+        of copy_check_monotone. The source root becomes the newest child of
+        self's root (join) or the root (copy_mode: the target is wholly
+        superseded, and self's old root is always gathered, even with its
+        time unchanged, so the rebuild can reseat it)."""
         clk, aclk, parent, head, nxt, prv = (
             self.clk, self.aclk, self.parent, self.head, self.nxt, self.prv)
         sclk, saclk, sparent, shead, snxt = (
@@ -271,17 +239,20 @@ class TreeClock:
                 prv[after] = u
             parent[u] = p
         self.nodes += fresh
+        if copy_mode:
+            self.root = z
         c = self.counter
         if c is not None:
             c.impl_work += visited + len(moved)  # examined + rebuilt
             c.vt_work += changed
+            if c.debug:
+                self.check_integrity()
 
     def _become_copy_of(self, src):
         """Full structural copy (the deep path). Arena layout makes this an
         array copy; work is everything discarded plus everything built."""
         c = self.counter
         if c is not None:
-            c.copies += 1
             c.impl_work += 2 * src.nodes + self.nodes
             c.vt_work += sum(map(ne, self.clk, src.clk))
         self.clk = src.clk[:]
@@ -367,51 +338,3 @@ class TreeClock:
 
     def __repr__(self):
         return f"TreeClock(root={self.root}, {list(self.flatten())!r})"
-
-
-def pruning_violations(a, b):
-    """Check the two pruning soundness conditions of tree clock a against
-    clock b (either kind; both index entries as b.clk[tid]). Returns a list
-    of human-readable violation strings; empty means both hold.
-
-    Direct: if b knows a's node u at least to u's clk, then every
-    descendant of u is also known to b. Indirect: if b knows u's thread at
-    least to child v's attachment time, then v's whole subtree is known.
-    """
-    if a.root == NIL:
-        return []
-    out = []
-    # bottom-up flag: does the subtree under u contain something b misses?
-    order = []
-    stack = [a.root]
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        v = a.head[u]
-        while v != NIL:
-            stack.append(v)
-            v = a.nxt[v]
-    stale = [False] * a.k  # "subtree of u holds a node b does not know"
-    for u in reversed(order):
-        miss = a.clk[u] > b.clk[u]
-        v = a.head[u]
-        while not miss and v != NIL:
-            miss = stale[v]
-            v = a.nxt[v]
-        stale[u] = miss
-    for u in order:
-        known = a.clk[u] <= b.clk[u]
-        v = a.head[u]
-        while v != NIL:
-            if known and stale[v]:
-                out.append(
-                    f"direct: node {u} is known to the other clock but its "
-                    f"descendant subtree under {v} is not"
-                )
-            if a.aclk[v] <= b.clk[u] and (stale[v] or a.clk[v] > b.clk[v]):
-                out.append(
-                    f"indirect: child {v} of {u} attached within the other "
-                    f"clock's knowledge yet its subtree is not covered"
-                )
-            v = a.nxt[v]
-    return out

@@ -10,8 +10,8 @@ from typing import NamedTuple
 
 
 class ClockContractError(Exception):
-    """An operation was called outside its contract (e.g. a supposedly
-    monotone copy whose target is not below the source)."""
+    """An operation was called outside its contract (e.g. a join whose
+    source is ahead on the target's own root thread)."""
 
 
 class Epoch(NamedTuple):
@@ -39,8 +39,9 @@ class WorkCounter:
     vt_work counts entries whose value actually changed (implementation
     independent); impl_work counts what the specific structure touched:
     k per vector join/copy, nodes examined/moved for tree clocks, and 1
-    per increment for both. With debug set, structural invariants and
-    copy preconditions are re-checked after every mutation.
+    per increment for both. With debug set, tree clocks re-check their
+    structural invariants after every mutation and the soundness of
+    their O(1) copy-path test.
     """
 
     __slots__ = ("vt_work", "impl_work", "joins", "copies", "increments", "debug")
@@ -96,26 +97,13 @@ class VectorClock:
             c.vt_work += changed
         return changed
 
-    def monotone_copy(self, src):
-        """self <- src. For vector clocks this is a plain entrywise copy;
-        the name records the contract the engines rely on (self <= src)."""
-        c = self.counter
-        if c is not None and c.debug and not self.leq(src):
-            raise ClockContractError("monotone copy target is not below source")
-        return self._copy(src)
-
     def copy_check_monotone(self, src):
-        """Copy src into self. Vector clocks have no cheaper monotone path,
-        so this is always a plain copy; the return value mirrors the tree
-        clock API and never reports a deep rebuild."""
-        self._copy(src)
-        return "monotone"
-
-    def _copy(self, src):
-        """self <- src entrywise; returns the number of entries changed."""
-        mine, theirs = self.clk, src.clk
+        """self <- src, entry by entry. Vector clocks have no cheaper
+        monotone path, so every copy is this plain copy; the return value
+        mirrors the tree clock API and never reports a deep rebuild."""
+        mine = self.clk
         changed = 0
-        for i, v in enumerate(theirs):
+        for i, v in enumerate(src.clk):
             if mine[i] != v:
                 mine[i] = v
                 changed += 1
@@ -124,7 +112,7 @@ class VectorClock:
             c.copies += 1
             c.impl_work += len(mine)
             c.vt_work += changed
-        return changed
+        return "monotone"
 
     def leq(self, other):
         return vt_leq(self.clk, other.clk)

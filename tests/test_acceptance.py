@@ -12,6 +12,7 @@ import time
 
 import pytest
 from conftest import corpus_trace, each_event
+from oracles import oracle_forced_deep_copies, pruning_violations, vc_work
 
 from clocktrace.analyses import (
     HB,
@@ -22,15 +23,11 @@ from clocktrace.analyses import (
     race_event_indices,
     run_analysis,
 )
-from clocktrace.metrics import vc_work, verify_bounds, vtwork
-from clocktrace.oracle import (
-    oracle_forced_deep_copies,
-    oracle_races,
-    oracle_timestamps,
-)
+from clocktrace.metrics import verify_bounds, vtwork
+from clocktrace.oracle import oracle_races, oracle_timestamps
 from clocktrace.trace import ACQ, REL, Event, Trace, parse_trace
 from clocktrace.tracegen import GenSpec, generate
-from clocktrace.treeclock import pruning_violations
+from clocktrace.treeclock import NIL
 from clocktrace.cli import main as cli_main
 
 
@@ -130,8 +127,10 @@ def test_criterion_04_ceiling_read_literally_for_every_order():
 
 def test_criterion_05_debug_runs_trigger_no_precondition_violations():
     """The full randomized corpus, all orders, both clock structures, with
-    debug checks on: every monotone-copy precondition at releases and at
-    last-write/read-clock copies must hold (a violation raises)."""
+    debug checks on: every tree copy (releases, last-write and reader
+    clocks) takes the path the engine predicts, deep exactly for an empty
+    target or a forced shb write, and every monotone path's single-entry
+    test is sound (a violation raises)."""
     for seed in range(1000):
         trace = corpus_trace(seed)
         for po in ORDERS:
@@ -161,10 +160,10 @@ def test_criterion_06_pruning_monotonicity_after_every_event():
                     last[id(c)] = flat
                     changed.append(c)
             for a in changed:
-                if a.is_empty():
+                if a.root == NIL:
                     continue
                 for b in clocks:
-                    if a is b or b.is_empty():
+                    if a is b or b.root == NIL:
                         continue
                     assert pruning_violations(a, b) == []
                     assert pruning_violations(b, a) == []

@@ -3,9 +3,10 @@ the bound checks and their documented scope, and the hypothetical vector
 cost."""
 
 import pytest
+from oracles import vc_work
 
 from clocktrace.analyses import HB, MAZ, ORDERS, SHB, run_analysis
-from clocktrace.metrics import vc_work, verify_bounds, vtwork
+from clocktrace.metrics import verify_bounds, vtwork
 from clocktrace.trace import parse_trace
 from clocktrace.tracegen import random_trace
 

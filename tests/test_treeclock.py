@@ -2,8 +2,9 @@
 
 Covers hand-built trees (display order, integrity, flatten, dump),
 differential runs against vector clock mirrors, the join early exit and
-its contract error, both copy operations, the learned-edge invariant
-that justifies pruning, and the pruning soundness checker itself.
+its contract error, the copy operation and the path it takes, the
+learned-edge invariant that justifies pruning, and the pruning soundness
+checker itself.
 """
 
 import hashlib
@@ -16,8 +17,9 @@ from conftest import each_event
 
 from clocktrace.analyses import HB, MAZ, SHB
 from clocktrace.tracegen import GenSpec, SplitMix64, generate, random_trace
-from clocktrace.treeclock import BOT, NIL, TreeClock, pruning_violations
+from clocktrace.treeclock import BOT, NIL, TreeClock
 from clocktrace.vclock import ClockContractError, VectorClock, WorkCounter
+from oracles import pruning_violations
 
 
 def build(k, spec, counter=None):
@@ -97,13 +99,13 @@ class TestHandBuiltTrees:
 class TestBasics:
     def test_owned_starts_at_zero(self):
         t = TreeClock.owned(2, 5)
-        assert not t.is_empty()
+        assert t.root != NIL
         assert t.root == 2
         assert t.flatten() == (0, 0, 0, 0, 0)
 
     def test_aux_starts_empty(self):
         l = TreeClock.aux(3)
-        assert l.is_empty()
+        assert l.root == NIL
         assert l.dump() == "(empty)\n"
         assert l.flatten() == (0, 0, 0)
         assert l.clk[0] == 0
@@ -124,25 +126,24 @@ class TestBasics:
         assert [l.clk[t] for t in range(4)] == [0, 0, 0, 0]
         assert repr(l) == "TreeClock(root=-1, [0, 0, 0, 0])"
 
-    @pytest.mark.parametrize("copy", ["monotone_copy", "copy_check_monotone"])
-    def test_first_copy_does_not_alias_the_source(self, copy):
+    def test_first_copy_does_not_alias_the_source(self):
         c = WorkCounter(debug=True)
         a = TreeClock.owned(0, 4, c)
         b = TreeClock.owned(1, 4, c)
         lk = TreeClock.aux(4, c)
         b.increment()
-        lk.monotone_copy(b)
+        lk.copy_check_monotone(b)
         a.increment()
         a.join(lk)
         target = TreeClock.aux(4, c)
-        getattr(target, copy)(a)
+        assert target.copy_check_monotone(a) == "deep"
         flat, shape = target.flatten(), target.dump()
         assert flat == (1, 1, 0, 0)
         # every array of the source moves on: its root entry, a new child,
         # and a reordered child list
         a.increment()
         b.increment()
-        lk.monotone_copy(b)
+        lk.copy_check_monotone(b)
         a.join(lk)
         d = TreeClock.owned(2, 4, c)
         d.increment()
@@ -157,8 +158,6 @@ class TestBasics:
         for target in (TreeClock.aux(3), t):
             with pytest.raises(ClockContractError):
                 target.copy_check_monotone(TreeClock.aux(3))
-            with pytest.raises(ClockContractError):
-                target.monotone_copy(TreeClock.aux(3))
 
     def test_increment_empty_raises(self):
         with pytest.raises(ClockContractError):
@@ -263,7 +262,7 @@ class TestJoin:
         a = TreeClock.owned(0, k, counter)
         a.increment()
         l = TreeClock.aux(k, counter)
-        l.monotone_copy(a)
+        l.copy_check_monotone(a)
         return a, l
 
     def test_join_brings_new_subtree(self):
@@ -305,7 +304,7 @@ class TestJoin:
         a.increment()
         a.increment()
         l = TreeClock.aux(3, c)
-        l.monotone_copy(a)
+        l.copy_check_monotone(a)
         fresh = TreeClock.owned(0, 3, c)
         fresh.increment()  # at time 1, but l claims thread 0 reached 2
         with pytest.raises(ClockContractError):
@@ -319,7 +318,7 @@ class TestMonotoneCopy:
         a.increment()
         l = TreeClock.aux(4, c)
         w0, cp0 = c.impl_work, c.copies
-        l.monotone_copy(a)
+        assert l.copy_check_monotone(a) == "deep"
         assert c.copies == cp0 + 1
         assert c.impl_work == w0 + 2  # two array touches per copied node
         assert l.flatten() == a.flatten()
@@ -332,11 +331,11 @@ class TestMonotoneCopy:
         t1 = TreeClock.owned(1, 3, c)
         lk = TreeClock.aux(3, c)
         t0.increment()
-        lk.monotone_copy(t0)
+        lk.copy_check_monotone(t0)
         t1.increment()
         t1.join(lk)
         t1.increment()
-        lk.monotone_copy(t1)
+        assert lk.copy_check_monotone(t1) == "monotone"
         assert lk.root == 1
         assert lk.aclk[lk.root] == BOT
         assert lk.flatten() == t1.flatten() == (1, 2, 0)
@@ -345,17 +344,6 @@ class TestMonotoneCopy:
             "tid=1 clk=2 aclk=⊥\n"
             "  tid=0 clk=1 aclk=1\n"
         )
-
-    def test_debug_precondition_rejects_unordered_source(self):
-        c = WorkCounter(debug=True)
-        t0 = TreeClock.owned(0, 3, c)
-        t1 = TreeClock.owned(1, 3, c)
-        lk = TreeClock.aux(3, c)
-        t0.increment()
-        lk.monotone_copy(t0)
-        t1.increment()  # t1 never joined lk, so lk is not below t1
-        with pytest.raises(ClockContractError):
-            lk.monotone_copy(t1)
 
     def test_steady_state_handoff_cost_stays_small(self):
         # Server/client rounds over shared locks: once the tree has settled,
@@ -432,6 +420,44 @@ class TestCopyCheckMonotone:
         l.check_integrity()
 
 
+# the path each kind reports for a copy into each kind of target
+COPY_PATHS = {
+    ("tree", "empty"): "deep",
+    ("tree", "below"): "monotone",
+    ("tree", "unordered"): "deep",
+    ("vector", "empty"): "monotone",
+    ("vector", "below"): "monotone",
+    ("vector", "unordered"): "monotone",
+}
+
+
+@pytest.mark.parametrize("kind,target", sorted(COPY_PATHS))
+def test_single_copy_takes_the_predicted_path(kind, target):
+    """One copy operation per kind: into an empty target, a target
+    ordered below the source, and one unordered with it. The copy reports
+    the path it took and leaves an exact, well-formed copy behind."""
+    cls = TreeClock if kind == "tree" else VectorClock
+    c = WorkCounter(debug=True)
+    a, b, d = (cls.owned(t, 4, c) for t in range(3))
+    a.increment()
+    dst = cls.aux(4, c)
+    if target != "empty":
+        dst.copy_check_monotone(a)  # a publishes its time 1
+    b.increment()
+    if target == "below":
+        b.join(dst)  # b has seen everything dst holds
+    d.increment()
+    b.join(d)
+    b.increment()
+    copies = c.copies
+    assert dst.copy_check_monotone(b) == COPY_PATHS[kind, target]
+    assert c.copies == copies + 1
+    assert dst.flatten() == b.flatten()
+    if kind == "tree":
+        assert dst.root == b.root
+        dst.check_integrity()
+
+
 # --- differential against vector clocks ----------------------------------
 
 
@@ -461,8 +487,12 @@ class Mirror:
         else:  # rel
             self.trees[t].increment()
             self.vecs[t].increment()
-            self.tlocks[l].monotone_copy(self.trees[t])
-            self.vlocks[l].monotone_copy(self.vecs[t])
+            # a released lock is below its releaser: the tree copies
+            # monotonically unless the lock is still empty
+            fresh = self.tlocks[l].root == NIL
+            status = self.tlocks[l].copy_check_monotone(self.trees[t])
+            assert status == ("deep" if fresh else "monotone")
+            self.vlocks[l].copy_check_monotone(self.vecs[t])
             touched = [(self.trees[t], self.vecs[t]),
                        (self.tlocks[l], self.vlocks[l])]
         for tree, vec in touched:
@@ -476,7 +506,7 @@ class Mirror:
             tree.check_integrity()
         assert self.tcnt.vt_work == self.vcnt.vt_work
         assert self.tcnt.increments == self.vcnt.increments
-        trees = [t for t, _ in pairs if not t.is_empty()]
+        trees = [t for t, _ in pairs if t.root != NIL]
         for a in trees:
             for b in trees:
                 assert pruning_violations(a, b) == []
@@ -525,7 +555,7 @@ def test_differential_scripts_hypothesis(seed, k, locks, steps):
 
 def walk_nodes(tc):
     """Yield every thread reachable from the root, root first."""
-    if tc.is_empty():
+    if tc.root == NIL:
         return
     yield tc.root
     for _, child, _, _ in walk_edges(tc):
@@ -562,7 +592,7 @@ def test_every_edge_records_a_first_learn(po, seed):
         clocks = list(engine.thread_clocks) + list(engine.lock_clocks.values()) \
             + list(engine.write_clocks.values()) + list(engine.read_clocks.values())
         for clock in clocks:
-            if clock.is_empty():
+            if clock.root == NIL:
                 continue
             for w, u, c, a in walk_edges(clock):
                 assert 1 <= a < len(histories[w])
