@@ -69,14 +69,28 @@ def test_join_counts_full_scan_but_only_changes():
     assert c.vt_work - base_vt == 1
 
 
+def test_monotone_copy_counts_and_contract():
+    a, b, c = _pair(debug=True)
+    a.increment()
+    aux = VectorClock.aux(4, c)
+    assert aux.copy_check_monotone(a) == "monotone"
+    assert aux.flatten() == (1, 0, 0, 0)
+    # one increment, then a copy that scans all k entries and changes one
+    assert (c.copies, c.impl_work, c.vt_work) == (1, 1 + 4, 1 + 1)
+    # a target above the source is no contract breach for vectors, even
+    # under debug: the copy overwrites it and is counted like any other
+    b.increment()
+    assert b.copy_check_monotone(a) == "monotone"
+    assert b.flatten() == (1, 0, 0, 0)
+    assert (c.copies, c.impl_work, c.vt_work) == (2, 1 + 4 + 1 + 4, 1 + 1 + 1 + 2)
+
+
 def test_copy_check_monotone_is_always_plain_copy():
     a, _, c = _pair()
     a.increment()
     aux = VectorClock.aux(4, c)
     assert aux.copy_check_monotone(a) == "monotone"
     assert aux.flatten() == a.flatten()
-    # one increment, then a copy that scans all k entries and changes one
-    assert (c.copies, c.impl_work, c.vt_work) == (1, 1 + 4, 1 + 1)
     # even a non-monotone overwrite stays a plain copy for vectors
     other = VectorClock.owned(1, 4, c)
     other.increment()
