@@ -26,10 +26,16 @@ front of its source parent's child list. Parents are thus placed before
 their children, and siblings linked oldest first end up newest first, as
 in the source, ahead of the children self kept.
 
-Nodes live in six dense arrays indexed by thread id (clk, aclk, parent,
-head, nxt, prv), so thread-id lookup is O(1) and a structural copy is an
-array copy. Nodes are only ever added: a thread joins the tree when a
-join or copy first brings it in, and leaves only when a deep copy
+Nodes live in dense arrays indexed by thread id, so thread-id lookup is
+O(1) and a structural copy is an array copy. A clock holds one k-list,
+clk, once it has a node, and five more (aclk, parent, head, nxt, prv)
+only once it links a second node; until then the link arrays are None.
+An empty clock (aux) holds a zero clk tuple and no link arrays; its
+first mutation is always a deep copy, which takes exactly the arrays it
+keeps. A root-only clock (a fresh owned clock, or a copy of one) holds
+its clk list and no link arrays: on a hub/star trace almost every clock
+stays in that shape. Nodes are only ever added: a thread joins the tree
+when a join or copy first brings it in, and leaves only when a deep copy
 replaces every array. Three invariants follow and check_integrity
 asserts them:
 
@@ -37,11 +43,10 @@ asserts them:
   as clk[t] with no membership test, and flatten is tuple(clk);
 - a thread is in the tree iff it is the root or parent[t] != NIL, and a
   thread outside it has no children (head[t] == NIL);
-- nodes counts the threads in the tree.
+- nodes counts the threads in the tree, and is at most 1 while the link
+  arrays are None.
 
-An empty clock (aux) holds a zero clk tuple and no link arrays. Its first
-mutation is always a deep copy, which allocates exactly the arrays it
-keeps. All traversals are iterative.
+All traversals are iterative.
 """
 
 from operator import ne
@@ -62,18 +67,14 @@ class TreeClock:
         self.k = size
         self.root = owner
         self.counter = counter
-        if owner == NIL:  # empty: no link arrays until the first copy
+        # no link arrays until a second node is linked (see _move)
+        self.aclk = self.parent = self.head = self.nxt = self.prv = None
+        if owner == NIL:  # empty: the first mutation is a deep copy
             self.clk = (0,) * size
-            self.aclk = self.parent = self.head = self.nxt = self.prv = None
             self.nodes = 0
-            return
-        self.clk = [0] * size
-        self.aclk = [BOT] * size
-        self.parent = [NIL] * size
-        self.head = [NIL] * size  # first (most recently attached) child
-        self.nxt = [NIL] * size   # next younger sibling
-        self.prv = [NIL] * size   # previous (more recently attached) sibling
-        self.nodes = 1
+        else:
+            self.clk = [0] * size
+            self.nodes = 1
 
     # --- construction -----------------------------------------------------
 
@@ -162,6 +163,16 @@ class TreeClock:
         if c is not None and c.debug and not self.leq(src):
             raise ClockContractError(
                 "single-entry monotonicity test missed a non-monotone target")
+        if self.head is None and src.head is None and src.root == r:
+            # both hold r alone: one entry, counted as _move counts it
+            if c is not None:
+                c.impl_work += 2  # examined + rebuilt
+                if self.clk[r] != src.clk[r]:
+                    c.vt_work += 1
+            self.clk[r] = src.clk[r]
+            if c is not None and c.debug:
+                self.check_integrity()
+            return "monotone"
         self._move(src, copy_mode=True)
         return "monotone"
 
@@ -174,37 +185,48 @@ class TreeClock:
         of copy_check_monotone. The source root becomes the newest child of
         self's root (join) or the root (copy_mode: the target is wholly
         superseded, and self's old root is always gathered, even with its
-        time unchanged, so the rebuild can reseat it)."""
+        time unchanged, so the rebuild can reseat it). A root-only target
+        takes its link arrays here; a root-only source gathers only z."""
+        if self.head is None:
+            k = self.k
+            self.aclk = [BOT] * k
+            self.parent = [NIL] * k
+            self.head = [NIL] * k  # first (most recently attached) child
+            self.nxt = [NIL] * k   # next younger sibling
+            self.prv = [NIL] * k   # previous (more recently attached) sibling
         clk, aclk, parent, head, nxt, prv = (
             self.clk, self.aclk, self.parent, self.head, self.nxt, self.prv)
         sclk, saclk, sparent, shead, snxt = (
             src.clk, src.aclk, src.parent, src.head, src.nxt)
         root, z = self.root, src.root
-        keep = root if copy_mode else NIL  # gathered even when not ahead
-        guard = NIL if copy_mode else root  # must never be ahead in a join
-        moved = []
-        stack = [z]
         visited = 1
-        while stack:
-            u = stack.pop()
-            moved.append(u)
-            cu = clk[u]  # self's time for u before this operation
-            v = shead[u]
-            while v != NIL:
-                visited += 1
-                if sclk[v] > clk[v]:
-                    if v == guard:
-                        raise ClockContractError(
-                            "join source is ahead on the target's own root thread"
-                        )
-                    stack.append(v)
-                elif v == keep:
-                    stack.append(v)
-                # later siblings were attached no later than v; if self
-                # already knows u's thread past v's attachment, they are stale
-                if saclk[v] <= cu:
-                    break
-                v = snxt[v]
+        if shead is None:
+            moved = [z]
+        else:
+            keep = root if copy_mode else NIL  # gathered even when not ahead
+            guard = NIL if copy_mode else root  # must never be ahead in a join
+            moved = []
+            stack = [z]
+            while stack:
+                u = stack.pop()
+                moved.append(u)
+                cu = clk[u]  # self's time for u before this operation
+                v = shead[u]
+                while v != NIL:
+                    visited += 1
+                    if sclk[v] > clk[v]:
+                        if v == guard:
+                            raise ClockContractError(
+                                "join source is ahead on the target's own root thread"
+                            )
+                        stack.append(v)
+                    elif v == keep:
+                        stack.append(v)
+                    # later siblings were attached no later than v; if self
+                    # already knows u's thread past v's attachment, they are stale
+                    if saclk[v] <= cu:
+                        break
+                    v = snxt[v]
         fresh = changed = 0
         for u in moved:
             p = parent[u]
@@ -221,8 +243,7 @@ class TreeClock:
             if clk[u] != sclk[u]:
                 clk[u] = sclk[u]
                 changed += 1
-            p = sparent[u]
-            if p == NIL:  # u is z, the first node moved
+            if u == z:  # the first node moved
                 if copy_mode:
                     aclk[u] = BOT
                     parent[u] = prv[u] = nxt[u] = NIL
@@ -230,6 +251,7 @@ class TreeClock:
                 p = root
                 aclk[u] = clk[root]
             else:
+                p = sparent[u]
                 aclk[u] = saclk[u]
             after = head[p]
             head[p] = u
@@ -250,17 +272,24 @@ class TreeClock:
 
     def _become_copy_of(self, src):
         """Full structural copy (the deep path). Arena layout makes this an
-        array copy; work is everything discarded plus everything built."""
+        array copy, of clk alone from a root-only source; work is
+        everything discarded plus everything built."""
         c = self.counter
         if c is not None:
             c.impl_work += 2 * src.nodes + self.nodes
-            c.vt_work += sum(map(ne, self.clk, src.clk))
+            if self.root == NIL:  # every entry of an empty clock is 0
+                c.vt_work += self.k - src.clk.count(0)
+            else:
+                c.vt_work += sum(map(ne, self.clk, src.clk))
         self.clk = src.clk[:]
-        self.aclk = src.aclk[:]
-        self.parent = src.parent[:]
-        self.head = src.head[:]
-        self.nxt = src.nxt[:]
-        self.prv = src.prv[:]
+        if src.head is None:
+            self.aclk = self.parent = self.head = self.nxt = self.prv = None
+        else:
+            self.aclk = src.aclk[:]
+            self.parent = src.parent[:]
+            self.head = src.head[:]
+            self.nxt = src.nxt[:]
+            self.prv = src.prv[:]
         self.nodes = src.nodes
         self.root = src.root
         if c is not None and c.debug:
@@ -272,6 +301,8 @@ class TreeClock:
         """Tree as indented text, one node per line, children in list order."""
         if self.root == NIL:
             return "(empty)\n"
+        if self.head is None:
+            return f"tid={self.root} clk={self.clk[self.root]} aclk=⊥\n"
         lines = []
         stack = [(self.root, 0)]
         while stack:
@@ -293,13 +324,25 @@ class TreeClock:
         Checked: parent/sibling links are mutually consistent, sibling
         aclk values never increase front to back, every non-root node's
         aclk is at most its parent's clk, the node count equals the
-        number of nodes reachable from the root, and every thread outside
-        the tree has clk 0, no parent and no children.
+        number of nodes reachable from the root, every thread outside
+        the tree has clk 0, no parent and no children, and a clock
+        without link arrays (all five None) holds its root alone.
         """
         if self.root == NIL:
             assert self.nodes == 0, f"empty clock counts {self.nodes} nodes"
             assert not any(self.clk), "empty clock has a nonzero entry"
             return
+        links = (self.aclk, self.parent, self.head, self.nxt, self.prv)
+        if self.head is None:
+            assert links == (None,) * 5, "link arrays partly allocated"
+            assert self.nodes == 1, (
+                f"1 node reachable without links but {self.nodes} counted")
+            for t in range(self.k):
+                if t != self.root:
+                    assert self.clk[t] == 0, (
+                        f"absent thread {t} has clk {self.clk[t]}")
+            return
+        assert None not in links, "link arrays partly allocated"
         assert self.parent[self.root] == NIL, "root has a parent"
         seen = [False] * self.k
         stack = [self.root]

@@ -24,7 +24,7 @@ def pruning_violations(a, b):
     descendant of u is also known to b. Indirect: if b knows u's thread at
     least to child v's attachment time, then v's whole subtree is known.
     """
-    if a.root == NIL:
+    if a.head is None:  # empty or root-only: no edges, nothing to prune
         return []
     out = []
     # bottom-up flag: does the subtree under u contain something b misses?

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from conftest import each_event
 
 from clocktrace.analyses import HB, MAZ, SHB
+from clocktrace.trace import ACQ
 from clocktrace.tracegen import GenSpec, SplitMix64, generate, random_trace
 from clocktrace.treeclock import BOT, NIL, TreeClock
 from clocktrace.vclock import ClockContractError, VectorClock, WorkCounter
@@ -26,6 +27,8 @@ def build(k, spec, counter=None):
     """White-box constructor: spec is (tid, clk, aclk, [children]) with
     children given in display (most recently attached first) order."""
     tc = TreeClock.owned(spec[0], k, counter=counter)
+    tc.aclk = [BOT] * k
+    tc.parent, tc.head, tc.nxt, tc.prv = ([NIL] * k for _ in range(4))
 
     def place(node):
         """Set the node's fields and link its subtree; returns its size."""
@@ -187,6 +190,8 @@ class TestInvariants:
             for clock in clocks:
                 present = set(walk_nodes(clock))
                 assert clock.nodes == len(present)
+                if clock.head is None:
+                    assert clock.nodes <= 1
                 for t in range(clock.k):
                     if t not in present:
                         assert clock.clk[t] == 0
@@ -212,6 +217,84 @@ class TestInvariants:
         l.nodes = 1
         with pytest.raises(AssertionError, match="empty clock"):
             l.check_integrity()
+        o = TreeClock.owned(0, 3)
+        o.nodes = 2
+        with pytest.raises(AssertionError, match="counted"):
+            o.check_integrity()
+
+
+class TestLinkArrays:
+    """A clock allocates its five link arrays only when it first links a
+    second node; until then it holds its clk list alone."""
+
+    LINKS = ("aclk", "parent", "head", "nxt", "prv")
+
+    def links(self, tc):
+        return tuple(getattr(tc, name) for name in self.LINKS)
+
+    def test_root_only_clocks_and_their_copies_hold_none(self):
+        c = WorkCounter(debug=True)
+        a = TreeClock.owned(0, 4, c)
+        assert self.links(a) == (None,) * 5
+        assert a.nodes == 1
+        assert a.dump() == "tid=0 clk=0 aclk=⊥\n"
+        a.check_integrity()
+        a.increment()
+        lk = TreeClock.aux(4, c)
+        assert lk.copy_check_monotone(a) == "deep"
+        assert self.links(lk) == (None,) * 5
+        assert lk.dump() == "tid=0 clk=1 aclk=⊥\n"
+        # the same root again: a one-entry monotone copy, counted as a
+        # two-pass copy of one node would be
+        a.increment()
+        w0, vt0 = c.impl_work, c.vt_work
+        assert lk.copy_check_monotone(a) == "monotone"
+        assert (c.impl_work, c.vt_work) == (w0 + 2, vt0 + 1)
+        assert self.links(lk) == (None,) * 5
+        assert lk.flatten() == (2, 0, 0, 0)
+        w0 = c.impl_work
+        assert lk.copy_check_monotone(a) == "monotone"
+        assert (c.impl_work, c.vt_work) == (w0 + 2, vt0 + 1)
+
+    def test_first_linking_join_allocates_them(self):
+        c = WorkCounter(debug=True)
+        a = TreeClock.owned(0, 4, c)
+        b = TreeClock.owned(1, 4, c)
+        a.increment()
+        a.join(b)  # b is at time 0: early exit, nothing linked
+        assert self.links(a) == (None,) * 5
+        b.increment()
+        a.join(b)
+        assert None not in self.links(a)
+        assert a.nodes == 2
+        assert a.dump() == "tid=0 clk=1 aclk=⊥\n  tid=1 clk=1 aclk=1\n"
+        a.check_integrity()
+        # a deep copy from a root-only source drops them again
+        d = TreeClock.owned(2, 4, c)
+        d.increment()
+        assert a.copy_check_monotone(d) == "deep"
+        assert self.links(a) == (None,) * 5
+        assert a.nodes == 1
+        assert a.flatten() == (0, 0, 1, 0)
+
+    @pytest.mark.parametrize("debug", [False, True])
+    @pytest.mark.parametrize("seed", [3, 7, 11])
+    def test_star_relay_links_two_clocks_per_server_acquire(self, seed, debug):
+        # A client's clock and its lock's clock hold one node each until
+        # the server (thread 0) relays through that lock: the server's
+        # release links the lock's clock, and the client's next acquire
+        # links the client's. The server's own clock is the one other.
+        k = 256
+        trace = generate(GenSpec("star", k, 8000, seed=seed, star_style="relay"))
+        engine = None
+        for _, _, engine in each_event(trace, HB, debug=debug):
+            pass
+        clocks = engine.thread_clocks + list(engine.lock_clocks.values())
+        assert len(clocks) == 2 * k - 1
+        linked = sum(clock.head is not None for clock in clocks)
+        server_acquires = sum(ev.tid == 0 and ev.op == ACQ
+                              for ev in trace.events)
+        assert 1 <= linked <= 1 + 2 * server_acquires
 
 
 SHAPE_TRACES = {
@@ -312,19 +395,6 @@ class TestJoin:
 
 
 class TestMonotoneCopy:
-    def test_onto_empty_becomes_deep_copy(self):
-        c = WorkCounter()
-        a = TreeClock.owned(0, 4, c)
-        a.increment()
-        l = TreeClock.aux(4, c)
-        w0, cp0 = c.impl_work, c.copies
-        assert l.copy_check_monotone(a) == "deep"
-        assert c.copies == cp0 + 1
-        assert c.impl_work == w0 + 2  # two array touches per copied node
-        assert l.flatten() == a.flatten()
-        assert l.root == a.root
-        l.check_integrity()
-
     def test_handoff_reroots(self):
         c = WorkCounter()
         t0 = TreeClock.owned(0, 3, c)
@@ -380,8 +450,10 @@ class TestCopyCheckMonotone:
         w0, cp0 = c.impl_work, c.copies
         assert l.copy_check_monotone(a) == "deep"
         assert c.copies == cp0 + 1
-        assert c.impl_work == w0 + 2
-        assert l.flatten() == (1, 0, 0, 0)
+        assert c.impl_work == w0 + 2  # two array touches per copied node
+        assert l.flatten() == a.flatten() == (1, 0, 0, 0)
+        assert l.root == a.root
+        l.check_integrity()
 
     def test_unordered_source_reports_deep_with_full_cost(self):
         c = WorkCounter()
@@ -563,7 +635,10 @@ def walk_nodes(tc):
 
 
 def walk_edges(tc):
-    """Yield (parent_tid, child_tid, child_clk, attach_time) for every edge."""
+    """Yield (parent_tid, child_tid, child_clk, attach_time) for every edge;
+    a clock without link arrays has none."""
+    if tc.head is None:
+        return
     stack = [tc.root]
     while stack:
         u = stack.pop()
