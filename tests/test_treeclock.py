@@ -227,10 +227,9 @@ class TestLinkArrays:
     """A clock allocates its five link arrays only when it first links a
     second node; until then it holds its clk list alone."""
 
-    LINKS = ("aclk", "parent", "head", "nxt", "prv")
-
-    def links(self, tc):
-        return tuple(getattr(tc, name) for name in self.LINKS)
+    @staticmethod
+    def links(tc):
+        return (tc.aclk, tc.parent, tc.head, tc.nxt, tc.prv)
 
     def test_root_only_clocks_and_their_copies_hold_none(self):
         c = WorkCounter(debug=True)
