@@ -394,6 +394,30 @@ class TestJoin:
 
 
 class TestMonotoneCopy:
+    def test_onto_empty_becomes_deep_copy(self):
+        # a linked two-node source: the empty target gets its own links
+        c = WorkCounter()
+        a = TreeClock.owned(0, 4, c)
+        b = TreeClock.owned(1, 4, c)
+        b.increment()
+        a.increment()
+        a.join(b)
+        l = TreeClock.aux(4, c)
+        w0, cp0 = c.impl_work, c.copies
+        assert l.copy_check_monotone(a) == "deep"
+        assert c.copies == cp0 + 1
+        assert c.impl_work == w0 + 2 * 2  # two array touches per copied node
+        assert l.flatten() == a.flatten() == (1, 1, 0, 0)
+        assert l.root == a.root
+        assert l.dump() == a.dump()
+        l.check_integrity()
+        # nothing is shared: moving the source leaves the copy as it was
+        for name in ("clk", "aclk", "parent", "head", "nxt", "prv"):
+            assert getattr(l, name) is not getattr(a, name)
+        a.increment()
+        assert l.flatten() == (1, 1, 0, 0)
+        l.check_integrity()
+
     def test_handoff_reroots(self):
         c = WorkCounter()
         t0 = TreeClock.owned(0, 3, c)
