@@ -2,13 +2,15 @@
 
 Four commands:
 
-- analyze: run one partial order over a trace file with tree clocks,
-  vector clocks, or both, print a summary line per run, optionally
-  append a CSV row per run, and list races. With both clocks, or with
-  --oracle (small inputs only), one untimed pass then replays the trace
-  through one engine per clock kind in lockstep and compares every
-  event's timestamp across the kinds and with the brute-force oracle;
-  races and vt_work are compared once the runs are done.
+- analyze: read a trace file, or stdin, in one streamed pass that
+  parses it and checks its lock discipline; run one partial order over
+  it with tree clocks, vector clocks, or both, print a summary line per
+  run, optionally append a CSV row per run, and list races. With both
+  clocks, or with --oracle (small inputs only), one untimed pass then
+  replays the trace through one engine per clock kind in lockstep and
+  compares every event's timestamp across the kinds and with the
+  brute-force oracle; races and vt_work are compared once the runs are
+  done.
 - gen: write a synthetic trace from the deterministic generator.
 - bench: run a (pattern x thread-count x clock) matrix, append all rows
   to a CSV, and optionally emit a dependency-free SVG chart of the
@@ -17,23 +19,21 @@ Four commands:
 
 Exit codes: 0 success; 1 divergence, race-check mismatch, or assertion
 failure; 2 usage or I/O errors, malformed traces, and traces that break
-lock discipline (the first violation's line is named). Timing uses a
-monotonic clock, covers only the engine (not parsing or the comparison
-pass), and reports the median over --repeat runs (default 3).
+lock discipline (the first bad line in file order, malformed or misusing
+a lock, is named). Timing uses a monotonic clock, covers only the engine
+(not parsing or the comparison pass), and reports the median over
+--repeat runs (default 3).
 """
 
 import argparse
-import csv
 import os
 import statistics
 import sys
 
-from . import selfcheck as selfcheck_mod
 from .analyses import CLOCK_KINDS, ORDERS, Engine, race_event_indices, run_analysis
 from .metrics import verify_bounds
 from .oracle import ORACLE_MAX_EVENTS, oracle_races, oracle_timestamps
-from .trace import (TraceParseError, event_source, parse_trace, serialize_trace,
-                    validate_trace)
+from .trace import TraceParseError, parse_trace, serialize_trace
 from .tracegen import PATTERNS, STAR_STYLES, GenSpec, generate
 
 CSV_COLUMNS = (
@@ -109,22 +109,13 @@ def _build_parser():
 
 
 def _read_trace(path):
-    """Parse and validate a trace file. Raises TraceParseError, naming the
-    line, on malformed text or the first lock-discipline violation: the
-    analyses assume well-formed lock use and would answer wrongly."""
+    """Parse a trace file, or stdin for "-", line by line as it is read
+    (see parse_trace). Raises TraceParseError, naming the line, at the
+    first malformed line or lock-discipline violation."""
     if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    trace = parse_trace(text)
-    problems = validate_trace(trace)
-    if problems:
-        lineno, line = event_source(text, problems[0].index)
-        raise TraceParseError(
-            lineno, f"lock discipline violated ({problems[0].kind}): {line!r}"
-        )
-    return trace
+        return parse_trace(sys.stdin)
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_trace(fh)
 
 
 def _timed_runs(trace, po, kind, repeat, debug=False, count_unordered=True):
@@ -141,6 +132,8 @@ def _timed_runs(trace, po, kind, repeat, debug=False, count_unordered=True):
 def _append_csv(path, results):
     """Append one CSV_COLUMNS row per (trace name, run, ms) result; an
     uncounted pair count is written as an empty field."""
+    import csv
+
     new_file = not os.path.exists(path) or os.path.getsize(path) == 0
     with open(path, "a", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -375,7 +368,9 @@ def _write_ratio_chart(path, results):
 
 
 def _cmd_selfcheck(args):
-    failures = selfcheck_mod.run(report=print)
+    from . import selfcheck
+
+    failures = selfcheck.run(report=print)
     return 1 if failures else 0
 
 

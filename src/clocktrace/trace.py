@@ -11,16 +11,19 @@ Thread names must look like ``t<digits>``. Targets may be ``l<digits>`` /
 ``x<digits>`` or any bare identifier; what namespace a target lives in is
 decided by the operation (acq/rel -> lock, r/w -> variable). Names are
 interned to dense integer ids in order of first occurrence.
+
+parse_trace reads a trace in one pass, from text or line by line from a
+file, and checks lock discipline in the same pass, so the first bad line
+in file order, malformed or misusing a lock, is the one reported.
+validate_trace checks lock discipline of a trace built in memory.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 ACQ = "acq"
 REL = "rel"
 READ = "r"
 WRITE = "w"
-
-OPS = (READ, WRITE, ACQ, REL)
 
 # Recognized-but-unsupported event kinds. We reject these explicitly so a
 # trace using them fails loudly instead of being misread as identifiers.
@@ -28,14 +31,15 @@ UNSUPPORTED_OPS = ("fork", "join")
 
 
 class TraceParseError(ValueError):
-    """Raised on malformed trace text. Carries the 1-based line number."""
+    """Raised on malformed trace text or lock misuse. Carries the 1-based
+    line number."""
 
     def __init__(self, lineno, message):
         self.lineno = lineno
         super().__init__(f"line {lineno}: {message}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Event:
     tid: int
     op: str
@@ -65,58 +69,84 @@ class Violation:
     message: str
 
 
-def _intern(name, table):
-    if name not in table:
-        table[name] = len(table)
-    return table[name]
+def parse_trace(source):
+    """Parse a trace, checking lock discipline as it goes, into a Trace.
 
-
-def parse_trace(text):
-    """Parse trace text into a Trace. Raises TraceParseError on bad input."""
+    source is the trace text or any iterable of its lines, such as an
+    open file or sys.stdin, which is read once, line by line. Either way
+    lines are numbered as str.splitlines numbers them. Raises
+    TraceParseError, naming the line, at the first line in the trace
+    that is malformed or breaks lock discipline (the rules of
+    validate_trace): the analyses assume well-formed lock use and would
+    answer wrongly.
+    """
+    if isinstance(source, str):
+        source = (source,)
     threads = {}
     locks = {}
     variables = {}
+    # op -> (the op's constant, the namespace its targets are interned in)
+    ops = {ACQ: (ACQ, locks), REL: (REL, locks),
+           READ: (READ, variables), WRITE: (WRITE, variables)}
+    holder = {}  # lock id -> id of the thread holding it
     events = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            if len(parts) == 2 and parts[1] in UNSUPPORTED_OPS:
-                raise TraceParseError(lineno, f"unsupported operation {parts[1]!r}")
-            raise TraceParseError(
-                lineno, f"expected 'tid op target', got {line!r}"
-            )
-        tname, op, target = parts
-        if not (tname.startswith("t") and tname[1:].isdigit()):
-            raise TraceParseError(lineno, f"bad thread name {tname!r} (want t<digits>)")
-        if op in UNSUPPORTED_OPS:
-            raise TraceParseError(lineno, f"unsupported operation {op!r}")
-        if op not in OPS:
-            raise TraceParseError(lineno, f"unknown operation {op!r}")
-        if not target.isidentifier():
-            raise TraceParseError(lineno, f"bad target name {target!r}")
-        tid = _intern(tname, threads)
-        if op in (ACQ, REL):
-            tgt = _intern(target, locks)
-        else:
-            tgt = _intern(target, variables)
-        events.append(Event(tid, op, tgt))
+    append = events.append
+    lineno = 0
+    for chunk in source:
+        # a file splits lines only at \n, \r and \r\n; splitlines also
+        # splits at \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029
+        for raw in chunk.splitlines():
+            lineno += 1
+            if "#" in raw:
+                raw = raw.split("#", 1)[0]
+            parts = raw.split()
+            if not parts:
+                continue
+            if len(parts) != 3:
+                if len(parts) == 2 and parts[1] in UNSUPPORTED_OPS:
+                    raise TraceParseError(lineno, f"unsupported operation {parts[1]!r}")
+                raise TraceParseError(
+                    lineno, f"expected 'tid op target', got {raw.strip()!r}"
+                )
+            tname, op, target = parts
+            # a name's syntax is checked only when it is first seen
+            tid = threads.get(tname)
+            if tid is None:
+                if not (tname.startswith("t") and tname[1:].isdigit()):
+                    raise TraceParseError(
+                        lineno, f"bad thread name {tname!r} (want t<digits>)")
+                tid = threads[tname] = len(threads)
+            known = ops.get(op)
+            if known is None:
+                if op in UNSUPPORTED_OPS:
+                    raise TraceParseError(lineno, f"unsupported operation {op!r}")
+                raise TraceParseError(lineno, f"unknown operation {op!r}")
+            op, table = known
+            tgt = table.get(target)
+            if tgt is None:
+                if not target.isidentifier():
+                    raise TraceParseError(lineno, f"bad target name {target!r}")
+                tgt = table[target] = len(table)
+            if op == ACQ:
+                if tgt in holder:
+                    raise _discipline_error(lineno, "reacquire", raw)
+                holder[tgt] = tid
+            elif op == REL:
+                held_by = holder.pop(tgt, None)
+                if held_by != tid:
+                    raise _discipline_error(
+                        lineno,
+                        "release-free" if held_by is None else "release-not-held",
+                        raw,
+                    )
+            append(Event(tid, op, tgt))
     return Trace(events, len(threads), len(locks), len(variables))
 
 
-def event_source(text, index):
-    """(1-based line number, text without comment) of the index-th event
-    in trace text, counting the lines parse_trace turns into events."""
-    seen = -1
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            seen += 1
-            if seen == index:
-                return lineno, line
-    raise IndexError(f"trace text has no event {index}")
+def _discipline_error(lineno, kind, line):
+    return TraceParseError(
+        lineno, f"lock discipline violated ({kind}): {line.strip()!r}"
+    )
 
 
 def serialize_trace(trace):
@@ -129,7 +159,9 @@ def serialize_trace(trace):
 
 
 def validate_trace(trace):
-    """Check lock discipline. Returns a list of Violations (empty if clean).
+    """Check the lock discipline of a trace built in memory (parse_trace
+    checks it while parsing). Returns a list of Violations (empty if
+    clean).
 
     Flagged: acquiring a lock that is already held by anyone (reentrant
     locking included), releasing a lock the thread does not hold, and

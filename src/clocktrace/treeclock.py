@@ -30,14 +30,14 @@ Nodes live in dense arrays indexed by thread id, so thread-id lookup is
 O(1) and a structural copy is an array copy. A clock holds one k-list,
 clk, once it has a node, and five more (aclk, parent, head, nxt, prv)
 only once it links a second node; until then the link arrays are None.
-An empty clock (aux) holds a zero clk tuple and no link arrays; its
-first mutation is always a deep copy, which takes exactly the arrays it
-keeps. A root-only clock (a fresh owned clock, or a copy of one) holds
-its clk list and no link arrays: on a hub/star trace almost every clock
-stays in that shape. Nodes are only ever added: a thread joins the tree
-when a join or copy first brings it in, and leaves only when a deep copy
-replaces every array. Three invariants follow and check_integrity
-asserts them:
+An empty clock (aux) holds the zero clk tuple that all empty clocks of
+its size share, and no link arrays; its first mutation is always a deep
+copy, which takes exactly the arrays it keeps. A root-only clock (a
+fresh owned clock, or a copy of one) holds its clk list and no link
+arrays: on a hub/star trace almost every clock stays in that shape.
+Nodes are only ever added: a thread joins the tree when a join or copy
+first brings it in, and leaves only when a deep copy replaces every
+array. Three invariants follow and check_integrity asserts them:
 
 - clk[t] == 0 for every thread t outside the tree, so an entry is read
   as clk[t] with no membership test, and flatten is tuple(clk);
@@ -56,6 +56,8 @@ from .vclock import ClockContractError, vt_leq
 NIL = -1  # empty link
 BOT = -1  # "no attachment time" marker for the root; never compared, only shown
 
+_ZEROS = {}  # size -> (0,) * size, the clk every empty clock of that size shares
+
 
 class TreeClock:
     __slots__ = (
@@ -70,7 +72,10 @@ class TreeClock:
         # no link arrays until a second node is linked (see _move)
         self.aclk = self.parent = self.head = self.nxt = self.prv = None
         if owner == NIL:  # empty: the first mutation is a deep copy
-            self.clk = (0,) * size
+            clk = _ZEROS.get(size)
+            if clk is None:
+                clk = _ZEROS[size] = (0,) * size
+            self.clk = clk
             self.nodes = 0
         else:
             self.clk = [0] * size

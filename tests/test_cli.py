@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from clocktrace import cli
 from clocktrace.analyses import HB, MAZ, ORDERS, run_analysis
 from clocktrace.cli import CSV_COLUMNS
-from clocktrace.trace import parse_trace, serialize_trace, validate_trace
+from clocktrace.trace import Event, Trace, parse_trace, serialize_trace, validate_trace
 from clocktrace.tracegen import random_trace
 from clocktrace.vclock import VectorClock
 
@@ -301,7 +301,10 @@ def test_lock_misuse_is_rejected_never_misanalysed(lines, po, clock):
             contextlib.redirect_stderr(io.StringIO()):
         rc = cli.main(["analyze", "--po", po, "--clock", clock,
                        "--input", "-", "--repeat", "1"])
-    assert rc == (2 if validate_trace(parse_trace(text)) else 0)
+    # ids as generated, not as parsing would intern them: renaming threads
+    # or locks one-to-one changes no violation
+    events = [Event(t, op, target) for t, op, target in lines]
+    assert rc == (2 if validate_trace(Trace(events, 3, 2, 2)) else 0)
 
 
 class TestBench:

@@ -1,5 +1,7 @@
 """Trace parsing, serialization, and lock-discipline validation."""
 
+import io
+
 import pytest
 
 from clocktrace.trace import (
@@ -68,6 +70,12 @@ def test_parse_empty():
         ("t0 acq l0\nt0 rel l0\nt0 r 1!bad\n", 3),
         ("t0 fork t1\n", 1),
         ("t0 join t1 t2\n", 1),
+        # names are checked when first seen, on whichever line that is
+        ("t0 w x\nt1 w x\nt0 r x\nt1 r x\nt2x w x\n", 5),
+        ("t0 w x\nt0 acq l\nt0 rel l\nt0 w y\nt0 w 9y\n", 5),
+        # the first bad line in file order wins, lock misuse or malformed
+        ("t0 acq l0\nt0 w x\nt1 acq l0\n" + "t0 w x\n" * 6 + "t0 w\n", 3),
+        ("t0 acq l0\nt0 w\nt1 acq l0\n", 2),
     ],
 )
 def test_parse_errors_carry_line_numbers(bad, lineno):
@@ -75,6 +83,69 @@ def test_parse_errors_carry_line_numbers(bad, lineno):
         parse_trace(bad)
     assert exc.value.lineno == lineno
     assert f"line {lineno}" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "text, lineno, kind, line",
+    [
+        ("t0 acq l0\nt1 acq l0\n", 2, "reacquire", "t1 acq l0"),
+        ("t0 acq m\n\n# c\nt0 acq m  # again\n", 4, "reacquire", "t0 acq m"),
+        ("t0 acq l0\nt1 rel l0\n", 2, "release-not-held", "t1 rel l0"),
+        ("t0 w x\nt0 rel l0\n", 2, "release-free", "t0 rel l0"),
+        ("t0 acq l0\nt0 rel l0\nt0 rel l0\n", 3, "release-free", "t0 rel l0"),
+    ],
+)
+def test_parse_rejects_lock_misuse_on_its_line(text, lineno, kind, line):
+    with pytest.raises(TraceParseError) as exc:
+        parse_trace(text)
+    assert exc.value.lineno == lineno
+    assert str(exc.value) == (
+        f"line {lineno}: lock discipline violated ({kind}): {line!r}")
+
+
+def parse_outcome(source):
+    try:
+        return parse_trace(source)
+    except TraceParseError as exc:
+        return exc.lineno, str(exc)
+
+
+@pytest.mark.parametrize(
+    "text, lineno",
+    [
+        ("t0 acq l\r\nt0 w x\r\nt0 rel l\r\n", None),
+        ("t0 w x\rt1 w x\rt0 r x\n", None),
+        ("t0 w x\x0ct1 w x\n", None),
+        ("t0 w x\u2028t1 w x\u2029t2 w x\x85t0 r x\n", None),
+        ("t0 w x\x1ct1 w x\x1dt2 w x\x1et0 r x\x0bt1 r x\n", None),
+        ("\n# comment only\n   \n\r\nt0 w x  # trailing\n\n", None),
+        ("t0 acq l\nt0 rel l", None),
+        ("", None),
+        ("t0 w x\r\n\r\nt0 w\r\n", 3),
+        ("t0 w x\rt0 w\n", 2),
+        ("t0 w x\x0c\nt0 w x y\n", 3),
+        ("t0 acq l\u2028t1 acq l\n", 2),
+        ("t0 w x\n# c\n\nt0 rel l", 4),
+        ("t0 acq l\x0ct0 w x\x85t0 w x\n\n", None),
+    ],
+)
+def test_file_stream_and_text_agree(tmp_path, text, lineno):
+    """A file read line by line (as analyze reads one), a text stream (as
+    stdin is) and the text itself give the same Trace, or fail on the
+    same line, numbered as str.splitlines numbers lines."""
+    path = tmp_path / "t.trace"
+    path.write_text(text, encoding="utf-8", newline="")
+    with open(path, encoding="utf-8") as fh:
+        from_file = parse_outcome(fh)
+    from_stream = parse_outcome(io.StringIO(text))
+    from_text = parse_outcome(text)
+    assert from_file == from_stream == from_text
+    if lineno is None:
+        assert isinstance(from_text, Trace)
+        assert len(from_text) == sum(
+            bool(ln.split("#", 1)[0].strip()) for ln in text.splitlines())
+    else:
+        assert from_text[0] == lineno
 
 
 def test_unsupported_ops_are_named():
@@ -100,27 +171,34 @@ def test_validate_clean():
     assert validate_trace(tr) == []
 
 
+def built_trace(*events):
+    """An in-memory trace of lock events, as the generators build theirs;
+    parse_trace would reject the misuse before validate_trace saw it."""
+    return Trace(list(events), 1 + max(ev.tid for ev in events),
+                 1 + max(ev.target for ev in events), 0)
+
+
 def test_validate_reacquire():
-    tr = parse_trace("t0 acq l0\nt1 acq l0\n")
+    tr = built_trace(Event(0, ACQ, 0), Event(1, ACQ, 0))
     problems = validate_trace(tr)
     assert [p.kind for p in problems] == ["reacquire"]
     assert problems[0].index == 1
 
 
 def test_validate_reentrant_acquire_flagged():
-    tr = parse_trace("t0 acq l0\nt0 acq l0\n")
+    tr = built_trace(Event(0, ACQ, 0), Event(0, ACQ, 0))
     assert [p.kind for p in validate_trace(tr)] == ["reacquire"]
 
 
 def test_validate_release_not_held():
-    tr = parse_trace("t0 acq l0\nt1 rel l0\n")
+    tr = built_trace(Event(0, ACQ, 0), Event(1, REL, 0))
     assert [p.kind for p in validate_trace(tr)] == ["release-not-held"]
 
 
 def test_validate_message_names_interned_ids_not_trace_names():
-    # t5 and m are interned as thread #0 and lock #0, t7 as thread #1;
-    # naming them t1/l0 would read as names the trace never used
-    tr = parse_trace("t5 acq m\nt7 rel m\n")
+    # thread #1 releases lock #0 held by thread #0; naming them t1/l0
+    # would read as names a trace text used, which it need not have
+    tr = built_trace(Event(0, ACQ, 0), Event(1, REL, 0))
     (problem,) = validate_trace(tr)
     assert problem.message == (
         "event 1: thread #1 releases lock #0 held by thread #0"
@@ -129,7 +207,7 @@ def test_validate_message_names_interned_ids_not_trace_names():
 
 
 def test_validate_release_free():
-    tr = parse_trace("t0 rel l0\n")
+    tr = built_trace(Event(0, REL, 0))
     assert [p.kind for p in validate_trace(tr)] == ["release-free"]
 
 

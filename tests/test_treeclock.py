@@ -276,6 +276,20 @@ class TestLinkArrays:
         assert a.nodes == 1
         assert a.flatten() == (0, 0, 1, 0)
 
+    def test_empty_clocks_of_one_size_share_their_zero_tuple(self):
+        c = WorkCounter(debug=True)
+        e1, e2 = TreeClock.aux(4, c), TreeClock.aux(4, c)
+        assert e1.clk is e2.clk == (0, 0, 0, 0)
+        assert TreeClock.aux(5).clk == (0,) * 5
+        a = TreeClock.owned(1, 4, c)
+        a.increment()
+        assert e1.copy_check_monotone(a) == "deep"
+        assert e1.flatten() == (0, 1, 0, 0)
+        # the copy replaced e1's tuple; e2 still reads all zeros
+        assert e2.clk == (0, 0, 0, 0)
+        assert e2.dump() == "(empty)\n"
+        e2.check_integrity()
+
     @pytest.mark.parametrize("debug", [False, True])
     @pytest.mark.parametrize("seed", [3, 7, 11])
     def test_star_relay_links_two_clocks_per_server_acquire(self, seed, debug):
