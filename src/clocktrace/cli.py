@@ -13,8 +13,8 @@ Four commands:
   done.
 - gen: write a synthetic trace from the deterministic generator.
 - bench: run a (pattern x thread-count x clock) matrix, append all rows
-  to a CSV, and optionally emit a dependency-free SVG chart of the
-  work ratios.
+  to a CSV, and print each cell's vector/tree wall-time and impl_work
+  ratios.
 - selfcheck: run the embedded fixture suite.
 
 Exit codes: 0 success; 1 divergence, race-check mismatch, or assertion
@@ -27,7 +27,6 @@ a lock, is named). Timing uses a monotonic clock, covers only the engine
 
 import argparse
 import os
-import statistics
 import sys
 
 from .analyses import CLOCK_KINDS, ORDERS, Engine, race_event_indices, run_analysis
@@ -82,9 +81,6 @@ def _build_parser():
     p.add_argument("--events", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="output file (default stdout)")
-    p.add_argument("--lock-count", type=int, default=50, help="skewed_locks only")
-    p.add_argument("--hot-fraction", type=float, default=0.2, help="skewed_locks only")
-    p.add_argument("--hot-weight", type=int, default=5, help="skewed_locks only")
     p.add_argument("--star-style", choices=STAR_STYLES, default="paired", help="star only")
     p.set_defaults(func=_cmd_gen)
 
@@ -99,7 +95,6 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--star-style", choices=STAR_STYLES, default="paired")
     p.add_argument("--csv", default="bench.csv", help="output CSV (default bench.csv)")
-    p.add_argument("--svg", help="also write a work-ratio bar chart here")
     p.add_argument("--repeat", type=int, default=3, metavar="N")
     p.set_defaults(func=_cmd_bench)
 
@@ -119,14 +114,18 @@ def _read_trace(path):
 
 
 def _timed_runs(trace, po, kind, repeat, debug=False, count_unordered=True):
-    """Run `repeat` times; return (last run, median elapsed ms)."""
+    """Run `repeat` times; return (last run, median elapsed ms). The
+    median is taken as statistics.median takes it (the mean of the middle
+    two for an even count) without that module's import cost."""
     elapsed = []
     run = None
     for _ in range(max(1, repeat)):
         run = run_analysis(trace, po, kind, debug=debug,
                            count_unordered=count_unordered)
         elapsed.append(run.elapsed)
-    return run, statistics.median(elapsed) * 1000.0
+    elapsed.sort()
+    m = len(elapsed) // 2
+    return run, (elapsed[m] + elapsed[~m]) / 2 * 1000.0
 
 
 def _append_csv(path, results):
@@ -239,9 +238,6 @@ def _cmd_gen(args):
         threads=args.threads,
         events=args.events,
         seed=args.seed,
-        lock_count=args.lock_count,
-        hot_fraction=args.hot_fraction,
-        hot_weight=args.hot_weight,
         star_style=args.star_style,
     )
     text = serialize_trace(generate(spec))
@@ -253,15 +249,11 @@ def _cmd_gen(args):
     return 0
 
 
-def _bench_cell(trace, name, po, kind, repeat):
-    """One (pattern, threads, clock) cell of the bench matrix."""
-    run, ms = _timed_runs(trace, po, kind, repeat, count_unordered=False)
-    verify_bounds(run)
-    return name, run, ms
-
-
 def _cmd_bench(args):
     patterns = [p.strip() for p in args.patterns.split(",") if p.strip()]
+    if not patterns:
+        print(f"error: no pattern in {args.patterns!r}", file=sys.stderr)
+        return 2
     for p in patterns:
         if p not in PATTERNS:
             print(f"error: unknown pattern {p!r}", file=sys.stderr)
@@ -269,6 +261,8 @@ def _cmd_bench(args):
     try:
         grid = [int(s) for s in args.threads.split(",") if s.strip()]
     except ValueError:
+        grid = []
+    if not grid:
         print(f"error: bad thread grid {args.threads!r}", file=sys.stderr)
         return 2
 
@@ -282,89 +276,29 @@ def _cmd_bench(args):
             if pattern == "star":
                 name += f"-{args.star_style}"
             for kind in ("tree", "vector"):
-                results.append(_bench_cell(trace, name, args.po, kind, args.repeat))
+                run, ms = _timed_runs(trace, args.po, kind, args.repeat,
+                                      count_unordered=False)
+                verify_bounds(run)
+                results.append((name, run, ms))
 
     _append_csv(args.csv, results)
     for name, run, ms in results:
         print(f"{name}: {_summary_line(run, ms)}")
     _print_speedups(results)
-    if args.svg:
-        _write_ratio_chart(args.svg, results)
-        print(f"wrote {args.svg}")
     return 0
 
 
 def _print_speedups(results):
-    """Informational wall-clock comparison per (trace, po); no threshold."""
+    """Print the vector/tree wall-time and impl_work ratios of each
+    (trace, po) cell, which locate the crossover; no threshold."""
     by_cell = {}
     for name, run, ms in results:
-        by_cell.setdefault((name, run.po), {})[run.clock_kind] = ms
+        by_cell.setdefault((name, run.po), {})[run.clock_kind] = (ms, run.impl_work)
     for (name, po), kinds in sorted(by_cell.items()):
-        if "tree" in kinds and "vector" in kinds and kinds["tree"] > 0:
-            ratio = kinds["vector"] / kinds["tree"]
-            print(f"speedup {name} {po}: vector/tree wall time = {ratio:.2f}x")
-
-
-def _write_ratio_chart(path, results):
-    """Grouped bar chart of impl_work / vt_work per cell, one bar per
-    clock kind. Hand-written SVG, no dependencies, deterministic."""
-    cells = {}
-    for name, run, _ in results:
-        if run.vt_work:
-            cells.setdefault((name, run.po), {})[run.clock_kind] = (
-                run.impl_work / run.vt_work
-            )
-    groups = sorted(cells.items())
-    if not groups:
-        raise ValueError("no rows with nonzero vt_work to chart")
-
-    bar_w, gap, group_gap, left, top, plot_h = 18, 4, 26, 60, 30, 220
-    colors = {"tree": "#2a7f4f", "vector": "#9e3a3a"}
-    max_ratio = max(max(kinds.values()) for _, kinds in groups)
-    scale = plot_h / max_ratio
-    group_w = 2 * bar_w + gap
-    width = left + len(groups) * (group_w + group_gap) + 20
-    height = top + plot_h + 70
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'font-family="sans-serif" font-size="11">',
-        f'<text x="{left}" y="16" font-size="13">work per changed entry '
-        f'(impl_work / vt_work)</text>',
-        f'<line x1="{left - 6}" y1="{top + plot_h}" x2="{width - 10}" '
-        f'y2="{top + plot_h}" stroke="#444"/>',
-    ]
-    for frac in (0.0, 0.5, 1.0):
-        y = top + plot_h - frac * plot_h
-        parts.append(f'<text x="{left - 54}" y="{y + 4}">{frac * max_ratio:.1f}</text>')
-        parts.append(f'<line x1="{left - 6}" y1="{y}" x2="{left}" y2="{y}" stroke="#444"/>')
-    x = left
-    for (name, po), kinds in groups:
-        for j, kind in enumerate(("tree", "vector")):
-            if kind not in kinds:
-                continue
-            ratio = kinds[kind]
-            h = ratio * scale
-            bx = x + j * (bar_w + gap)
-            by = top + plot_h - h
-            parts.append(f'<rect x="{bx:.1f}" y="{by:.1f}" width="{bar_w}" '
-                         f'height="{h:.1f}" fill="{colors[kind]}"/>')
-            parts.append(f'<text x="{bx:.1f}" y="{by - 3:.1f}" font-size="9">'
-                         f'{ratio:.1f}</text>')
-        label_x = x + group_w / 2
-        label_y = top + plot_h + 12
-        parts.append(f'<text x="{label_x:.1f}" y="{label_y}" font-size="9" '
-                     f'text-anchor="middle" transform="rotate(30 {label_x:.1f} '
-                     f'{label_y})">{name} {po}</text>')
-        x += group_w + group_gap
-    ly = height - 14
-    parts.append(f'<rect x="{left}" y="{ly - 10}" width="10" height="10" fill="{colors["tree"]}"/>')
-    parts.append(f'<text x="{left + 14}" y="{ly}">tree</text>')
-    parts.append(f'<rect x="{left + 60}" y="{ly - 10}" width="10" height="10" fill="{colors["vector"]}"/>')
-    parts.append(f'<text x="{left + 74}" y="{ly}">vector</text>')
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
+        (tree_ms, tree_work), (vector_ms, vector_work) = kinds["tree"], kinds["vector"]
+        if tree_ms > 0:
+            print(f"speedup {name} {po}: vector/tree wall time = "
+                  f"{vector_ms / tree_ms:.2f}x, impl_work = {vector_work / tree_work:.2f}x")
 
 
 def _cmd_selfcheck(args):

@@ -7,8 +7,8 @@ platforms and releases for a given spec:
 - single_lock: every round, a uniformly chosen thread acquires and
   releases the one shared lock.
 - skewed_locks: like single_lock but with 50 locks chosen uniformly,
-  and a "hot" subset of threads (the first ceil(hot_fraction * k))
-  weighted hot_weight times higher when choosing the acting thread.
+  and a "hot" fifth of the threads (the first ceil(k / 5)) weighted 5
+  times higher when choosing the acting thread. The shape is fixed.
 - star: one server (thread 0) and k-1 clients, with a dedicated lock
   per client. Two interleavings, selected by star_style:
   * "paired" (default): each round picks a client uniformly and emits
@@ -28,7 +28,6 @@ random_trace draws small legal traces that mix lock events with reads
 and writes, for tests and the selfcheck sweep.
 """
 
-import math
 from dataclasses import dataclass
 
 from .trace import ACQ, READ, REL, WRITE, Event, Trace, validate_trace
@@ -37,6 +36,11 @@ PATTERNS = ("single_lock", "skewed_locks", "star", "pairwise")
 STAR_STYLES = ("paired", "relay")
 
 _MASK64 = (1 << 64) - 1
+
+# skewed_locks' fixed shape: 50 locks chosen uniformly, and a hot fifth
+# of the threads each 5 times as likely to act as any other
+_SKEWED_LOCKS = 50
+_SKEWED_HOT_WEIGHT = 5
 
 
 class SplitMix64:
@@ -73,9 +77,6 @@ class GenSpec:
     threads: int
     events: int
     seed: int = 0
-    lock_count: int = 50  # skewed_locks only
-    hot_fraction: float = 0.2  # skewed_locks: share of threads that run hot
-    hot_weight: int = 5  # skewed_locks: weight multiplier for hot threads
     star_style: str = "paired"  # star only
 
     def validate(self) -> None:
@@ -87,13 +88,6 @@ class GenSpec:
             raise ValueError(f"events must be >= 2, got {self.events}")
         if not 0 <= self.seed <= _MASK64:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
-        if self.pattern == "skewed_locks":
-            if self.lock_count < 1:
-                raise ValueError(f"lock_count must be >= 1, got {self.lock_count}")
-            if not 0.0 < self.hot_fraction <= 1.0:
-                raise ValueError(f"hot_fraction must be in (0, 1], got {self.hot_fraction}")
-            if self.hot_weight < 1:
-                raise ValueError(f"hot_weight must be >= 1, got {self.hot_weight}")
         if self.pattern == "star" and self.star_style not in STAR_STYLES:
             raise ValueError(f"unknown star_style {self.star_style!r}; expected one of {STAR_STYLES}")
 
@@ -113,11 +107,9 @@ def generate(spec: GenSpec) -> Trace:
             emit(Event(t, ACQ, 0))
             emit(Event(t, REL, 0))
     elif spec.pattern == "skewed_locks":
-        lock_count = spec.lock_count
-        # first ceil(hot_fraction * k) threads are hot (epsilon guards
-        # float noise: 0.2 * 10 must give 2, not 3)
-        hot = min(k, math.ceil(spec.hot_fraction * k - 1e-9))
-        w = spec.hot_weight
+        lock_count = _SKEWED_LOCKS
+        hot = -(-k // 5)  # the first ceil(k / 5) threads
+        w = _SKEWED_HOT_WEIGHT
         total = hot * w + (k - hot)
         for _ in range(spec.events // 2):
             r = rng.below(total)

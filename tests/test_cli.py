@@ -3,9 +3,13 @@ through main() so exit codes and output can be asserted directly."""
 
 import contextlib
 import csv
-import hashlib
 import io
+import os
 import re
+import statistics
+import subprocess
+import sys
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -20,6 +24,7 @@ from clocktrace.tracegen import random_trace
 from clocktrace.vclock import VectorClock
 
 TIME_COL = CSV_COLUMNS.index("time_ms")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def read_csv_rows(path):
@@ -325,20 +330,6 @@ class TestBench:
                          "star-k3-paired", "star-k5-paired"}
         capsys.readouterr()
 
-    def test_svg_chart_is_written(self, tmp_path, capsys):
-        csv_path = tmp_path / "bench.csv"
-        svg_path = tmp_path / "ratio.svg"
-        rc = cli.main([
-            "bench", "--patterns", "pairwise", "--threads", "4",
-            "--events", "200", "--csv", str(csv_path),
-            "--svg", str(svg_path), "--repeat", "1",
-        ])
-        assert rc == 0
-        text = svg_path.read_text()
-        assert text.lstrip().startswith("<svg")
-        assert "</svg>" in text
-        capsys.readouterr()
-
     def test_default_events_scale_with_threads(self, tmp_path, capsys):
         csv_path = tmp_path / "bench.csv"
         rc = cli.main(["bench", "--patterns", "single_lock", "--threads",
@@ -349,9 +340,19 @@ class TestBench:
         assert all(r[events_col] == "300" for r in rows[1:])
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flag", ["--patterns", "--threads"])
+    @pytest.mark.parametrize("value", ["", " , "])
+    def test_empty_grid_exits_2(self, tmp_path, capsys, flag, value):
+        # an empty axis measures nothing; say so instead of writing a header
+        csv_path = tmp_path / "bench.csv"
+        rc = cli.main(["bench", flag, value, "--csv", str(csv_path), "--repeat", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not csv_path.exists()
+
 
 # Exact `analyze --clock both --races --oracle --csv` output and CSV rows on
-# a seeded random trace, and exact `bench` rows and chart, time_ms masked.
+# a seeded random trace, and exact `bench` rows and ratio lines, times masked.
 # Scripts parse this text, so any change to it must be deliberate.
 PINNED_SUMMARY = {
     "hb": """\
@@ -429,7 +430,6 @@ PINNED_BENCH_ROWS = [
     ["star-k5-paired", "hb", "tree", "120", "5", "4", "0", "0", "", "311", "727", "0"],
     ["star-k5-paired", "hb", "vector", "120", "5", "4", "0", "0", "", "311", "700", "0"],
 ]
-PINNED_BENCH_SVG_SHA256 = "1d9158d241c48007da8cad1fa69022bc9648222bdfe4b76cbd8bf8dcd2739860"
 
 
 class TestPinnedOutput:
@@ -446,16 +446,24 @@ class TestPinnedOutput:
         header = [c for c in CSV_COLUMNS if c != "time_ms"]
         assert rows_without_time(csv_path) == [header] + PINNED_ANALYZE_ROWS[po]
 
-    def test_bench_csv_and_svg(self, tmp_path, capsys):
-        csv_path, svg_path = tmp_path / "bench.csv", tmp_path / "ratio.svg"
+    def test_bench_csv_and_ratios(self, tmp_path, capsys):
+        csv_path = tmp_path / "bench.csv"
         rc = cli.main(["bench", "--patterns", "single_lock,star", "--threads", "3,5",
                        "--events", "120", "--po", "hb", "--seed", "3",
-                       "--csv", str(csv_path), "--svg", str(svg_path), "--repeat", "1"])
+                       "--csv", str(csv_path), "--repeat", "1"])
         assert rc == 0
         header = [c for c in CSV_COLUMNS if c != "time_ms"]
         assert rows_without_time(csv_path) == [header] + PINNED_BENCH_ROWS
-        assert hashlib.sha256(svg_path.read_bytes()).hexdigest() == PINNED_BENCH_SVG_SHA256
-        capsys.readouterr()
+        # the work ratio is vector impl_work / tree impl_work of the rows
+        impl = header.index("impl_work")
+        work = {(r[0], r[2]): int(r[impl]) for r in PINNED_BENCH_ROWS}
+        want = [f"speedup {name} hb: vector/tree wall time = *x, impl_work = "
+                f"{work[name, 'vector'] / work[name, 'tree']:.2f}x"
+                for name in sorted({r[0] for r in PINNED_BENCH_ROWS})]
+        assert want[0] == ("speedup single_lock-k3 hb: vector/tree wall time = *x, "
+                           "impl_work = 0.89x")  # 477 / 536
+        out = re.sub(r"wall time = \d+\.\d{2}x", "wall time = *x", capsys.readouterr().out)
+        assert [line for line in out.splitlines() if line.startswith("speedup ")] == want
 
 
 class TestRendering:
@@ -481,6 +489,30 @@ class TestRendering:
         got = dict(zip(CSV_COLUMNS, read_csv_rows(path)[1]))
         assert got["pairs_unordered"] == ""
         assert " pairs_unordered=- " in cli._summary_line(run, 0.5)
+
+
+@pytest.mark.parametrize("repeat", [1, 2, 3, 4])
+def test_timed_runs_median_matches_statistics(monkeypatch, repeat):
+    elapsed = [0.3, 0.1, 0.7, 0.2][:repeat]
+    runs = iter(SimpleNamespace(elapsed=e) for e in elapsed)
+    monkeypatch.setattr(cli, "run_analysis", lambda *a, **kw: next(runs))
+    run, ms = cli._timed_runs(None, HB, "tree", repeat)
+    assert run.elapsed == elapsed[-1]
+    assert ms == statistics.median(elapsed) * 1000.0
+
+
+def test_cli_import_leaves_out_costly_modules():
+    # a fresh interpreter, since the test process has imported all of
+    # these; -S keeps site hooks out, so only clocktrace's imports count
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, clocktrace.cli; print(sorted(m for m in "
+         "('statistics', 'csv', 'clocktrace.selfcheck') if m in sys.modules))"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_selfcheck_command_passes(capsys):

@@ -167,10 +167,6 @@ class TestSpecValidation:
             {"pattern": "single_lock", "events": 1},
             {"pattern": "single_lock", "seed": -1},
             {"pattern": "single_lock", "seed": 2**64},
-            {"pattern": "skewed_locks", "lock_count": 0},
-            {"pattern": "skewed_locks", "hot_fraction": 0.0},
-            {"pattern": "skewed_locks", "hot_fraction": 1.5},
-            {"pattern": "skewed_locks", "hot_weight": 0},
             {"pattern": "star", "star_style": "mesh"},
         ],
     )
