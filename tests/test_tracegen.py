@@ -169,6 +169,8 @@ class TestSpecValidation:
             {"pattern": "single_lock", "seed": 2**64},
             {"pattern": "star", "star_style": "mesh"},
         ],
+        # Ids are pinned so deleting a case does not rename the ones after it.
+        ids=["kw0", "kw1", "kw2", "kw3", "kw4", "kw9"],
     )
     def test_bad_specs_are_rejected(self, kw):
         kw.setdefault("threads", 4)
