@@ -85,7 +85,6 @@ class Engine:
             raise ValueError(f"unknown clock kind {clock_kind!r}")
         self.po = po
         self.clock_kind = clock_kind
-        self.k = thread_count
         self.counter = WorkCounter(debug=debug)
         # read the class from the module globals now (a caller may swap in
         # a subclass); bind it, not self, so the engine holds no cycle

@@ -177,6 +177,10 @@ def _compare_timestamps(trace, po, kinds, want):
 
 
 def _cmd_analyze(args):
+    if args.debug and not __debug__:
+        print("error: --debug checks with assert statements, which python -O "
+              "strips; run without -O or PYTHONOPTIMIZE", file=sys.stderr)
+        return 2
     trace = _read_trace(args.input)
     kinds = [args.clock] if args.clock != "both" else ["tree", "vector"]
     compare = args.clock == "both" or args.oracle
@@ -294,7 +298,7 @@ def _print_speedups(results):
     by_cell = {}
     for name, run, ms in results:
         by_cell.setdefault((name, run.po), {})[run.clock_kind] = (ms, run.impl_work)
-    for (name, po), kinds in sorted(by_cell.items()):
+    for (name, po), kinds in by_cell.items():
         (tree_ms, tree_work), (vector_ms, vector_work) = kinds["tree"], kinds["vector"]
         if tree_ms > 0:
             print(f"speedup {name} {po}: vector/tree wall time = "

@@ -16,7 +16,7 @@ Two cost models for the same run:
   go; the whole point of the tree representation is keeping this close
   to vt_work.
 
-`verify_bounds` asserts the relations that must hold:
+`verify_bounds` checks the relations that must hold:
 
 - every run: events <= vt_work, since each event increments one entry;
 - "hb" runs: vt_work <= events * threads, and on tree runs
@@ -111,7 +111,9 @@ def vtwork(trace: Trace, po: str) -> int:
 
 
 def verify_bounds(run: AnalysisRun) -> None:
-    """Hard-assert the work-accounting invariants for a finished run.
+    """Check the work-accounting invariants for a finished run, raising
+    AssertionError on a breach. The checks are explicit raises, not
+    assert statements, so they hold under python -O as well.
 
     The lower bound holds for every order; the upper bound (exact with one
     thread) and the 3x optimality bound are theorems about the pure lock
@@ -119,27 +121,30 @@ def verify_bounds(run: AnalysisRun) -> None:
     under the stronger orders)."""
     n, k = run.events, run.threads
     if n == 0:
-        assert run.vt_work == 0, f"empty trace with vt_work={run.vt_work}"
+        if run.vt_work != 0:
+            raise AssertionError(f"empty trace with vt_work={run.vt_work}")
         return
-    assert n <= run.vt_work, (
-        f"vt_work={run.vt_work} below event count {n} "
-        f"(po={run.po}, clock={run.clock_kind})"
-    )
+    if run.vt_work < n:
+        raise AssertionError(
+            f"vt_work={run.vt_work} below event count {n} "
+            f"(po={run.po}, clock={run.clock_kind})"
+        )
     if run.po != HB:
         return
     if k == 1:
         exact = n + run.counter.copies
-        assert run.vt_work == exact, (
-            f"vt_work={run.vt_work} != events+copies={exact} on a "
-            f"one-thread hb run (clock={run.clock_kind})"
-        )
-    else:
-        assert run.vt_work <= n * k, (
+        if run.vt_work != exact:
+            raise AssertionError(
+                f"vt_work={run.vt_work} != events+copies={exact} on a "
+                f"one-thread hb run (clock={run.clock_kind})"
+            )
+    elif run.vt_work > n * k:
+        raise AssertionError(
             f"vt_work={run.vt_work} above {n}*{k}={n * k} on an hb run "
             f"(clock={run.clock_kind})"
         )
-    if run.clock_kind == "tree":
-        assert run.impl_work <= 3 * run.vt_work, (
+    if run.clock_kind == "tree" and run.impl_work > 3 * run.vt_work:
+        raise AssertionError(
             f"tree impl_work={run.impl_work} exceeds "
             f"3*vt_work={3 * run.vt_work} (events={n}, threads={k})"
         )

@@ -1,8 +1,8 @@
 """Brute-force reference implementations for small traces.
 
 Everything here favors obviousness over speed: partial orders are built as
-explicit reachability bitsets from their generating edges, and timestamps,
-races and unordered pairs are read off those bitsets. The streaming engines
+explicit reachability bitsets from their generating edges, and timestamps
+and races are read off those bitsets. The streaming engines
 are tested against these, never the other way around. Inputs are capped to
 keep the quadratic blowup honest. (The reference for vt_work is
 `metrics.vtwork`, an interpreter on plain dicts.)
@@ -131,20 +131,3 @@ def oracle_races(trace, po):
             last_write[x] = i
             reads_since[x] = {}
     return races
-
-
-def oracle_unordered_pairs(trace, po):
-    """Count of conflicting access pairs (same variable, at least one
-    write) that the partial order leaves unordered."""
-    leq = oracle_order(trace, po)
-    by_var = {}
-    count = 0
-    for i, ev in enumerate(trace.events):
-        if ev.op == READ or ev.op == WRITE:
-            prior = by_var.setdefault(ev.target, [])
-            wr = ev.op == WRITE
-            for j, jw in prior:
-                if (jw or wr) and not leq(j, i):
-                    count += 1
-            prior.append((i, wr))
-    return count

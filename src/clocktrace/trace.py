@@ -56,9 +56,6 @@ class Trace:
     def __len__(self):
         return len(self.events)
 
-    def __iter__(self):
-        return iter(self.events)
-
 
 @dataclass
 class Violation:

@@ -65,7 +65,7 @@ class TreeClock:
         "root", "counter",
     )
 
-    def __init__(self, size, counter=None, owner=NIL):
+    def __init__(self, size, counter, owner=NIL):
         self.k = size
         self.root = owner
         self.counter = counter
@@ -84,12 +84,12 @@ class TreeClock:
     # --- construction -----------------------------------------------------
 
     @classmethod
-    def owned(cls, tid, size, counter=None):
+    def owned(cls, tid, size, counter):
         """A thread's own clock: a single root node at time 0."""
         return cls(size, counter, owner=tid)
 
     @classmethod
-    def aux(cls, size, counter=None):
+    def aux(cls, size, counter):
         """An auxiliary clock (for a lock or a variable): starts empty."""
         return cls(size, counter=counter)
 
@@ -110,11 +110,10 @@ class TreeClock:
             raise ClockContractError("increment on an empty tree clock")
         self.clk[self.root] += amount
         c = self.counter
-        if c is not None:
-            c.increments += 1
-            c.impl_work += 1
-            if amount:
-                c.vt_work += 1
+        c.increments += 1
+        c.impl_work += 1
+        if amount:
+            c.vt_work += 1
 
     def join(self, src):
         """self <- self max src.
@@ -127,17 +126,15 @@ class TreeClock:
         strictly ahead on self's *own* root thread is outside this
         operation's contract.
         """
-        c = self.counter
         if src.root == NIL:
             return
         if self.root == NIL:
             raise ClockContractError("join into an uninitialized tree clock")
-        if c is not None:
-            c.joins += 1
+        c = self.counter
+        c.joins += 1
         z = src.root
         if src.clk[z] <= self.clk[z]:
-            if c is not None:
-                c.impl_work += 1  # examined the source root, nothing to do
+            c.impl_work += 1  # examined the source root, nothing to do
             return
         if z == self.root:
             raise ClockContractError(
@@ -158,24 +155,22 @@ class TreeClock:
         if src.root == NIL:
             raise ClockContractError("copy from an empty clock")
         c = self.counter
-        if c is not None:
-            c.copies += 1
+        c.copies += 1
         r = self.root
         if r == NIL or src.clk[r] < self.clk[r]:
             self._become_copy_of(src)
             return "deep"
         # a non-monotone target must be caught by the single-entry test
-        if c is not None and c.debug and not self.leq(src):
+        if c.debug and not self.leq(src):
             raise ClockContractError(
                 "single-entry monotonicity test missed a non-monotone target")
         if self.head is None and src.head is None and src.root == r:
             # both hold r alone: one entry, counted as _move counts it
-            if c is not None:
-                c.impl_work += 2  # examined + rebuilt
-                if self.clk[r] != src.clk[r]:
-                    c.vt_work += 1
+            c.impl_work += 2  # examined + rebuilt
+            if self.clk[r] != src.clk[r]:
+                c.vt_work += 1
             self.clk[r] = src.clk[r]
-            if c is not None and c.debug:
+            if c.debug:
                 self.check_integrity()
             return "monotone"
         self._move(src, copy_mode=True)
@@ -269,23 +264,21 @@ class TreeClock:
         if copy_mode:
             self.root = z
         c = self.counter
-        if c is not None:
-            c.impl_work += visited + len(moved)  # examined + rebuilt
-            c.vt_work += changed
-            if c.debug:
-                self.check_integrity()
+        c.impl_work += visited + len(moved)  # examined + rebuilt
+        c.vt_work += changed
+        if c.debug:
+            self.check_integrity()
 
     def _become_copy_of(self, src):
         """Full structural copy (the deep path). Arena layout makes this an
         array copy, of clk alone from a root-only source; work is
         everything discarded plus everything built."""
         c = self.counter
-        if c is not None:
-            c.impl_work += 2 * src.nodes + self.nodes
-            if self.root == NIL:  # every entry of an empty clock is 0
-                c.vt_work += self.k - src.clk.count(0)
-            else:
-                c.vt_work += sum(map(ne, self.clk, src.clk))
+        c.impl_work += 2 * src.nodes + self.nodes
+        if self.root == NIL:  # every entry of an empty clock is 0
+            c.vt_work += self.k - src.clk.count(0)
+        else:
+            c.vt_work += sum(map(ne, self.clk, src.clk))
         self.clk = src.clk[:]
         if src.head is None:
             self.aclk = self.parent = self.head = self.nxt = self.prv = None
@@ -297,7 +290,7 @@ class TreeClock:
             self.prv = src.prv[:]
         self.nodes = src.nodes
         self.root = src.root
-        if c is not None and c.debug:
+        if c.debug:
             self.check_integrity()
 
     # --- diagnostics -------------------------------------------------------

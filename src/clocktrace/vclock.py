@@ -2,8 +2,10 @@
 
 A vector time over k threads is a length-k tuple/list of ints ordered
 pointwise; join is the pointwise max. ``VectorClock`` is the mutable clock
-used by the analysis engines: a dense int list plus bookkeeping hooks so
-runs can report how many entries each operation touched.
+used by the analysis engines: a dense int list. Every clock, of either
+kind, is built with the ``WorkCounter`` of its run, and each increment,
+join and copy tallies into it, so a run can report how many entries its
+operations touched and changed.
 """
 
 from typing import NamedTuple
@@ -36,6 +38,8 @@ def vt_join(a, b):
 class WorkCounter:
     """Tallies work done by clock operations during one analysis run.
 
+    Every clock takes its run's counter when it is built (the argument is
+    required), and every increment, join and copy it performs is counted.
     vt_work counts entries whose value actually changed (implementation
     independent); impl_work counts what the specific structure touched:
     k per vector join/copy, nodes examined/moved for tree clocks, and 1
@@ -58,29 +62,28 @@ class WorkCounter:
 class VectorClock:
     __slots__ = ("clk", "owner", "counter")
 
-    def __init__(self, size, owner=None, counter=None):
+    def __init__(self, size, counter, owner=None):
         self.clk = [0] * size
         self.owner = owner
         self.counter = counter
 
     @classmethod
-    def owned(cls, tid, size, counter=None):
-        return cls(size, owner=tid, counter=counter)
+    def owned(cls, tid, size, counter):
+        return cls(size, counter, owner=tid)
 
     @classmethod
-    def aux(cls, size, counter=None):
-        return cls(size, counter=counter)
+    def aux(cls, size, counter):
+        return cls(size, counter)
 
     def increment(self, amount=1):
         if self.owner is None:
             raise ClockContractError("increment on a clock with no owning thread")
         self.clk[self.owner] += amount
         c = self.counter
-        if c is not None:
-            c.increments += 1
-            c.impl_work += 1
-            if amount:
-                c.vt_work += 1
+        c.increments += 1
+        c.impl_work += 1
+        if amount:
+            c.vt_work += 1
 
     def join(self, src):
         """self <- self max src, entry by entry."""
@@ -91,10 +94,9 @@ class VectorClock:
                 mine[i] = v
                 changed += 1
         c = self.counter
-        if c is not None:
-            c.joins += 1
-            c.impl_work += len(mine)
-            c.vt_work += changed
+        c.joins += 1
+        c.impl_work += len(mine)
+        c.vt_work += changed
         return changed
 
     def copy_check_monotone(self, src):
@@ -108,10 +110,9 @@ class VectorClock:
                 mine[i] = v
                 changed += 1
         c = self.counter
-        if c is not None:
-            c.copies += 1
-            c.impl_work += len(mine)
-            c.vt_work += changed
+        c.copies += 1
+        c.impl_work += len(mine)
+        c.vt_work += changed
         return "monotone"
 
     def leq(self, other):

@@ -1,10 +1,11 @@
 """Reference checks that only tests use: the vector-clock price of a run,
-the pruning soundness conditions of a tree clock, and the brute-force count
-of writes that force a deep last-write copy."""
+the pruning soundness conditions of a tree clock, and the brute-force counts
+of unordered conflicting pairs and of writes that force a deep last-write
+copy."""
 
 from clocktrace.analyses import SHB
 from clocktrace.oracle import oracle_order
-from clocktrace.trace import WRITE
+from clocktrace.trace import READ, WRITE
 from clocktrace.treeclock import NIL
 
 
@@ -61,6 +62,23 @@ def pruning_violations(a, b):
                 )
             v = a.nxt[v]
     return out
+
+
+def oracle_unordered_pairs(trace, po):
+    """Count of conflicting access pairs (same variable, at least one
+    write) that the partial order leaves unordered."""
+    leq = oracle_order(trace, po)
+    by_var = {}
+    count = 0
+    for i, ev in enumerate(trace.events):
+        if ev.op == READ or ev.op == WRITE:
+            prior = by_var.setdefault(ev.target, [])
+            wr = ev.op == WRITE
+            for j, jw in prior:
+                if (jw or wr) and not leq(j, i):
+                    count += 1
+            prior.append((i, wr))
+    return count
 
 
 def oracle_forced_deep_copies(trace):

@@ -7,7 +7,7 @@ import weakref
 
 import pytest
 from conftest import engine_timestamps
-from oracles import oracle_forced_deep_copies
+from oracles import oracle_forced_deep_copies, oracle_unordered_pairs
 
 from clocktrace.analyses import (
     HB,
@@ -18,7 +18,7 @@ from clocktrace.analyses import (
     race_event_indices,
     run_analysis,
 )
-from clocktrace.oracle import oracle_races, oracle_timestamps, oracle_unordered_pairs
+from clocktrace.oracle import oracle_races, oracle_timestamps
 from clocktrace.trace import parse_trace
 from clocktrace.tracegen import random_trace
 

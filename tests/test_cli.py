@@ -49,6 +49,13 @@ def gen_trace(tmp_path, name="t.trace", pattern="skewed_locks", threads=4,
     return out
 
 
+def run_optimized(args):
+    """Run python -O with clocktrace importable."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-O", *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
 def racy_trace(tmp_path):
     """A seeded random trace with races under every order but maz."""
     path = tmp_path / "pin.trace"
@@ -234,6 +241,35 @@ class TestExitCodes:
         assert rc == 1
         assert "invariant broken" in capsys.readouterr().err
 
+    def test_bounds_are_checked_under_optimize(self, tmp_path):
+        # a doctored vt_work must fail verify_bounds even when python -O
+        # strips assert statements
+        trace = gen_trace(tmp_path, events=40)
+        script = (
+            "import sys\n"
+            "from clocktrace import cli\n"
+            "real = cli.run_analysis\n"
+            "def doctored(*a, **kw):\n"
+            "    run = real(*a, **kw)\n"
+            "    run.counter.vt_work = 0\n"
+            "    return run\n"
+            "cli.run_analysis = doctored\n"
+            f"sys.exit(cli.main(['analyze', '--po', 'hb', '--clock', 'tree',"
+            f" '--input', {str(trace)!r}, '--repeat', '1']))\n"
+        )
+        proc = run_optimized(["-c", script])
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert "assertion failed: vt_work=0 below event count 40" in proc.stderr
+
+    def test_debug_refused_under_optimize(self, tmp_path):
+        # --debug's checks are assert statements, which -O would skip
+        trace = gen_trace(tmp_path, events=40)
+        proc = run_optimized(["-m", "clocktrace.cli", "analyze", "--po", "hb",
+                              "--input", str(trace), "--debug", "--repeat", "1"])
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert proc.stderr.startswith("error: --debug")
+        assert proc.stdout == ""
+
     def test_divergence_exits_1(self, tmp_path, capsys, monkeypatch):
         # hb engines never flatten, so only the comparison pass sees the skew
         trace = gen_trace(tmp_path, events=40)
@@ -339,6 +375,20 @@ class TestBench:
         events_col = CSV_COLUMNS.index("events")
         assert all(r[events_col] == "300" for r in rows[1:])
         capsys.readouterr()
+
+    def test_speedup_lines_follow_grid_order(self, tmp_path, capsys):
+        # 40 sorts between 3 and 5 as a string; every output keeps grid order
+        csv_path = tmp_path / "bench.csv"
+        rc = cli.main(["bench", "--patterns", "single_lock", "--threads", "3,5,40",
+                       "--events", "40", "--csv", str(csv_path), "--repeat", "1"])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        cells = ["single_lock-k3", "single_lock-k5", "single_lock-k40"]
+        rows = [c for c in cells for _ in ("tree", "vector")]
+        assert [r[0] for r in read_csv_rows(csv_path)[1:]] == rows
+        speedups = [line.split()[1] for line in lines if line.startswith("speedup ")]
+        summaries = [line.split(":")[0] for line in lines if not line.startswith("speedup ")]
+        assert (summaries, speedups) == (rows, cells)
 
     @pytest.mark.parametrize("flag", ["--patterns", "--threads"])
     @pytest.mark.parametrize("value", ["", " , "])
@@ -459,7 +509,7 @@ class TestPinnedOutput:
         work = {(r[0], r[2]): int(r[impl]) for r in PINNED_BENCH_ROWS}
         want = [f"speedup {name} hb: vector/tree wall time = *x, impl_work = "
                 f"{work[name, 'vector'] / work[name, 'tree']:.2f}x"
-                for name in sorted({r[0] for r in PINNED_BENCH_ROWS})]
+                for name in dict.fromkeys(r[0] for r in PINNED_BENCH_ROWS)]
         assert want[0] == ("speedup single_lock-k3 hb: vector/tree wall time = *x, "
                            "impl_work = 0.89x")  # 477 / 536
         out = re.sub(r"wall time = \d+\.\d{2}x", "wall time = *x", capsys.readouterr().out)

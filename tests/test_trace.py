@@ -30,7 +30,6 @@ def test_parse_basic():
         Event(1, READ, 0),
     ]
     assert len(tr) == 4
-    assert list(iter(tr)) == tr.events
 
 
 def test_parse_comments_and_blanks():

@@ -23,10 +23,10 @@ from clocktrace.vclock import ClockContractError, VectorClock, WorkCounter
 from oracles import pruning_violations
 
 
-def build(k, spec, counter=None):
+def build(k, spec):
     """White-box constructor: spec is (tid, clk, aclk, [children]) with
     children given in display (most recently attached first) order."""
-    tc = TreeClock.owned(spec[0], k, counter=counter)
+    tc = TreeClock.owned(spec[0], k, WorkCounter())
     tc.aclk = [BOT] * k
     tc.parent, tc.head, tc.nxt, tc.prv = ([NIL] * k for _ in range(4))
 
@@ -101,13 +101,27 @@ class TestHandBuiltTrees:
 
 class TestBasics:
     def test_owned_starts_at_zero(self):
-        t = TreeClock.owned(2, 5)
+        t = TreeClock.owned(2, 5, WorkCounter())
         assert t.root != NIL
         assert t.root == 2
         assert t.flatten() == (0, 0, 0, 0, 0)
 
+    @pytest.mark.parametrize("cls", [TreeClock, VectorClock])
+    def test_clocks_require_a_counter(self, cls):
+        with pytest.raises(TypeError):
+            cls.owned(0, 3)
+        with pytest.raises(TypeError):
+            cls.aux(3)
+        with pytest.raises(TypeError):
+            cls(3, owner=0)
+        # both keyword names stay usable, as subclasses call them
+        c = WorkCounter()
+        cls(3, owner=0, counter=c).increment()
+        assert c.increments == 1
+        assert cls(3, counter=c).counter is c
+
     def test_aux_starts_empty(self):
-        l = TreeClock.aux(3)
+        l = TreeClock.aux(3, WorkCounter())
         assert l.root == NIL
         assert l.dump() == "(empty)\n"
         assert l.flatten() == (0, 0, 0)
@@ -115,15 +129,16 @@ class TestBasics:
         l.check_integrity()
 
     def test_empty_leq_anything(self):
-        l = TreeClock.aux(3)
-        t = TreeClock.owned(0, 3)
+        c = WorkCounter()
+        l = TreeClock.aux(3, c)
+        t = TreeClock.owned(0, 3, c)
         assert l.leq(t)
-        assert l.leq(TreeClock.aux(3))
+        assert l.leq(TreeClock.aux(3, c))
         t.increment()
         assert not t.leq(l)
 
     def test_empty_aux_holds_no_link_arrays(self):
-        l = TreeClock.aux(4)
+        l = TreeClock.aux(4, WorkCounter())
         assert l.nodes == 0
         assert (l.aclk, l.parent, l.head, l.nxt, l.prv) == (None,) * 5
         assert [l.clk[t] for t in range(4)] == [0, 0, 0, 0]
@@ -157,14 +172,15 @@ class TestBasics:
         target.check_integrity()
 
     def test_copy_from_empty_source_raises(self):
-        t = TreeClock.owned(0, 3)
-        for target in (TreeClock.aux(3), t):
+        c = WorkCounter()
+        t = TreeClock.owned(0, 3, c)
+        for target in (TreeClock.aux(3, c), t):
             with pytest.raises(ClockContractError):
-                target.copy_check_monotone(TreeClock.aux(3))
+                target.copy_check_monotone(TreeClock.aux(3, c))
 
     def test_increment_empty_raises(self):
         with pytest.raises(ClockContractError):
-            TreeClock.aux(3).increment()
+            TreeClock.aux(3, WorkCounter()).increment()
 
     def test_increment(self):
         c = WorkCounter()
@@ -213,11 +229,11 @@ class TestInvariants:
         a.nodes += 1
         with pytest.raises(AssertionError, match="counted"):
             a.check_integrity()
-        l = TreeClock.aux(3)
+        l = TreeClock.aux(3, WorkCounter())
         l.nodes = 1
         with pytest.raises(AssertionError, match="empty clock"):
             l.check_integrity()
-        o = TreeClock.owned(0, 3)
+        o = TreeClock.owned(0, 3, WorkCounter())
         o.nodes = 2
         with pytest.raises(AssertionError, match="counted"):
             o.check_integrity()
@@ -280,7 +296,7 @@ class TestLinkArrays:
         c = WorkCounter(debug=True)
         e1, e2 = TreeClock.aux(4, c), TreeClock.aux(4, c)
         assert e1.clk is e2.clk == (0, 0, 0, 0)
-        assert TreeClock.aux(5).clk == (0,) * 5
+        assert TreeClock.aux(5, c).clk == (0,) * 5
         a = TreeClock.owned(1, 4, c)
         a.increment()
         assert e1.copy_check_monotone(a) == "deep"
@@ -388,10 +404,11 @@ class TestJoin:
         assert b.dump() == before
 
     def test_join_empty_source_is_noop(self):
-        b = TreeClock.owned(1, 3)
+        c = WorkCounter()
+        b = TreeClock.owned(1, 3, c)
         b.increment()
         before = b.dump()
-        b.join(TreeClock.aux(3))
+        b.join(TreeClock.aux(3, c))
         assert b.dump() == before
 
     def test_join_source_ahead_on_own_thread_raises(self):

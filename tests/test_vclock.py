@@ -107,14 +107,6 @@ def test_flatten_is_an_independent_snapshot():
     assert a.flatten() == (2, 0, 0, 0)
 
 
-def test_counterless_clocks_work():
-    a = VectorClock.owned(0, 2)
-    b = VectorClock.owned(1, 2)
-    a.increment()
-    b.join(a)
-    assert b.flatten() == (1, 0)
-
-
 def test_leq_method_matches_helper():
     a, b, _ = _pair()
     a.increment()
