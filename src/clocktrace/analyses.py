@@ -178,8 +178,9 @@ class Engine:
             status = dst.copy_check_monotone(C)
             if self.counter.debug and self.clock_kind == "tree":
                 expected = "deep" if deep else "monotone"
-                assert status == expected, (
-                    f"event {i}: {status} copy where the engine predicts {expected}")
+                if status != expected:
+                    raise AssertionError(
+                        f"event {i}: {status} copy where the engine predicts {expected}")
         if self._access_log is not None and (ev.op == READ or ev.op == WRITE):
             self._count_unordered(ev, C)
         return C

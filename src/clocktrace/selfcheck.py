@@ -4,7 +4,8 @@ Everything here is self-contained and deterministic: a 16-event lock
 trace walked through event by event with its expected per-event
 timestamps and two expected tree shapes, two small traces spotlighting
 the join prunings (the final acquire must touch fewer nodes than a flat
-vector scan), pinned vector-clock arithmetic, and a randomized
+vector scan), a star-relay round showing which clocks stay sparse,
+pinned vector-clock arithmetic, and a randomized
 mini-sweep cross-checking both engines against the brute-force oracle
 with debug assertions on.
 
@@ -100,6 +101,12 @@ INTUITION_INDIRECT = (
     + "t4 acq l2\n"
 )
 
+# Storage showcase, a star relay: each client acq/rels its own lock and
+# the hub (t0) acquires one of them last. Before that acquire every clock
+# is root-only and stores one entry; the acquire links a second node into
+# the hub's clock alone, which makes it the one dense clock.
+INTUITION_STORAGE = _sync("t1", "l1") + _sync("t2", "l2") + "t0 acq l1\n"
+
 # Cost of the spotlight event (local increment plus the acquire's join):
 # the tree walk touches 3 nodes, a flat vector always scans all 4.
 INTUITION_TREE_COST = 4
@@ -155,6 +162,24 @@ def check_intuitions():
             fails.append(f"intuition {name}: tree spotlight cost {costs['tree']} != {INTUITION_TREE_COST}")
         if costs["vector"] != INTUITION_VECTOR_COST:
             fails.append(f"intuition {name}: vector spotlight cost {costs['vector']} != {INTUITION_VECTOR_COST}")
+    return fails + check_storage_intuition()
+
+
+def check_storage_intuition():
+    fails = []
+    trace = parse_trace(INTUITION_STORAGE)
+    engine = Engine(HB, trace.thread_count, "tree", debug=True)
+    for ev in trace.events[:-1]:
+        engine.process(ev)
+    clocks = engine.thread_clocks + list(engine.lock_clocks.values())
+    stored = [len(clock.clk) for clock in clocks]
+    if stored != [1] * len(clocks):
+        fails.append(f"intuition storage: relay round stores {stored} entries")
+    hub = engine.process(trace.events[-1])
+    dense = [clock for clock in clocks if type(clock.clk) is list]
+    if dense != [hub]:
+        fails.append(f"intuition storage: after the hub acquire {len(dense)} "
+                     f"clocks are dense, the hub's among them: {hub in dense}")
     return fails
 
 

@@ -148,7 +148,9 @@ def generate(spec: GenSpec) -> Trace:
 
     trace = Trace(events, k, lock_count, 0)
     problems = validate_trace(trace)
-    assert not problems, f"generator produced an illegal trace: {problems[0].message}"
+    if problems:
+        raise AssertionError(
+            f"generator produced an illegal trace: {problems[0].message}")
     return trace
 
 

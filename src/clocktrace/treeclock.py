@@ -27,24 +27,33 @@ their children, and siblings linked oldest first end up newest first, as
 in the source, ahead of the children self kept.
 
 Nodes live in dense arrays indexed by thread id, so thread-id lookup is
-O(1) and a structural copy is an array copy. A clock holds one k-list,
-clk, once it has a node, and five more (aclk, parent, head, nxt, prv)
-only once it links a second node; until then the link arrays are None.
-An empty clock (aux) holds the zero clk tuple that all empty clocks of
-its size share, and no link arrays; its first mutation is always a deep
-copy, which takes exactly the arrays it keeps. A root-only clock (a
-fresh owned clock, or a copy of one) holds its clk list and no link
-arrays: on a hub/star trace almost every clock stays in that shape.
+O(1) and a structural copy is an array copy. A clock takes one of two
+storage forms:
+
+- sparse: clk is an Entries mapping holding the root's entry alone, or
+  nothing on an empty clock, and the five link arrays (aclk, parent,
+  head, nxt, prv) are None. An empty clock (aux) and a root-only clock
+  (a fresh owned clock, or a copy of one) take this form, and on a
+  hub/star trace almost every clock stays in it, at O(1) memory. The
+  first mutation of an empty clock is always a deep copy.
+- dense: clk and the five link arrays are length-k lists. _move turns
+  a sparse clock dense when it first links a second node; a deep copy
+  from a sparse source turns a dense clock sparse again.
+
 Nodes are only ever added: a thread joins the tree when a join or copy
 first brings it in, and leaves only when a deep copy replaces every
-array. Three invariants follow and check_integrity asserts them:
+array. These invariants follow and check_integrity checks them:
 
-- clk[t] == 0 for every thread t outside the tree, so an entry is read
-  as clk[t] with no membership test, and flatten is tuple(clk);
+- clk[t] == 0 for every thread t outside the tree, in either form, so
+  an entry is read as clk[t] with no membership test (Entries answers
+  0 for a missing key); whole-clock reads (flatten, leq, the deep-copy
+  diff) branch on the form;
+- clk is an Entries mapping iff the link arrays are None, and then it
+  holds exactly the root's key, or no key on an empty clock;
 - a thread is in the tree iff it is the root or parent[t] != NIL, and a
   thread outside it has no children (head[t] == NIL);
-- nodes counts the threads in the tree, and is at most 1 while the link
-  arrays are None.
+- nodes counts the threads in the tree, and is at most 1 in the sparse
+  form.
 
 All traversals are iterative.
 """
@@ -56,7 +65,14 @@ from .vclock import ClockContractError, vt_leq
 NIL = -1  # empty link
 BOT = -1  # "no attachment time" marker for the root; never compared, only shown
 
-_ZEROS = {}  # size -> (0,) * size, the clk every empty clock of that size shares
+
+class Entries(dict):
+    """clk of a sparse clock: thread id -> entry, 0 for a missing key."""
+
+    __slots__ = ()
+
+    def __missing__(self, t):
+        return 0
 
 
 class TreeClock:
@@ -69,16 +85,13 @@ class TreeClock:
         self.k = size
         self.root = owner
         self.counter = counter
-        # no link arrays until a second node is linked (see _move)
+        # sparse until a second node is linked (see _move)
         self.aclk = self.parent = self.head = self.nxt = self.prv = None
+        self.clk = Entries()
         if owner == NIL:  # empty: the first mutation is a deep copy
-            clk = _ZEROS.get(size)
-            if clk is None:
-                clk = _ZEROS[size] = (0,) * size
-            self.clk = clk
             self.nodes = 0
         else:
-            self.clk = [0] * size
+            self.clk[owner] = 0
             self.nodes = 1
 
     # --- construction -----------------------------------------------------
@@ -96,24 +109,34 @@ class TreeClock:
     # --- basic queries ------------------------------------------------------
 
     def flatten(self):
-        return tuple(self.clk)
+        return tuple(self._dense())
 
     def leq(self, other):
         """True iff every entry of self is <= the matching entry of other
         (absent threads read 0 on either side)."""
-        return vt_leq(self.clk, other.clk)
+        return vt_leq(self._dense(), other._dense())
+
+    def _dense(self):
+        """clk as a length-k list: clk itself in the dense form, a new
+        list in the sparse form."""
+        clk = self.clk
+        if type(clk) is list:
+            return clk
+        dense = [0] * self.k
+        for t, v in clk.items():
+            dense[t] = v
+        return dense
 
     # --- mutation ------------------------------------------------------------
 
-    def increment(self, amount=1):
+    def increment(self):
         if self.root == NIL:
             raise ClockContractError("increment on an empty tree clock")
-        self.clk[self.root] += amount
+        self.clk[self.root] += 1
         c = self.counter
         c.increments += 1
         c.impl_work += 1
-        if amount:
-            c.vt_work += 1
+        c.vt_work += 1
 
     def join(self, src):
         """self <- self max src.
@@ -157,7 +180,9 @@ class TreeClock:
         c = self.counter
         c.copies += 1
         r = self.root
-        if r == NIL or src.clk[r] < self.clk[r]:
+        if r != NIL:
+            mine, theirs = self.clk[r], src.clk[r]
+        if r == NIL or theirs < mine:
             self._become_copy_of(src)
             return "deep"
         # a non-monotone target must be caught by the single-entry test
@@ -167,9 +192,9 @@ class TreeClock:
         if self.head is None and src.head is None and src.root == r:
             # both hold r alone: one entry, counted as _move counts it
             c.impl_work += 2  # examined + rebuilt
-            if self.clk[r] != src.clk[r]:
+            if mine != theirs:
                 c.vt_work += 1
-            self.clk[r] = src.clk[r]
+                self.clk[r] = theirs
             if c.debug:
                 self.check_integrity()
             return "monotone"
@@ -186,9 +211,10 @@ class TreeClock:
         self's root (join) or the root (copy_mode: the target is wholly
         superseded, and self's old root is always gathered, even with its
         time unchanged, so the rebuild can reseat it). A root-only target
-        takes its link arrays here; a root-only source gathers only z."""
+        turns dense here; a root-only source gathers only z."""
         if self.head is None:
             k = self.k
+            self.clk = self._dense()
             self.aclk = [BOT] * k
             self.parent = [NIL] * k
             self.head = [NIL] * k  # first (most recently attached) child
@@ -271,18 +297,29 @@ class TreeClock:
 
     def _become_copy_of(self, src):
         """Full structural copy (the deep path). Arena layout makes this an
-        array copy, of clk alone from a root-only source; work is
-        everything discarded plus everything built."""
+        array copy, or an O(1) copy of the one entry from a sparse source;
+        work is everything discarded plus everything built."""
         c = self.counter
         c.impl_work += 2 * src.nodes + self.nodes
-        if self.root == NIL:  # every entry of an empty clock is 0
-            c.vt_work += self.k - src.clk.count(0)
+        old, new = self.clk, src.clk
+        if type(old) is list and type(new) is list:
+            c.vt_work += sum(map(ne, old, new))
         else:
-            c.vt_work += sum(map(ne, self.clk, src.clk))
-        self.clk = src.clk[:]
+            # few holds at most one key: every nonzero entry of many
+            # changes, except where few stores a key of its own
+            few, many = (old, new) if type(new) is list else (new, old)
+            if type(many) is list:
+                changed = self.k - many.count(0)
+            else:
+                changed = sum(map(bool, many.values()))
+            for t, v in few.items():
+                changed += (many[t] != v) - (many[t] != 0)
+            c.vt_work += changed
         if src.head is None:
+            self.clk = Entries(new)
             self.aclk = self.parent = self.head = self.nxt = self.prv = None
         else:
+            self.clk = new[:]
             self.aclk = src.aclk[:]
             self.parent = src.parent[:]
             self.head = src.head[:]
@@ -318,64 +355,79 @@ class TreeClock:
 
     def check_integrity(self):
         """Verify the structural invariants; raises AssertionError if broken.
+        The checks are explicit raises, so they hold under python -O.
 
-        Checked: parent/sibling links are mutually consistent, sibling
-        aclk values never increase front to back, every non-root node's
-        aclk is at most its parent's clk, the node count equals the
-        number of nodes reachable from the root, every thread outside
-        the tree has clk 0, no parent and no children, and a clock
-        without link arrays (all five None) holds its root alone.
+        Checked: the clock is sparse (clk an Entries mapping) exactly when
+        its five link arrays are all None, and then stores the root's key
+        alone (no key when empty) and counts that one node; otherwise
+        parent/sibling links are mutually consistent, sibling aclk values
+        never increase front to back, every non-root node's aclk is at
+        most its parent's clk, the node count equals the number of nodes
+        reachable from the root, and every thread outside the tree has
+        clk 0, no parent and no children.
         """
-        if self.root == NIL:
-            assert self.nodes == 0, f"empty clock counts {self.nodes} nodes"
-            assert not any(self.clk), "empty clock has a nonzero entry"
-            return
+        clk, root = self.clk, self.root
         links = (self.aclk, self.parent, self.head, self.nxt, self.prv)
-        if self.head is None:
-            assert links == (None,) * 5, "link arrays partly allocated"
-            assert self.nodes == 1, (
-                f"1 node reachable without links but {self.nodes} counted")
-            for t in range(self.k):
-                if t != self.root:
-                    assert self.clk[t] == 0, (
-                        f"absent thread {t} has clk {self.clk[t]}")
+        if type(clk) is Entries:
+            if links != (None,) * 5:
+                raise AssertionError("sparse clock holds link arrays")
+            keys = [] if root == NIL else [root]
+            if list(clk) != keys:
+                raise AssertionError(
+                    f"sparse clock rooted at {root} stores keys {list(clk)}")
+            if root == NIL:
+                if self.nodes != 0:
+                    raise AssertionError(
+                        f"empty clock counts {self.nodes} nodes")
+            elif self.nodes != 1:
+                raise AssertionError(
+                    f"1 node reachable without links but {self.nodes} counted")
             return
-        assert None not in links, "link arrays partly allocated"
-        assert self.parent[self.root] == NIL, "root has a parent"
+        if type(clk) is not list or len(clk) != self.k:
+            raise AssertionError(f"dense clk is not a {self.k}-list")
+        if None in links:
+            raise AssertionError("dense clock lacks link arrays")
+        if root == NIL:
+            raise AssertionError("empty clock is dense")
+        aclk, parent, head, nxt, prv = links
+        if parent[root] != NIL:
+            raise AssertionError("root has a parent")
         seen = [False] * self.k
-        stack = [self.root]
+        stack = [root]
         while stack:
             u = stack.pop()
-            assert not seen[u], f"node {u} reached twice"
+            if seen[u]:
+                raise AssertionError(f"node {u} reached twice")
             seen[u] = True
-            v = self.head[u]
+            v = head[u]
             last_aclk = None
             while v != NIL:
-                assert self.parent[v] == u, f"parent link of {v} is stale"
-                if self.prv[v] == NIL:
-                    assert self.head[u] == v
-                else:
-                    assert self.nxt[self.prv[v]] == v
-                assert self.aclk[v] <= self.clk[u], (
-                    f"child {v} attached later ({self.aclk[v]}) than its "
-                    f"parent's time ({self.clk[u]})"
-                )
-                if last_aclk is not None:
-                    assert self.aclk[v] <= last_aclk, (
-                        f"sibling list of {u} not ordered by attachment time"
-                    )
-                last_aclk = self.aclk[v]
+                if parent[v] != u:
+                    raise AssertionError(f"parent link of {v} is stale")
+                if (head[u] if prv[v] == NIL else nxt[prv[v]]) != v:
+                    raise AssertionError(f"sibling links of {v} are stale")
+                if aclk[v] > clk[u]:
+                    raise AssertionError(
+                        f"child {v} attached later ({aclk[v]}) than its "
+                        f"parent's time ({clk[u]})")
+                if last_aclk is not None and aclk[v] > last_aclk:
+                    raise AssertionError(
+                        f"sibling list of {u} not ordered by attachment time")
+                last_aclk = aclk[v]
                 stack.append(v)
-                v = self.nxt[v]
+                v = nxt[v]
         reached = sum(seen)
-        assert reached == self.nodes, (
-            f"{reached} nodes reachable but {self.nodes} counted"
-        )
+        if reached != self.nodes:
+            raise AssertionError(
+                f"{reached} nodes reachable but {self.nodes} counted")
         for t in range(self.k):
             if not seen[t]:
-                assert self.clk[t] == 0, f"absent thread {t} has clk {self.clk[t]}"
-                assert self.parent[t] == NIL, f"absent thread {t} has a parent"
-                assert self.head[t] == NIL, f"absent thread {t} has children"
+                if clk[t] != 0:
+                    raise AssertionError(f"absent thread {t} has clk {clk[t]}")
+                if parent[t] != NIL:
+                    raise AssertionError(f"absent thread {t} has a parent")
+                if head[t] != NIL:
+                    raise AssertionError(f"absent thread {t} has children")
 
     def __repr__(self):
         return f"TreeClock(root={self.root}, {list(self.flatten())!r})"

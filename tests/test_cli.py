@@ -261,14 +261,34 @@ class TestExitCodes:
         assert proc.returncode == 1, proc.stdout + proc.stderr
         assert "assertion failed: vt_work=0 below event count 40" in proc.stderr
 
-    def test_debug_refused_under_optimize(self, tmp_path):
-        # --debug's checks are assert statements, which -O would skip
+    def test_debug_checks_run_under_optimize(self, tmp_path):
+        # the debug checks are explicit raises: python -O keeps them, so
+        # a tree clock whose node count is off by one is caught there too
         trace = gen_trace(tmp_path, events=40)
+        script = (
+            "from clocktrace import analyses\n"
+            "from clocktrace.trace import parse_trace\n"
+            "class Doctored(analyses.TreeClock):\n"
+            "    __slots__ = ()\n"
+            "    @classmethod\n"
+            "    def owned(cls, tid, size, counter):\n"
+            "        clock = super().owned(tid, size, counter)\n"
+            "        clock.nodes += 1\n"
+            "        return clock\n"
+            "analyses.TreeClock = Doctored\n"
+            f"with open({str(trace)!r}) as fh:\n"
+            "    trace = parse_trace(fh)\n"
+            "analyses.run_analysis(trace, 'hb', 'tree', debug=True)\n"
+        )
+        proc = run_optimized(["-c", script])
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert "AssertionError: 1 node reachable without links but 2 counted" \
+            in proc.stderr
+        # and analyze --debug runs under -O
         proc = run_optimized(["-m", "clocktrace.cli", "analyze", "--po", "hb",
                               "--input", str(trace), "--debug", "--repeat", "1"])
-        assert proc.returncode == 2, proc.stdout + proc.stderr
-        assert proc.stderr.startswith("error: --debug")
-        assert proc.stdout == ""
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "clocks agree" in proc.stdout
 
     def test_divergence_exits_1(self, tmp_path, capsys, monkeypatch):
         # hb engines never flatten, so only the comparison pass sees the skew

@@ -15,10 +15,11 @@ from hypothesis import strategies as st
 
 from conftest import each_event
 
-from clocktrace.analyses import HB, MAZ, SHB
+from clocktrace import analyses
+from clocktrace.analyses import HB, MAZ, SHB, run_analysis
 from clocktrace.trace import ACQ
 from clocktrace.tracegen import GenSpec, SplitMix64, generate, random_trace
-from clocktrace.treeclock import BOT, NIL, TreeClock
+from clocktrace.treeclock import BOT, NIL, Entries, TreeClock
 from clocktrace.vclock import ClockContractError, VectorClock, WorkCounter
 from oracles import pruning_violations
 
@@ -27,6 +28,7 @@ def build(k, spec):
     """White-box constructor: spec is (tid, clk, aclk, [children]) with
     children given in display (most recently attached first) order."""
     tc = TreeClock.owned(spec[0], k, WorkCounter())
+    tc.clk = [0] * k
     tc.aclk = [BOT] * k
     tc.parent, tc.head, tc.nxt, tc.prv = ([NIL] * k for _ in range(4))
 
@@ -186,8 +188,8 @@ class TestBasics:
         c = WorkCounter()
         t = TreeClock.owned(1, 3, c)
         t.increment()
-        t.increment(4)
-        assert t.flatten() == (0, 5, 0)
+        t.increment()
+        assert t.flatten() == (0, 2, 0)
         assert c.increments == 2
         assert c.impl_work == 2
         assert c.vt_work == 2  # one entry changed per increment event
@@ -238,10 +240,35 @@ class TestInvariants:
         with pytest.raises(AssertionError, match="counted"):
             o.check_integrity()
 
+    def test_sparse_form_iff_no_link_arrays(self):
+        """clk is an Entries mapping exactly when the link arrays are None,
+        and then stores the root's key alone (no key when empty)."""
+        c = WorkCounter()
+        o = TreeClock.owned(0, 3, c)
+        o.clk[1] = 0  # a second key, even a zero one
+        with pytest.raises(AssertionError, match="stores keys"):
+            o.check_integrity()
+        e = TreeClock.aux(3, c)
+        e.clk[0] = 0
+        with pytest.raises(AssertionError, match="stores keys"):
+            e.check_integrity()
+        o = TreeClock.owned(0, 3, c)
+        o.head = [NIL] * 3
+        with pytest.raises(AssertionError, match="holds link arrays"):
+            o.check_integrity()
+        o = TreeClock.owned(0, 3, c)
+        o.clk = [0] * 3  # a dense clk without link arrays
+        with pytest.raises(AssertionError, match="lacks link arrays"):
+            o.check_integrity()
+        a = build(4, TREE_A)
+        a.clk = Entries(enumerate(a.clk))  # linked, but stored sparse
+        with pytest.raises(AssertionError, match="holds link arrays"):
+            a.check_integrity()
+
 
 class TestLinkArrays:
-    """A clock allocates its five link arrays only when it first links a
-    second node; until then it holds its clk list alone."""
+    """A clock allocates its clk list and five link arrays only when it
+    first links a second node; until then it stores its one entry."""
 
     @staticmethod
     def links(tc):
@@ -292,17 +319,19 @@ class TestLinkArrays:
         assert a.nodes == 1
         assert a.flatten() == (0, 0, 1, 0)
 
-    def test_empty_clocks_of_one_size_share_their_zero_tuple(self):
+    def test_empty_clocks_store_no_entry(self):
         c = WorkCounter(debug=True)
         e1, e2 = TreeClock.aux(4, c), TreeClock.aux(4, c)
-        assert e1.clk is e2.clk == (0, 0, 0, 0)
-        assert TreeClock.aux(5, c).clk == (0,) * 5
+        assert dict(e1.clk) == {} and e1.clk is not e2.clk
+        assert e1.flatten() == (0, 0, 0, 0)
         a = TreeClock.owned(1, 4, c)
         a.increment()
         assert e1.copy_check_monotone(a) == "deep"
         assert e1.flatten() == (0, 1, 0, 0)
-        # the copy replaced e1's tuple; e2 still reads all zeros
-        assert e2.clk == (0, 0, 0, 0)
+        assert dict(e1.clk) == {1: 1} and e1.clk is not a.clk
+        # e2 still stores nothing and reads all zeros
+        assert dict(e2.clk) == {}
+        assert e2.flatten() == (0, 0, 0, 0)
         assert e2.dump() == "(empty)\n"
         e2.check_integrity()
 
@@ -324,6 +353,91 @@ class TestLinkArrays:
         server_acquires = sum(ev.tid == 0 and ev.op == ACQ
                               for ev in trace.events)
         assert 1 <= linked <= 1 + 2 * server_acquires
+
+    @pytest.mark.parametrize("name,po", [
+        ("star-relay", HB),
+        ("random", MAZ),  # write and reader clocks too
+    ])
+    def test_only_linked_clocks_are_dense(self, name, po, monkeypatch):
+        # every clock the engine builds, kept by a subclass it builds
+        # instead: a clock holds a k-list exactly when it holds two nodes
+        built = []
+
+        class Kept(TreeClock):
+            __slots__ = ()
+
+            def __init__(self, size, counter, owner=NIL):
+                super().__init__(size, counter, owner)
+                built.append(self)
+
+        trace = STORAGE_TRACES[name]()
+        monkeypatch.setattr(analyses, "TreeClock", Kept)
+        run_analysis(trace, po, "tree", debug=True)
+        dense = [clock for clock in built if type(clock.clk) is list]
+        assert len(dense) == sum(clock.nodes >= 2 for clock in built)
+        assert all(clock.nodes >= 2 for clock in dense)
+        for clock in built:
+            if type(clock.clk) is not list:
+                keys = [] if clock.root == NIL else [clock.root]
+                assert list(clock.clk) == keys
+        assert 0 < len(dense) < len(built)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_storage_transitions_match_vector_clocks(self, seed):
+        """A seeded script of increments, joins and copies over paired
+        tree and vector clocks crosses every change of storage form; after
+        each step the two kinds agree entry by entry and on vt_work."""
+        k = 5
+        rng = SplitMix64(seed)
+        tcnt, vcnt = WorkCounter(debug=True), WorkCounter()
+        # threads 0..k-1 own a clock; clocks k..2k-1 are aux (lock-like)
+        trees = [TreeClock.owned(t, k, tcnt) for t in range(k)] \
+            + [TreeClock.aux(k, tcnt) for _ in range(k)]
+        vecs = [VectorClock.owned(t, k, vcnt) for t in range(k)] \
+            + [VectorClock.aux(k, vcnt) for _ in range(k)]
+
+        def form(clock):
+            if clock.root == NIL:
+                return "empty"
+            return "root-only" if clock.head is None else "dense"
+
+        for t in range(k):  # every root time is at least 1, as in the engine
+            trees[t].increment()
+            vecs[t].increment()
+        crossed = set()
+        for _ in range(400):
+            op, dst, src = rng.below(8), rng.below(k), rng.below(2 * k)
+            if op <= 3:
+                trees[dst].increment()
+                vecs[dst].increment()
+            if op == 3:  # an acquire: a thread steps, then joins
+                before = form(trees[dst])
+                trees[dst].join(trees[src])
+                vecs[dst].join(vecs[src])
+                crossed.add((before, form(trees[dst])))
+            elif op > 3 and trees[src].root != NIL:  # publish into an aux clock
+                dst += k
+                before = form(trees[dst])
+                fast = (before == form(trees[src]) == "root-only"
+                        and trees[dst].root == trees[src].root)
+                status = trees[dst].copy_check_monotone(trees[src])
+                vecs[dst].copy_check_monotone(vecs[src])
+                if fast and status == "monotone":
+                    crossed.add("root-only monotone")
+                crossed.add((before, form(trees[dst])))
+            for tree, vec in zip(trees, vecs):
+                assert tree.flatten() == vec.flatten()
+            assert tcnt.vt_work == vcnt.vt_work
+        assert crossed >= {("empty", "root-only"), ("root-only", "dense"),
+                           ("dense", "root-only"), "root-only monotone"}
+
+
+STORAGE_TRACES = {
+    "star-relay": lambda: generate(
+        GenSpec("star", 256, 8000, seed=3, star_style="relay")),
+    "random": lambda: random_trace(9, events=300, threads=24, locks=3,
+                                   variables=6),
+}
 
 
 SHAPE_TRACES = {
