@@ -5,9 +5,10 @@ Two cost models for the same run:
 - vt_work: how many vector-time entries actually changed. This is the
   intrinsic cost of the analysis — any clock representation must record
   at least these updates. The engines count it incrementally while they
-  run; `vtwork` recomputes it here from scratch by snapshotting every
-  maintained clock after each event and diffing, which is slow but
-  obviously correct, so the two can be cross-checked.
+  run; `vtwork` recounts it from the brute-force oracle's timestamps
+  (every clock an event sets takes the event's timestamp), which is
+  quadratic and capped like the oracle but independent of the clocks and
+  the engine, so the two can be cross-checked.
 - impl_work: how many entries/nodes the clock representation touched,
   including reads that led to no update. For vectors this is exactly
   thread_count * (joins + copies) + increments, since every join and
@@ -34,79 +35,39 @@ thread clock and mirrors those gains into its reader clock, so the
 per-event total can exceed k as well.
 """
 
-from .analyses import HB, MAZ, SHB, AnalysisRun
-from .trace import ACQ, READ, REL, WRITE, Trace
+from operator import ne
+
+from .analyses import HB, MAZ, AnalysisRun
+from .oracle import oracle_timestamps
+from .trace import READ, REL, WRITE, Trace
 
 
 def vtwork(trace: Trace, po: str) -> int:
-    """Reference vector-time work: run the analysis on plain dicts,
-    snapshot every maintained clock after each event, and count the
-    entries that changed since the previous snapshot. Independent of the
-    clock implementations (no VectorClock/TreeClock involved), so it
-    serves as the oracle for the engines' incremental vt_work counters.
-    Changes are netted per event: an entry raised twice while one event
-    is processed counts once."""
-    if po not in (HB, SHB, MAZ):
-        raise ValueError(f"unknown partial order: {po!r}")
-    k = trace.thread_count
-    thread = [{} for _ in range(k)]
-    locks = {}
-    writes = {}
-    read_clocks = {}  # (var, tid) -> clock; persists across writes
-    read_since = {}  # var -> tids that read since the last write
+    """Reference vector-time work, read off the brute-force oracle.
 
-    def join(dst, src):
-        for t, v in src.items():
-            if v > dst.get(t, 0):
-                dst[t] = v
-
-    def snapshot():
-        snap = {}
-        for t in range(k):
-            snap["T", t] = dict(thread[t])
-        for key, c in locks.items():
-            snap["L", key] = dict(c)
-        for key, c in writes.items():
-            snap["W", key] = dict(c)
-        for key, c in read_clocks.items():
-            snap["R", key] = dict(c)
-        return snap
-
-    prev = snapshot()
+    Every clock an event sets ends the event equal to its timestamp: the
+    acting thread's clock; on a release, the lock's clock; on a write
+    under "shb"/"maz", the variable's last-write clock; on a read under
+    "maz", the (variable, thread) reader clock. Each such clock adds the
+    entries in which the timestamp differs from its previous value (all
+    zeros the first time), so changes are netted per event: an entry
+    raised twice while one event is processed counts once. No clock
+    implementation or engine is involved, so this serves as the
+    reference for the engines' incremental vt_work counters. Like the
+    oracle, it raises ValueError on an unknown order or on a trace of
+    more than ORACLE_MAX_EVENTS (5000) events."""
+    zeros = (0,) * trace.thread_count
+    last = {}  # clock -> its value after the last event that set it
     work = 0
-    for ev in trace.events:
-        t, x = ev.tid, ev.target
-        C = thread[t]
-        C[t] = C.get(t, 0) + 1
-        if ev.op == ACQ:
-            if x in locks:
-                join(C, locks[x])
-        elif ev.op == REL:
-            locks[x] = dict(C)
-        elif ev.op == READ:
-            if po != HB and x in writes:
-                join(C, writes[x])
-            if po == MAZ:
-                read_clocks[x, t] = dict(C)
-                read_since.setdefault(x, {})[t] = None
-        elif ev.op == WRITE:
-            if po == MAZ:
-                if x in writes:
-                    join(C, writes[x])
-                for rt in read_since.get(x, ()):
-                    join(C, read_clocks[x, rt])
-                read_since[x] = {}
-            if po != HB:
-                writes[x] = dict(C)
-        cur = snapshot()
-        for key, new in cur.items():
-            old = prev.get(key)
-            if old is None:
-                work += sum(1 for v in new.values() if v != 0)
-            elif old != new:
-                keys = old.keys() | new.keys()
-                work += sum(1 for u in keys if old.get(u, 0) != new.get(u, 0))
-        prev = cur
+    for ev, stamp in zip(trace.events, oracle_timestamps(trace, po)):
+        clocks = [ev.tid]
+        if ev.op == REL or (ev.op == WRITE and po != HB):
+            clocks.append((ev.op, ev.target))
+        elif ev.op == READ and po == MAZ:
+            clocks.append((READ, ev.target, ev.tid))
+        for key in clocks:
+            work += sum(map(ne, last.get(key, zeros), stamp))
+            last[key] = stamp
     return work
 
 

@@ -4,8 +4,8 @@ Everything here favors obviousness over speed: partial orders are built as
 explicit reachability bitsets from their generating edges, and timestamps
 and races are read off those bitsets. The streaming engines
 are tested against these, never the other way around. Inputs are capped to
-keep the quadratic blowup honest. (The reference for vt_work is
-`metrics.vtwork`, an interpreter on plain dicts.)
+keep the quadratic blowup honest. (The reference for vt_work,
+`metrics.vtwork`, is read off `oracle_timestamps` and shares the cap.)
 """
 
 from .analyses import HB, MAZ, ORDERS

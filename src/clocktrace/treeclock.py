@@ -171,9 +171,10 @@ class TreeClock:
         One entry decides the path in O(1). If the source has not fallen
         behind self's root time, self <= src (every entry of self is what
         its root thread knew at that time), and the monotone path runs
-        join's traversal in copy mode. An empty target, or one the source
-        has fallen behind, takes the deep path, a full structural copy.
-        An empty source is outside the contract.
+        join's traversal in copy mode. An empty target, one whose root
+        thread has not started (root time 0), or one the source has fallen
+        behind takes the deep path, a full structural copy. An empty
+        source is outside the contract.
         """
         if src.root == NIL:
             raise ClockContractError("copy from an empty clock")
@@ -182,7 +183,7 @@ class TreeClock:
         r = self.root
         if r != NIL:
             mine, theirs = self.clk[r], src.clk[r]
-        if r == NIL or theirs < mine:
+        if r == NIL or not 0 < mine <= theirs:
             self._become_copy_of(src)
             return "deep"
         # a non-monotone target must be caught by the single-entry test

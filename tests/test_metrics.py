@@ -1,12 +1,13 @@
-"""Tests for the work metrics: the independent entries-changed recount,
-the bound checks and their documented scope, and the hypothetical vector
-cost."""
+"""Tests for the work metrics: the independent entries-changed recount
+and the oracle's size cap it shares, the bound checks and their
+documented scope, and the hypothetical vector cost."""
 
 import pytest
 from oracles import vc_work
 
 from clocktrace.analyses import HB, MAZ, ORDERS, SHB, run_analysis
 from clocktrace.metrics import verify_bounds, vtwork
+from clocktrace.oracle import ORACLE_MAX_EVENTS, oracle_races, oracle_timestamps
 from clocktrace.trace import parse_trace
 from clocktrace.tracegen import random_trace
 
@@ -44,6 +45,14 @@ def test_single_thread_aux_clock_changes_are_counted():
 def test_vtwork_rejects_unknown_order():
     with pytest.raises(ValueError):
         vtwork(parse_trace("t0 w x\n"), "total")
+
+
+@pytest.mark.parametrize("reference", [oracle_timestamps, oracle_races, vtwork],
+                         ids=lambda f: f.__name__)
+def test_references_refuse_traces_over_the_oracle_cap(reference):
+    trace = parse_trace("t0 w x\n" * (ORACLE_MAX_EVENTS + 1))
+    with pytest.raises(ValueError, match="oracle is quadratic"):
+        reference(trace, HB)
 
 
 class TestBounds:

@@ -659,13 +659,28 @@ class TestCopyCheckMonotone:
         assert l.root == 1
         l.check_integrity()
 
+    def test_unstarted_target_reports_deep(self):
+        # an owned clock never incremented holds its root at time 0, which
+        # no source can fall behind; the copy must still replace that root
+        c = WorkCounter(debug=True)
+        dst = TreeClock.owned(0, 3, c)
+        b = TreeClock.owned(1, 3, c)
+        b.increment()
+        assert dst.copy_check_monotone(b) == "deep"
+        assert dst.flatten() == (0, 1, 0)
+        assert dst.root == 1
+        assert dst.nodes == 1
+        dst.check_integrity()
+
 
 # the path each kind reports for a copy into each kind of target
 COPY_PATHS = {
     ("tree", "empty"): "deep",
+    ("tree", "unstarted"): "deep",
     ("tree", "below"): "monotone",
     ("tree", "unordered"): "deep",
     ("vector", "empty"): "monotone",
+    ("vector", "unstarted"): "monotone",
     ("vector", "below"): "monotone",
     ("vector", "unordered"): "monotone",
 }
@@ -673,15 +688,19 @@ COPY_PATHS = {
 
 @pytest.mark.parametrize("kind,target", sorted(COPY_PATHS))
 def test_single_copy_takes_the_predicted_path(kind, target):
-    """One copy operation per kind: into an empty target, a target
-    ordered below the source, and one unordered with it. The copy reports
-    the path it took and leaves an exact, well-formed copy behind."""
+    """One copy operation per kind: into an empty target, an owned target
+    never incremented, a target ordered below the source, and one
+    unordered with it. The copy reports the path it took and leaves an
+    exact, well-formed copy behind."""
     cls = TreeClock if kind == "tree" else VectorClock
     c = WorkCounter(debug=True)
     a, b, d = (cls.owned(t, 4, c) for t in range(3))
     a.increment()
-    dst = cls.aux(4, c)
-    if target != "empty":
+    if target == "unstarted":
+        dst = cls.owned(3, 4, c)
+    else:
+        dst = cls.aux(4, c)
+    if target in ("below", "unordered"):
         dst.copy_check_monotone(a)  # a publishes its time 1
     b.increment()
     if target == "below":
