@@ -10,7 +10,10 @@ race checks against per-variable epochs, then updates the bookkeeping:
 - "shb": additionally, each read joins the last-write clock of its
   variable, ordering every write before the reads that see it. Races
   between a write and a later read can no longer fire; write-write and
-  read-write races still do. Sound first-race reports.
+  read-write races still do. Sound first-race reports. A write then
+  copies its clock into the last-write clock: a write unordered with the
+  last write both races it and forces a deep copy, so deep_copies counts
+  the write-write races (and is 0 under hb and maz).
 - "maz": additionally, each write joins the last-write clock and the
   clocks of all intervening readers, ordering all conflicting accesses.
   The same checks run but, by construction, nothing ever fires.
@@ -58,7 +61,9 @@ class AnalysisRun:
     vars: int
     races: list
     counter: WorkCounter
-    deep_copies: int  # non-fresh last-write copies that had to rebuild
+    # shb writes unordered with the last write: each races it and forces a
+    # deep copy into the last-write clock (0 under hb and maz)
+    deep_copies: int
     fresh_copies: int  # first write to a variable (empty target)
     unordered_pairs: int | None
     elapsed: float  # seconds spent processing events (parsing excluded)
@@ -128,7 +133,7 @@ class Engine:
                 lw = self.write_clocks.get(x)
                 if lw is not None:
                     C.join(lw)
-            self._check_read(x, t, C, i)
+            self._race_with_last_write("write-read", x, t, C, i)
             if po == MAZ:
                 dst = self.read_clocks.get((x, t))
                 if dst is None:
@@ -155,22 +160,21 @@ class Engine:
                 if multi:
                     net = sum(map(ne, pre, C.flatten()))
                     self.counter.vt_work = vt0 + net
-            self._check_write(x, t, C, i)
+            unordered = self._race_with_last_write("write-write", x, t, C, i)
+            if not unordered:
+                for rt, rc in self.read_epochs.get(x, {}).items():
+                    if C.clk[rt] < rc:
+                        self.races.append(RaceReport(
+                            "read-write", x, Epoch(rt, rc), Epoch(t, C.clk[t]), i))
+                        break
             if po != HB:
                 if lw is None:
                     lw = self.write_clocks[x] = self._aux()
                     self.fresh_copies += 1
                     deep = True
-                elif po == SHB:
-                    # the last write need not be ordered before us: a deep
-                    # copy is forced exactly when this write is unordered
-                    # with the previous one, an O(1) epoch test that both
-                    # clock structures answer the same way (under maz we
-                    # just joined the last write, so the copy is monotone)
-                    ew = self.write_epochs[x]
-                    if C.clk[ew.tid] < ew.clk:
-                        self.deep_copies += 1
-                        deep = True
+                elif unordered:  # never under maz: C has just joined lw
+                    self.deep_copies += 1
+                    deep = True
                 dst = lw
             self.write_epochs[x] = Epoch(t, C.clk[t])
             self.read_epochs[x] = {}
@@ -185,26 +189,32 @@ class Engine:
             self._count_unordered(ev, C)
         return C
 
-    def _check_read(self, x, t, C, i):
+    def _race_with_last_write(self, kind, x, t, C, i):
+        """Report a `kind` race if x's last write is not ordered before
+        this access (an O(1) epoch test); return whether it reported one."""
         ew = self.write_epochs.get(x)
-        if ew is not None and C.clk[ew.tid] < ew.clk:
-            self.races.append(
-                RaceReport("write-read", x, ew, Epoch(t, C.clk[t]), i)
-            )
+        if ew is None or C.clk[ew.tid] >= ew.clk:
+            return False
+        self.races.append(RaceReport(kind, x, ew, Epoch(t, C.clk[t]), i))
+        return True
 
-    def _check_write(self, x, t, C, i):
-        ew = self.write_epochs.get(x)
-        if ew is not None and C.clk[ew.tid] < ew.clk:
-            self.races.append(
-                RaceReport("write-write", x, ew, Epoch(t, C.clk[t]), i)
-            )
-            return
-        for rt, rc in self.read_epochs.get(x, {}).items():
-            if C.clk[rt] < rc:
-                self.races.append(
-                    RaceReport("read-write", x, Epoch(rt, rc), Epoch(t, C.clk[t]), i)
-                )
-                return
+    def record(self, trace, elapsed=0.0):
+        """The AnalysisRun of this engine once it has processed trace;
+        elapsed is the caller's timing of that loop, in seconds."""
+        return AnalysisRun(
+            po=self.po,
+            clock_kind=self.clock_kind,
+            events=len(trace),
+            threads=trace.thread_count,
+            locks=trace.lock_count,
+            vars=trace.var_count,
+            races=self.races,
+            counter=self.counter,
+            deep_copies=self.deep_copies,
+            fresh_copies=self.fresh_copies,
+            unordered_pairs=self.unordered_pairs,
+            elapsed=elapsed,
+        )
 
     def _count_unordered(self, ev, C):
         # a prior access (t2, c2) is ordered before this event iff this
@@ -225,28 +235,15 @@ def run_analysis(trace, po, clock_kind="tree", *, debug=False,
     With debug set, structural invariants are re-verified after every
     clock operation, and every tree copy must take the path the engine
     predicts (slow; for tests). Callers that need each event's
-    timestamp or clock state drive an Engine themselves.
+    timestamp or clock state drive an Engine themselves and take its
+    AnalysisRun from Engine.record(trace).
     """
     engine = Engine(po, trace.thread_count, clock_kind, debug=debug,
                     count_unordered=count_unordered)
     t0 = time.perf_counter()
     for ev in trace.events:
         engine.process(ev)
-    elapsed = time.perf_counter() - t0
-    return AnalysisRun(
-        po=po,
-        clock_kind=clock_kind,
-        events=len(trace),
-        threads=trace.thread_count,
-        locks=trace.lock_count,
-        vars=trace.var_count,
-        races=engine.races,
-        counter=engine.counter,
-        deep_copies=engine.deep_copies,
-        fresh_copies=engine.fresh_copies,
-        unordered_pairs=engine.unordered_pairs,
-        elapsed=elapsed,
-    )
+    return engine.record(trace, time.perf_counter() - t0)
 
 
 def race_event_indices(trace, races):

@@ -290,15 +290,13 @@ def _cmd_bench(args):
 
 def _print_speedups(results):
     """Print the vector/tree wall-time and impl_work ratios of each
-    (trace, po) cell, which locate the crossover; no threshold."""
-    by_cell = {}
-    for name, run, ms in results:
-        by_cell.setdefault((name, run.po), {})[run.clock_kind] = (ms, run.impl_work)
-    for (name, po), kinds in by_cell.items():
-        (tree_ms, tree_work), (vector_ms, vector_work) = kinds["tree"], kinds["vector"]
+    trace cell, which locate the crossover; no threshold. results holds
+    each cell's tree row just before its vector row."""
+    for (name, tree, tree_ms), (_, vector, vector_ms) in zip(results[::2], results[1::2]):
         if tree_ms > 0:
-            print(f"speedup {name} {po}: vector/tree wall time = "
-                  f"{vector_ms / tree_ms:.2f}x, impl_work = {vector_work / tree_work:.2f}x")
+            print(f"speedup {name} {tree.po}: vector/tree wall time = "
+                  f"{vector_ms / tree_ms:.2f}x, "
+                  f"impl_work = {vector.impl_work / tree.impl_work:.2f}x")
 
 
 def _cmd_selfcheck(args):

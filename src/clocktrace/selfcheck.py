@@ -12,7 +12,7 @@ with debug assertions on.
 Each check returns a list of failure strings; `run` aggregates them.
 """
 
-from .analyses import HB, ORDERS, Engine, race_event_indices, run_analysis
+from .analyses import HB, ORDERS, Engine, race_event_indices
 from .metrics import verify_bounds, vtwork
 from .oracle import oracle_races, oracle_timestamps
 from .trace import parse_trace
@@ -204,9 +204,9 @@ def check_sweep(seeds=range(6)):
             want_races = oracle_races(trace, po)
             want_vt = vtwork(trace, po)
             for kind in ("tree", "vector"):
-                run = run_analysis(trace, po, kind, debug=True)
-                engine = Engine(po, trace.thread_count, kind)
+                engine = Engine(po, trace.thread_count, kind, debug=True)
                 stamps = [engine.process(ev).flatten() for ev in trace.events]
+                run = engine.record(trace)
                 where = f"sweep seed={seed} po={po} {kind}"
                 if stamps != want_ts:
                     fails.append(f"{where}: timestamps diverge from oracle")

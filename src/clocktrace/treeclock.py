@@ -46,7 +46,7 @@ array. These invariants follow and check_integrity checks them:
 
 - clk[t] == 0 for every thread t outside the tree, in either form, so
   an entry is read as clk[t] with no membership test (Entries answers
-  0 for a missing key); whole-clock reads (flatten, leq, the deep-copy
+  0 for a missing key); whole-clock reads (flatten, the deep-copy
   diff) branch on the form;
 - clk is an Entries mapping iff the link arrays are None, and then it
   holds exactly the root's key, or no key on an empty clock;
@@ -110,11 +110,6 @@ class TreeClock:
 
     def flatten(self):
         return tuple(self._dense())
-
-    def leq(self, other):
-        """True iff every entry of self is <= the matching entry of other
-        (absent threads read 0 on either side)."""
-        return vt_leq(self._dense(), other._dense())
 
     def _dense(self):
         """clk as a length-k list: clk itself in the dense form, a new
@@ -187,7 +182,7 @@ class TreeClock:
             self._become_copy_of(src)
             return "deep"
         # a non-monotone target must be caught by the single-entry test
-        if c.debug and not self.leq(src):
+        if c.debug and not vt_leq(self._dense(), src._dense()):
             raise ClockContractError(
                 "single-entry monotonicity test missed a non-monotone target")
         if self.head is None and src.head is None and src.root == r:

@@ -115,9 +115,6 @@ class VectorClock:
         c.vt_work += changed
         return "monotone"
 
-    def leq(self, other):
-        return vt_leq(self.clk, other.clk)
-
     def flatten(self):
         return tuple(self.clk)
 

@@ -1,13 +1,28 @@
 """The embedded fixture suite must pass, and its frozen constants must keep
 their documented shape."""
 
-from clocktrace import selfcheck
+from clocktrace import analyses, selfcheck
 from clocktrace.trace import parse_trace, serialize_trace, validate_trace
 from clocktrace.tracegen import random_trace
 
 
 def test_all_embedded_checks_pass():
     assert selfcheck.run(report=None) == []
+
+
+def test_sweep_builds_one_engine_per_cell(monkeypatch):
+    # each (seed, order, kind) cell yields timestamps, races, vt_work and
+    # the bounds check from a single engine
+    built = []
+    real_init = analyses.Engine.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(analyses.Engine, "__init__", counting_init)
+    assert selfcheck.check_sweep() == []
+    assert len(built) == 6 * len(analyses.ORDERS) * len(analyses.CLOCK_KINDS)
 
 
 def test_walkthrough_fixture_shape():

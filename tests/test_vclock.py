@@ -107,12 +107,12 @@ def test_flatten_is_an_independent_snapshot():
     assert a.flatten() == (2, 0, 0, 0)
 
 
-def test_leq_method_matches_helper():
+def test_join_then_increment_orders_flattened_clocks():
     a, b, _ = _pair()
     a.increment()
     b.join(a)
     b.increment()
-    assert a.leq(b) and not b.leq(a)
+    assert vt_leq(a.flatten(), b.flatten()) and not vt_leq(b.flatten(), a.flatten())
 
 
 def test_epoch_fields():
