@@ -27,7 +27,12 @@ their children, and siblings linked oldest first end up newest first, as
 in the source, ahead of the children self kept.
 
 Nodes live in dense arrays indexed by thread id, so thread-id lookup is
-O(1) and a structural copy is an array copy. A clock takes one of two
+O(1). A structural copy from a dense clock copies one list, clk, and
+shares the five link arrays: the copy and its source read the same link
+arrays until either side relinks, and _move, the only code that relinks
+in place, first takes private copies (copy on write). clk is always
+copied: in an analysis the source of a deep copy is the acting thread's
+clock, whose next increment rewrites it. A clock takes one of two
 storage forms:
 
 - sparse: clk is an Entries mapping holding the root's entry alone, or
@@ -55,6 +60,11 @@ array. These invariants follow and check_integrity checks them:
 - nodes counts the threads in the tree, and is at most 1 in the sparse
   form.
 
+One more invariant spans clocks, so check_integrity cannot see it: every
+clock that holds a link array another clock also holds has shared set,
+and no two clocks hold the same clk. shared may stay set after the other
+holder has taken its own copies; that costs at most one needless copy.
+
 All traversals are iterative.
 """
 
@@ -78,7 +88,7 @@ class Entries(dict):
 class TreeClock:
     __slots__ = (
         "k", "clk", "aclk", "parent", "head", "nxt", "prv", "nodes",
-        "root", "counter",
+        "root", "counter", "shared",
     )
 
     def __init__(self, size, counter, owner=NIL):
@@ -87,6 +97,7 @@ class TreeClock:
         self.counter = counter
         # sparse until a second node is linked (see _move)
         self.aclk = self.parent = self.head = self.nxt = self.prv = None
+        self.shared = False  # link arrays held by another clock too
         self.clk = Entries()
         if owner == NIL:  # empty: the first mutation is a deep copy
             self.nodes = 0
@@ -216,6 +227,11 @@ class TreeClock:
             self.head = [NIL] * k  # first (most recently attached) child
             self.nxt = [NIL] * k   # next younger sibling
             self.prv = [NIL] * k   # previous (more recently attached) sibling
+        elif self.shared:  # copy on write: the first relink takes copies
+            self.aclk, self.parent, self.head, self.nxt, self.prv = (
+                self.aclk[:], self.parent[:], self.head[:], self.nxt[:],
+                self.prv[:])
+            self.shared = False
         clk, aclk, parent, head, nxt, prv = (
             self.clk, self.aclk, self.parent, self.head, self.nxt, self.prv)
         sclk, saclk, sparent, shead, snxt = (
@@ -292,9 +308,12 @@ class TreeClock:
             self.check_integrity()
 
     def _become_copy_of(self, src):
-        """Full structural copy (the deep path). Arena layout makes this an
-        array copy, or an O(1) copy of the one entry from a sparse source;
-        work is everything discarded plus everything built."""
+        """Full structural copy (the deep path). From a dense source this
+        copies clk and takes the five link arrays by reference, marking
+        both clocks shared so whichever relinks first copies them (see
+        _move); from a sparse source it is an O(1) copy of the one entry.
+        Work is everything discarded plus everything built, as if every
+        array were copied."""
         c = self.counter
         c.impl_work += 2 * src.nodes + self.nodes
         old, new = self.clk, src.clk
@@ -314,13 +333,12 @@ class TreeClock:
         if src.head is None:
             self.clk = Entries(new)
             self.aclk = self.parent = self.head = self.nxt = self.prv = None
+            self.shared = False
         else:
             self.clk = new[:]
-            self.aclk = src.aclk[:]
-            self.parent = src.parent[:]
-            self.head = src.head[:]
-            self.nxt = src.nxt[:]
-            self.prv = src.prv[:]
+            self.aclk, self.parent, self.head, self.nxt, self.prv = (
+                src.aclk, src.parent, src.head, src.nxt, src.prv)
+            self.shared = src.shared = True
         self.nodes = src.nodes
         self.root = src.root
         if c.debug:

@@ -8,6 +8,7 @@ checker itself.
 """
 
 import hashlib
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,8 @@ from clocktrace.tracegen import GenSpec, SplitMix64, generate, random_trace
 from clocktrace.treeclock import BOT, NIL, Entries, TreeClock
 from clocktrace.vclock import ClockContractError, VectorClock, WorkCounter, vt_leq
 from oracles import pruning_violations
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def build(k, spec):
@@ -383,6 +386,33 @@ class TestLinkArrays:
                 assert list(clock.clk) == keys
         assert 0 < len(dense) < len(built)
 
+    def test_deep_copies_share_links_on_a_seeded_rw_trace(self, monkeypatch):
+        # the benchmark's r/w generator under maz, where most copies are
+        # deep copies of a dense thread clock: the copies share that
+        # clock's link arrays, 578 sets among 1238 dense clocks (1238
+        # with a private set each)
+        monkeypatch.syspath_prepend(os.path.join(ROOT, "benchmark"))
+        from rwgen import RWSpec, generate_rw
+
+        trace = generate_rw(RWSpec(events=2000), 0)
+        engine = None
+        for _, _, engine in each_event(trace, MAZ, debug=True):
+            pass
+        clocks = (engine.thread_clocks + list(engine.lock_clocks.values())
+                  + list(engine.write_clocks.values())
+                  + list(engine.read_clocks.values()))
+        dense = [clock for clock in clocks if clock.head is not None]
+        assert len(dense) == 1238
+        assert len({id(clock.head) for clock in dense}) == 578
+        holders = {}
+        for clock in dense:
+            for array in self.links(clock):
+                holders.setdefault(id(array), []).append(clock)
+        for group in holders.values():
+            if len(group) > 1:
+                assert all(clock.shared for clock in group)
+        assert len({id(clock.clk) for clock in clocks}) == len(clocks)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_storage_transitions_match_vector_clocks(self, seed):
         """A seeded script of increments, joins and copies over paired
@@ -431,6 +461,73 @@ class TestLinkArrays:
             assert tcnt.vt_work == vcnt.vt_work
         assert crossed >= {("empty", "root-only"), ("root-only", "dense"),
                            ("dense", "root-only"), "root-only monotone"}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_shared_links_match_eager_copies(self, seed):
+        """A seeded script deep-copies dense clocks into several aux clocks
+        and relinks sources and copies in random order. It runs on tree
+        clocks that share link arrays after a deep copy and on tree clocks
+        that slice them at once; after each step the two sets agree in
+        shape and counters, and both agree with vector clocks."""
+
+        class Eager(TreeClock):
+            __slots__ = ()
+
+            def _become_copy_of(self, src):
+                super()._become_copy_of(src)
+                if self.head is not None:
+                    self.aclk, self.parent, self.head, self.nxt, self.prv = (
+                        self.aclk[:], self.parent[:], self.head[:],
+                        self.nxt[:], self.prv[:])
+                    self.shared = src.shared = False
+
+        k, naux = 5, 4
+        rng = SplitMix64(seed)
+        ccnt, ecnt, vcnt = (WorkCounter(debug=True), WorkCounter(debug=True),
+                            WorkCounter())
+        # threads 0..k-1 own a clock; clocks k.. are aux (lock-like)
+        sets = [
+            [cls.owned(t, k, cnt) for t in range(k)]
+            + [cls.aux(k, cnt) for _ in range(naux)]
+            for cls, cnt in ((TreeClock, ccnt), (Eager, ecnt),
+                             (VectorClock, vcnt))
+        ]
+        cow, eager, vecs = sets
+        for t in range(k):
+            for clocks in sets:
+                clocks[t].increment()
+        relinked = set()
+        for _ in range(600):
+            op, src = rng.below(8), rng.below(k + naux)
+            dst = rng.below(k) if op <= 4 else k + rng.below(naux)
+            if op >= 5 and (src == dst or cow[src].root == NIL):
+                continue
+            head = cow[dst].head
+            holders = sum(c.head is head for c in cow) if head else 0
+            for clocks in sets:
+                if op <= 4:
+                    clocks[dst].increment()
+                if op == 3 or op == 4:  # an acquire: a step, then a join
+                    clocks[dst].join(clocks[src])
+                elif op >= 5:  # publish into an aux clock
+                    status = clocks[dst].copy_check_monotone(clocks[src])
+            if holders > 1 and cow[dst].head is not head and (
+                    op in (3, 4) or status == "monotone"):
+                relinked.add("thread" if dst < k else "aux")
+            for a, b, v in zip(cow, eager, vecs):
+                assert a.dump() == b.dump()
+                assert a.flatten() == b.flatten() == v.flatten()
+            assert ccnt.vt_work == ecnt.vt_work == vcnt.vt_work
+            assert ccnt.impl_work == ecnt.impl_work
+            for clock in cow:
+                clock.check_integrity()
+            for i, a in enumerate(cow):  # the sharing invariant
+                for b in cow[i + 1:]:
+                    assert a.clk is not b.clk
+                    if a.head is not None and a.head is b.head:
+                        assert a.shared and b.shared
+        # both a source and a copy relinked while still sharing
+        assert relinked == {"thread", "aux"}
 
 
 STORAGE_TRACES = {
@@ -541,7 +638,8 @@ class TestJoin:
 
 class TestMonotoneCopy:
     def test_onto_empty_becomes_deep_copy(self):
-        # a linked two-node source: the empty target gets its own links
+        # a linked two-node source: the empty target gets its own clk and
+        # shares the source's links until one side relinks
         c = WorkCounter()
         a = TreeClock.owned(0, 4, c)
         b = TreeClock.owned(1, 4, c)
@@ -557,12 +655,37 @@ class TestMonotoneCopy:
         assert l.root == a.root
         assert l.dump() == a.dump()
         l.check_integrity()
-        # nothing is shared: moving the source leaves the copy as it was
-        for name in ("clk", "aclk", "parent", "head", "nxt", "prv"):
-            assert getattr(l, name) is not getattr(a, name)
+        assert l.clk is not a.clk
+        for name in ("aclk", "parent", "head", "nxt", "prv"):
+            assert getattr(l, name) is getattr(a, name)
+        assert l.shared and a.shared
         a.increment()
         assert l.flatten() == (1, 1, 0, 0)
         l.check_integrity()
+        # a second copy shares the same links; then the source relinks
+        # first and takes its own, leaving both copies as they were
+        m = TreeClock.aux(4, c)
+        assert m.copy_check_monotone(l) == "deep"
+        shape = l.dump()
+        d = TreeClock.owned(2, 4, c)
+        d.increment()
+        a.join(d)
+        assert a.flatten() == (2, 1, 1, 0)
+        assert l.dump() == m.dump() == shape
+        assert l.flatten() == m.flatten() == (1, 1, 0, 0)
+        assert l.head is not a.head and l.head is m.head
+        l.check_integrity()
+        # then one copy relinks: the source and the other copy keep theirs
+        before = a.dump()
+        b.increment()
+        b.join(a)
+        assert l.copy_check_monotone(b) == "monotone"
+        assert l.flatten() == b.flatten() == (2, 2, 1, 0)
+        assert a.dump() == before
+        assert m.dump() == shape
+        assert l.head is not m.head
+        l.check_integrity()
+        m.check_integrity()
 
     def test_handoff_reroots(self):
         c = WorkCounter()
