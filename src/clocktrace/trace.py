@@ -7,15 +7,17 @@ A trace is a sequence of events, one per line:
     t0 rel l0      # trailing comments are fine
     t1 r x0
 
-Thread names must look like ``t<digits>``. Targets may be ``l<digits>`` /
-``x<digits>`` or any bare identifier; what namespace a target lives in is
-decided by the operation (acq/rel -> lock, r/w -> variable). Names are
-interned to dense integer ids in order of first occurrence.
+Thread names must look like ``t<digits>``, with ASCII digits. Targets
+may be ``l<digits>`` / ``x<digits>`` or any bare identifier; what
+namespace a target lives in is decided by the operation (acq/rel ->
+lock, r/w -> variable). Names are interned to dense integer ids in order
+of first occurrence.
 
 parse_trace reads a trace in one pass, from text or line by line from a
 file, and checks lock discipline in the same pass, so the first bad line
 in file order, malformed or misusing a lock, is the one reported.
-validate_trace checks lock discipline of a trace built in memory.
+validate_trace checks lock discipline of a trace built in memory and
+reports its first misuse. Both apply one rule, _lock_misuse.
 """
 
 from dataclasses import dataclass
@@ -59,7 +61,7 @@ class Trace:
 
 @dataclass
 class Violation:
-    """One lock-discipline problem found by validate_trace."""
+    """The first lock-discipline misuse validate_trace finds."""
 
     index: int  # event index (0-based)
     kind: str  # "reacquire" | "release-not-held" | "release-free"
@@ -73,9 +75,8 @@ def parse_trace(source):
     open file or sys.stdin, which is read once, line by line. Either way
     lines are numbered as str.splitlines numbers them. Raises
     TraceParseError, naming the line, at the first line in the trace
-    that is malformed or breaks lock discipline (the rules of
-    validate_trace): the analyses assume well-formed lock use and would
-    answer wrongly.
+    that is malformed or breaks lock discipline (see _lock_misuse): the
+    analyses assume well-formed lock use and would answer wrongly.
     """
     if isinstance(source, str):
         source = (source,)
@@ -109,7 +110,8 @@ def parse_trace(source):
             # a name's syntax is checked only when it is first seen
             tid = threads.get(tname)
             if tid is None:
-                if not (tname.startswith("t") and tname[1:].isdigit()):
+                if not (tname.startswith("t") and tname.isascii()
+                        and tname[1:].isdigit()):
                     raise TraceParseError(
                         lineno, f"bad thread name {tname!r} (want t<digits>)")
                 tid = threads[tname] = len(threads)
@@ -124,26 +126,33 @@ def parse_trace(source):
                 if not target.isidentifier():
                     raise TraceParseError(lineno, f"bad target name {target!r}")
                 tgt = table[target] = len(table)
-            if op == ACQ:
-                if tgt in holder:
-                    raise _discipline_error(lineno, "reacquire", raw)
-                holder[tgt] = tid
-            elif op == REL:
-                held_by = holder.pop(tgt, None)
-                if held_by != tid:
-                    raise _discipline_error(
+            if table is locks:
+                misuse = _lock_misuse(holder, tid, op, tgt)
+                if misuse:
+                    raise TraceParseError(
                         lineno,
-                        "release-free" if held_by is None else "release-not-held",
-                        raw,
-                    )
+                        f"lock discipline violated ({misuse[0]}): {raw.strip()!r}")
             append(Event(tid, op, tgt))
     return Trace(events, len(threads), len(locks), len(variables))
 
 
-def _discipline_error(lineno, kind, line):
-    return TraceParseError(
-        lineno, f"lock discipline violated ({kind}): {line.strip()!r}"
-    )
+def _lock_misuse(holder, tid, op, lock):
+    """Apply thread tid's acquire or release of lock to holder (lock id ->
+    id of the thread holding it). Returns None, or (kind, the lock's
+    holder before the event, None if free) when the event breaks lock
+    discipline: acquiring a lock anyone holds, reentrant locking included
+    ("reacquire"); releasing a lock nobody holds ("release-free"), or one
+    another thread holds ("release-not-held")."""
+    if op == ACQ:
+        held_by = holder.get(lock)
+        if held_by is not None:
+            return "reacquire", held_by
+        holder[lock] = tid
+        return None
+    held_by = holder.pop(lock, None)
+    if held_by == tid:
+        return None
+    return ("release-free" if held_by is None else "release-not-held"), held_by
 
 
 def serialize_trace(trace):
@@ -155,53 +164,29 @@ def serialize_trace(trace):
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def validate_trace(trace):
-    """Check the lock discipline of a trace built in memory (parse_trace
-    checks it while parsing). Returns a list of Violations (empty if
-    clean).
+_MISUSE_MESSAGES = {
+    "reacquire": "acquires lock #{} already held by thread #{}",
+    "release-free": "releases lock #{} which is not held",
+    "release-not-held": "releases lock #{} held by thread #{}",
+}
 
-    Flagged: acquiring a lock that is already held by anyone (reentrant
-    locking included), releasing a lock the thread does not hold, and
-    releasing a lock nobody holds.
+
+def validate_trace(trace):
+    """Check the lock discipline of a trace built in memory by the rule
+    parse_trace applies (see _lock_misuse). Returns [] if it holds, else
+    a one-item list: the Violation of the first misuse, as parse_trace
+    stops at the first.
 
     Messages name threads and locks by their interned ids ("thread #1",
     "lock #0"), which number each kind in order of first appearance in
     the trace, not by the names the trace text used.
     """
-    holder = {}  # lock id -> tid
-    problems = []
+    holder = {}
     for i, ev in enumerate(trace.events):
-        if ev.op == ACQ:
-            if ev.target in holder:
-                problems.append(
-                    Violation(
-                        i,
-                        "reacquire",
-                        f"event {i}: thread #{ev.tid} acquires lock #{ev.target} "
-                        f"already held by thread #{holder[ev.target]}",
-                    )
-                )
-            else:
-                holder[ev.target] = ev.tid
-        elif ev.op == REL:
-            if ev.target not in holder:
-                problems.append(
-                    Violation(
-                        i,
-                        "release-free",
-                        f"event {i}: thread #{ev.tid} releases lock #{ev.target} "
-                        f"which is not held",
-                    )
-                )
-            elif holder[ev.target] != ev.tid:
-                problems.append(
-                    Violation(
-                        i,
-                        "release-not-held",
-                        f"event {i}: thread #{ev.tid} releases lock #{ev.target} "
-                        f"held by thread #{holder[ev.target]}",
-                    )
-                )
-            else:
-                del holder[ev.target]
-    return problems
+        if ev.op == ACQ or ev.op == REL:
+            misuse = _lock_misuse(holder, ev.tid, ev.op, ev.target)
+            if misuse:
+                kind, held_by = misuse
+                what = _MISUSE_MESSAGES[kind].format(ev.target, held_by)
+                return [Violation(i, kind, f"event {i}: thread #{ev.tid} {what}")]
+    return []

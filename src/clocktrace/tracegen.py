@@ -59,9 +59,10 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def below(self, bound: int) -> int:
-        """Unbiased draw from range(bound) by rejection sampling."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
+        """Unbiased draw from range(bound), 0 < bound <= 2**64, by
+        rejection sampling."""
+        if not 0 < bound <= 1 << 64:
+            raise ValueError(f"bound must be in 1..2**64, got {bound}")
         limit = (1 << 64) - ((1 << 64) % bound)
         while True:
             r = self.next()

@@ -97,7 +97,6 @@ class VectorClock:
         c.joins += 1
         c.impl_work += len(mine)
         c.vt_work += changed
-        return changed
 
     def copy_check_monotone(self, src):
         """self <- src, entry by entry. Vector clocks have no cheaper

@@ -223,6 +223,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "line 5: lock discipline violated (reacquire): 't3 acq m'" in err
 
+    def test_gen_refuses_more_threads_than_one_draw_covers(self):
+        # a subprocess with a timeout, so a generator that never returns
+        # fails the test instead of hanging it
+        proc = subprocess.run(
+            [sys.executable, "-m", "clocktrace.cli", "gen", "--pattern",
+             "single_lock", "--threads", str((1 << 64) + 1), "--events", "2"],
+            env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
+            text=True, timeout=20,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: bound must be in 1..2**64")
+
     def test_usage_errors(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["analyze", "--po", "nope", "--input", "-"])

@@ -4,6 +4,7 @@ import io
 
 import pytest
 
+from clocktrace.tracegen import SplitMix64
 from clocktrace.trace import (
     ACQ,
     READ,
@@ -12,6 +13,7 @@ from clocktrace.trace import (
     Event,
     Trace,
     TraceParseError,
+    Violation,
     parse_trace,
     serialize_trace,
     validate_trace,
@@ -75,6 +77,9 @@ def test_parse_empty():
         # the first bad line in file order wins, lock misuse or malformed
         ("t0 acq l0\nt0 w x\nt1 acq l0\n" + "t0 w x\n" * 6 + "t0 w\n", 3),
         ("t0 acq l0\nt0 w\nt1 acq l0\n", 2),
+        # thread digits are ASCII: a superscript or Arabic-Indic digit is not
+        ("t\u00b2 acq l0\n", 1),
+        ("t1 w x\nt\u0661 w x\n", 2),
     ],
 )
 def test_parse_errors_carry_line_numbers(bad, lineno):
@@ -213,3 +218,51 @@ def test_validate_release_free():
 def test_validate_unreleased_at_end_is_fine():
     tr = parse_trace("t0 acq l0\n")
     assert validate_trace(tr) == []
+
+
+def test_validate_reports_only_the_first_misuse():
+    # event 1 reacquires lock 0; event 3 releases the free lock 1
+    tr = built_trace(Event(0, ACQ, 0), Event(1, ACQ, 0), Event(0, REL, 0),
+                     Event(1, REL, 1))
+    assert validate_trace(tr) == [Violation(
+        1, "reacquire", "event 1: thread #1 acquires lock #0 already held by thread #0")]
+
+
+def random_lock_events(seed):
+    """1-12 acquires and releases of 2 locks by 3 threads. Three steps in
+    four acquire a free lock or release a held one by its holder, as the
+    earlier such steps left them; the rest are random, so many traces
+    break lock discipline."""
+    rng = SplitMix64(seed)
+    holder = {}
+    events = []
+    for _ in range(1 + rng.below(12)):
+        t, lock = rng.below(3), rng.below(2)
+        if rng.below(4) == 0:
+            op = (ACQ, REL)[rng.below(2)]
+        elif lock in holder:
+            t, op = holder.pop(lock), REL
+        else:
+            holder[lock], op = t, ACQ
+        events.append(Event(t, op, lock))
+    return events
+
+
+def test_parser_and_validator_apply_one_rule():
+    """parse_trace stops at line i+1 with kind K exactly when validate_trace
+    reports Violation(i, K) for the same events built in memory."""
+    outcomes = set()
+    for seed in range(300):
+        events = random_lock_events(seed)
+        problems = validate_trace(built_trace(*events))
+        lines = [f"t{ev.tid} {ev.op} l{ev.target}" for ev in events]
+        outcome = parse_outcome("\n".join(lines))
+        if problems:
+            (p,) = problems
+            assert outcome == (p.index + 1, f"line {p.index + 1}: lock discipline "
+                               f"violated ({p.kind}): {lines[p.index]!r}"), seed
+            outcomes.add(p.kind)
+        else:
+            assert isinstance(outcome, Trace), seed
+            outcomes.add("legal")
+    assert outcomes == {"legal", "reacquire", "release-free", "release-not-held"}

@@ -44,6 +44,12 @@ class TestSplitMix64:
         rng = SplitMix64(5)
         assert all(rng.below(1) == 0 for _ in range(10))
 
+    def test_below_takes_the_full_64_bit_range(self):
+        # a larger bound is refused; tests/test_cli.py checks that in a
+        # subprocess, since a draw that never returns would hang this one
+        rng = SplitMix64(5)
+        assert 0 <= rng.below(1 << 64) < 1 << 64
+
 
 def spec(pattern, threads=4, events=12, seed=5, **kw):
     return GenSpec(pattern=pattern, threads=threads, events=events, seed=seed, **kw)

@@ -58,14 +58,13 @@ def test_join_counts_full_scan_but_only_changes():
     b.increment()
     b.increment()
     base_impl, base_vt = c.impl_work, c.vt_work
-    changed = a.join(b)
-    assert changed == 1
+    a.join(b)
     assert a.flatten() == (1, 2, 0, 0)
     assert c.impl_work - base_impl == 4  # full scan of k entries
     assert c.vt_work - base_vt == 1  # one entry actually rose
     assert c.joins == 1
     # joining again changes nothing but still scans
-    assert a.join(b) == 0
+    a.join(b)
     assert c.vt_work - base_vt == 1
 
 
