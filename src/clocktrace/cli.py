@@ -71,7 +71,7 @@ def _build_parser():
                    help=f"cross-check against the brute-force oracle (<= {ORACLE_MAX_EVENTS} events)")
     p.add_argument("--debug", action="store_true",
                    help="re-verify structural invariants after every clock operation")
-    p.add_argument("--repeat", type=int, default=3, metavar="N",
+    p.add_argument("--repeat", type=_positive_int, default=3, metavar="N",
                    help="timing repetitions; the median is reported (default 3)")
     p.set_defaults(func=_cmd_analyze)
 
@@ -95,12 +95,19 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--star-style", choices=STAR_STYLES, default="paired")
     p.add_argument("--csv", default="bench.csv", help="output CSV (default bench.csv)")
-    p.add_argument("--repeat", type=int, default=3, metavar="N")
+    p.add_argument("--repeat", type=_positive_int, default=3, metavar="N")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("selfcheck", help="run the embedded fixture suite")
     p.set_defaults(func=_cmd_selfcheck)
     return parser
+
+
+def _positive_int(text):
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
 
 
 def _read_trace(path):
@@ -114,12 +121,11 @@ def _read_trace(path):
 
 
 def _timed_runs(trace, po, kind, repeat, debug=False, count_unordered=True):
-    """Run `repeat` times; return (last run, median elapsed ms). The
+    """Run `repeat` (>= 1) times; return (last run, median elapsed ms). The
     median is taken as statistics.median takes it (the mean of the middle
     two for an even count) without that module's import cost."""
     elapsed = []
-    run = None
-    for _ in range(max(1, repeat)):
+    for _ in range(repeat):
         run = run_analysis(trace, po, kind, debug=debug,
                            count_unordered=count_unordered)
         elapsed.append(run.elapsed)
@@ -254,10 +260,6 @@ def _cmd_bench(args):
     if not patterns:
         print(f"error: no pattern in {args.patterns!r}", file=sys.stderr)
         return 2
-    for p in patterns:
-        if p not in PATTERNS:
-            print(f"error: unknown pattern {p!r}", file=sys.stderr)
-            return 2
     try:
         grid = [int(s) for s in args.threads.split(",") if s.strip()]
     except ValueError:
@@ -266,20 +268,23 @@ def _cmd_bench(args):
         print(f"error: bad thread grid {args.threads!r}", file=sys.stderr)
         return 2
 
+    specs = [GenSpec(pattern, k, args.events or 100 * k, seed=args.seed,
+                     star_style=args.star_style)
+             for pattern in patterns for k in grid]
+    for spec in specs:  # refuse a bad cell before any cell runs
+        spec.validate()
+
     results = []
-    for pattern in patterns:
-        for k in grid:
-            n = args.events if args.events else 100 * k
-            trace = generate(GenSpec(pattern, k, n, seed=args.seed,
-                                     star_style=args.star_style))
-            name = f"{pattern}-k{k}"
-            if pattern == "star":
-                name += f"-{args.star_style}"
-            for kind in ("tree", "vector"):
-                run, ms = _timed_runs(trace, args.po, kind, args.repeat,
-                                      count_unordered=False)
-                verify_bounds(run)
-                results.append((name, run, ms))
+    for spec in specs:
+        trace = generate(spec)
+        name = f"{spec.pattern}-k{spec.threads}"
+        if spec.pattern == "star":
+            name += f"-{args.star_style}"
+        for kind in ("tree", "vector"):
+            run, ms = _timed_runs(trace, args.po, kind, args.repeat,
+                                  count_unordered=False)
+            verify_bounds(run)
+            results.append((name, run, ms))
 
     _append_csv(args.csv, results)
     for name, run, ms in results:

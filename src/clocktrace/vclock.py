@@ -30,11 +30,6 @@ def vt_leq(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
-def vt_join(a, b):
-    """Pointwise max of two equal-length vector times."""
-    return tuple(x if x >= y else y for x, y in zip(a, b))
-
-
 class WorkCounter:
     """Tallies work done by clock operations during one analysis run.
 

@@ -242,6 +242,18 @@ class TestExitCodes:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    def test_repeat_below_1_is_a_usage_error(self, tmp_path, capsys):
+        trace = gen_trace(tmp_path, events=20)
+        for argv in (
+            ["analyze", "--po", "hb", "--input", str(trace), "--repeat", "0"],
+            ["bench", "--patterns", "single_lock", "--threads", "3", "--events", "20",
+             "--csv", str(tmp_path / "bench.csv"), "--repeat", "-1"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
+            assert "--repeat: must be >= 1" in capsys.readouterr().err
+
     def test_internal_assertion_maps_to_1(self, tmp_path, monkeypatch, capsys):
         trace = gen_trace(tmp_path, events=40)
 
@@ -423,6 +435,19 @@ class TestBench:
         summaries = [line.split(":")[0] for line in lines if not line.startswith("speedup ")]
         assert (summaries, speedups) == (rows, cells)
 
+    def test_bad_cell_is_refused_before_any_cell_runs(self, tmp_path, capsys,
+                                                       monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "run_analysis",
+                            lambda *a, **kw: calls.append(a) or run_analysis(*a, **kw))
+        csv_path = tmp_path / "bench.csv"
+        rc = cli.main(["bench", "--patterns", "star,single_lock", "--threads", "3,1",
+                       "--events", "20", "--csv", str(csv_path), "--repeat", "2"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: threads must be >= 2, got 1\n"
+        assert calls == []
+        assert not csv_path.exists()
+
     @pytest.mark.parametrize("flag", ["--patterns", "--threads"])
     @pytest.mark.parametrize("value", ["", " , "])
     def test_empty_grid_exits_2(self, tmp_path, capsys, flag, value):
@@ -596,6 +621,27 @@ def test_cli_import_leaves_out_costly_modules():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_package_import_loads_no_submodule():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, clocktrace; print(sorted(m for m in sys.modules "
+         "if m.startswith('clocktrace.')))"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_readme_library_use_runs(capsys):
+    with open(os.path.join(os.path.dirname(SRC), "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    section = readme.split("## Library use", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "7871 17617 0\n"
 
 
 def test_selfcheck_command_passes(capsys):

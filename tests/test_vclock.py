@@ -10,7 +10,6 @@ from clocktrace.vclock import (
     Epoch,
     VectorClock,
     WorkCounter,
-    vt_join,
     vt_leq,
 )
 
@@ -19,11 +18,6 @@ def test_pinned_pointwise_order():
     assert vt_leq(SMALL, LARGE)
     assert not vt_leq(LARGE, SMALL)
     assert vt_leq(SMALL, SMALL)
-
-
-def test_pinned_join():
-    assert vt_join(OTHER, SMALL) == LARGE
-    assert vt_join(SMALL, OTHER) == LARGE
 
 
 def test_incomparable_pair():
