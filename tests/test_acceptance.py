@@ -3,9 +3,9 @@
 pinned in each test body; every comparison is exact unless a tolerance
 constant appears next to it.
 
-Criterion 4 appears twice: the bounds with their provable scope (the test
-that must pass), and the unscoped literal reading kept as a strict expected
-failure with a pinned counterexample — see the docstrings of the two tests.
+Criteria 3 and 4 each also have a strict expected failure, placed after
+criterion 4: the bound read beyond its provable scope (the weakest order),
+with a pinned counterexample — see the docstrings of those tests.
 """
 
 import time
@@ -123,6 +123,27 @@ def test_criterion_04_ceiling_read_literally_for_every_order():
     trace = parse_trace("\n".join(lines) + "\n")
     n, k = len(trace.events), trace.thread_count
     assert vtwork(trace, SHB) <= n * k
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the 3x tree-work bound is specific to the weakest order: under "
+    "shb each unordered write deep-copies a 32-node thread clock into the "
+    "last-write clock while changing few entries (impl_work 197,420 > "
+    "3 * vt_work 7,710, with 1999 races and 1999 deep copies)",
+)
+def test_criterion_03_tree_work_bound_read_for_shb():
+    """The 3x bound on tree work (impl_work <= 3 * vt_work) read for shb
+    fails: all 32 threads take and release one lock in turn, twice, so
+    every thread clock knows all 32 threads; then two threads alternate
+    1000 rounds of unsynchronized writes to one variable. This strict
+    expected failure keeps that counterexample pinned instead of widening
+    criterion 3's test beyond the weakest order."""
+    lines = [f"t{t} {op} l0" for _ in range(2) for t in range(32)
+             for op in ("acq", "rel")]
+    lines += ["t0 w x", "t1 w x"] * 1000
+    run = run_analysis(parse_trace("\n".join(lines) + "\n"), SHB, "tree")
+    assert run.impl_work <= 3 * run.vt_work
 
 
 def test_criterion_05_debug_runs_trigger_no_precondition_violations():

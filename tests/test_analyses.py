@@ -9,6 +9,7 @@ import pytest
 from conftest import engine_timestamps
 from oracles import oracle_forced_deep_copies, oracle_unordered_pairs
 
+from clocktrace import cli
 from clocktrace.analyses import (
     HB,
     MAZ,
@@ -18,9 +19,10 @@ from clocktrace.analyses import (
     race_event_indices,
     run_analysis,
 )
+from clocktrace.metrics import verify_bounds, vtwork
 from clocktrace.oracle import oracle_races, oracle_timestamps
-from clocktrace.trace import parse_trace
-from clocktrace.tracegen import random_trace
+from clocktrace.trace import parse_trace, serialize_trace
+from clocktrace.tracegen import GenSpec, generate, random_trace
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -224,6 +226,33 @@ def test_finished_engine_is_freed_without_the_cycle_collector(kind):
     try:
         del engine
         assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_analysis_pipeline_leaves_no_cyclic_garbage():
+    """The command line runs every command with the cyclic GC off. That is
+    safe only if the pipeline it drives builds no reference cycle: with
+    the collector off from a clean heap, a final collection finds
+    nothing to free."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for seed in range(20):
+            trace = parse_trace(serialize_trace(random_trace(
+                seed, events=300, threads=5, locks=3, variables=4)))
+            for po in ORDERS:
+                for kind in ("tree", "vector"):
+                    verify_bounds(run_analysis(trace, po, kind))
+                want = oracle_timestamps(trace, po)
+                assert cli._compare_timestamps(
+                    trace, po, ["tree", "vector"], want) == (False, False)
+                oracle_races(trace, po)
+                vtwork(trace, po)
+        run_analysis(generate(GenSpec("pairwise", 8, 2000, seed=3)), HB, "tree")
+        assert gc.collect() == 0
     finally:
         if enabled:
             gc.enable()

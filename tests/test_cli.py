@@ -3,6 +3,7 @@ through main() so exit codes and output can be asserted directly."""
 
 import contextlib
 import csv
+import gc
 import io
 import os
 import re
@@ -607,6 +608,58 @@ def test_timed_runs_median_matches_statistics(monkeypatch, repeat):
     run, ms = cli._timed_runs(None, HB, "tree", repeat)
     assert run.elapsed == elapsed[-1]
     assert ms == statistics.median(elapsed) * 1000.0
+
+
+@pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+def gc_state(request):
+    """Run the test with the cyclic GC on or off; put back the state the
+    test process had."""
+    before = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if before else gc.disable)()
+
+
+class TestGcState:
+    """main() runs each command with the cyclic GC off, and gives the
+    caller back the GC state it had, whatever the exit code."""
+
+    def test_timed_runs_have_gc_off(self, tmp_path, monkeypatch, capsys, gc_state):
+        trace = gen_trace(tmp_path, events=40)
+        seen = []
+
+        def recording(*a, **kw):
+            seen.append(gc.isenabled())
+            return run_analysis(*a, **kw)
+
+        monkeypatch.setattr(cli, "run_analysis", recording)
+        assert cli.main(["analyze", "--po", "hb", "--input", str(trace),
+                         "--repeat", "2"]) == 0
+        assert cli.main(["bench", "--patterns", "single_lock", "--threads", "3",
+                         "--events", "20", "--csv", str(tmp_path / "b.csv"),
+                         "--repeat", "1"]) == 0
+        capsys.readouterr()
+        assert seen == [False] * 6
+        assert gc.isenabled() is gc_state
+
+    def test_state_is_restored_on_every_exit_code(self, tmp_path, monkeypatch,
+                                                  capsys, gc_state):
+        trace = gen_trace(tmp_path, events=40)
+        assert gc.isenabled() is gc_state
+        misuse = tmp_path / "misuse.trace"
+        misuse.write_text("t0 acq l0\nt0 acq l0\n")
+        for argv in (["analyze", "--po", "hb", "--input", str(tmp_path / "absent")],
+                     ["analyze", "--po", "hb", "--input", str(misuse)]):
+            assert cli.main(argv) == 2
+            assert gc.isenabled() is gc_state
+
+        def boom(*a, **kw):
+            raise AssertionError("invariant broken")
+
+        monkeypatch.setattr(cli, "_timed_runs", boom)
+        assert cli.main(["analyze", "--po", "hb", "--input", str(trace)]) == 1
+        assert gc.isenabled() is gc_state
+        capsys.readouterr()
 
 
 def test_cli_import_leaves_out_costly_modules():
