@@ -26,11 +26,10 @@ name the earlier access first ("write-read" = earlier write, later read).
 """
 
 import time
-from dataclasses import dataclass
 from functools import partial
 from operator import ne
 
-from .trace import ACQ, REL, READ, WRITE, Trace
+from .trace import ACQ, REL, READ, WRITE, Record
 from .vclock import Epoch, VectorClock, WorkCounter
 from .treeclock import TreeClock
 
@@ -42,31 +41,53 @@ ORDERS = (HB, SHB, MAZ)
 CLOCK_KINDS = ("tree", "vector")
 
 
-@dataclass(frozen=True)
-class RaceReport:
-    kind: str  # "write-write" | "write-read" | "read-write"
-    var: int
-    earlier: Epoch
-    later: Epoch
-    index: int  # position of the later access in the trace
+class RaceReport(Record):
+    """One reported race: its kind ("write-write" | "write-read" |
+    "read-write"), the variable, the Epochs of the earlier and the later
+    access, and index, the later access's position in the trace.
+    Immutable and hashable."""
+
+    __slots__ = ("kind", "var", "earlier", "later", "index")
+
+    def __init__(self, kind, var, earlier, later, index):
+        init = object.__setattr__
+        init(self, "kind", kind)
+        init(self, "var", var)
+        init(self, "earlier", earlier)
+        init(self, "later", later)
+        init(self, "index", index)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash(self._fields())
 
 
-@dataclass
-class AnalysisRun:
-    po: str
-    clock_kind: str
-    events: int
-    threads: int
-    locks: int
-    vars: int
-    races: list
-    counter: WorkCounter
-    # shb writes unordered with the last write: each races it and forces a
-    # deep copy into the last-write clock (0 under hb and maz)
-    deep_copies: int
-    fresh_copies: int  # first write to a variable (empty target)
-    unordered_pairs: int | None
-    elapsed: float  # seconds spent processing events (parsing excluded)
+class AnalysisRun(Record):
+    __slots__ = ("po", "clock_kind", "events", "threads", "locks", "vars",
+                 "races", "counter", "deep_copies", "fresh_copies",
+                 "unordered_pairs", "elapsed")
+
+    def __init__(self, po, clock_kind, events, threads, locks, vars, races,
+                 counter, deep_copies, fresh_copies, unordered_pairs, elapsed):
+        self.po = po
+        self.clock_kind = clock_kind
+        self.events = events
+        self.threads = threads
+        self.locks = locks
+        self.vars = vars
+        self.races = races
+        self.counter = counter  # the run's WorkCounter
+        # shb writes unordered with the last write: each races it and forces a
+        # deep copy into the last-write clock (0 under hb and maz)
+        self.deep_copies = deep_copies
+        self.fresh_copies = fresh_copies  # first write to a variable (empty target)
+        self.unordered_pairs = unordered_pairs  # None when not counted
+        self.elapsed = elapsed  # seconds spent processing events (parsing excluded)
 
     @property
     def vt_work(self):

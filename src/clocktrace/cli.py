@@ -12,6 +12,7 @@ Four commands:
   brute-force oracle; races and vt_work are compared once the runs are
   done.
 - gen: write a synthetic trace from the deterministic generator.
+  GenSpec.validate is the one check of pattern and star-style names.
 - bench: run a (pattern x thread-count x clock) matrix, append all rows
   to a CSV, and print each cell's vector/tree wall-time and impl_work
   ratios.
@@ -29,6 +30,8 @@ builds no reference cycles, so a collection would only scan the clocks'
 lists and free nothing. Reported times therefore exclude collection
 pauses. Library calls (run_analysis, Engine, parse_trace) keep the
 caller's GC settings; main() restores them when the command returns.
+
+gen and bench import tracegen when they run, so analyze never loads it.
 """
 
 import argparse
@@ -40,7 +43,6 @@ from .analyses import CLOCK_KINDS, ORDERS, Engine, race_event_indices, run_analy
 from .metrics import verify_bounds
 from .oracle import ORACLE_MAX_EVENTS, oracle_races, oracle_timestamps
 from .trace import TraceParseError, parse_trace, serialize_trace
-from .tracegen import PATTERNS, STAR_STYLES, GenSpec, generate
 
 CSV_COLUMNS = (
     "trace", "po", "clock", "events", "threads", "locks", "vars", "time_ms",
@@ -88,16 +90,16 @@ def _build_parser():
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("gen", help="write a synthetic trace")
-    p.add_argument("--pattern", choices=PATTERNS, required=True)
+    p.add_argument("--pattern", required=True, help="generator pattern")
     p.add_argument("--threads", type=int, required=True)
     p.add_argument("--events", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="output file (default stdout)")
-    p.add_argument("--star-style", choices=STAR_STYLES, default="paired", help="star only")
+    p.add_argument("--star-style", default="paired", help="star interleaving (star only)")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("bench", help="run a generator/analysis matrix")
-    p.add_argument("--patterns", default=",".join(PATTERNS),
+    p.add_argument("--patterns",
                    help="comma-separated generator patterns (default: all)")
     p.add_argument("--threads", default="10,40,160",
                    help="comma-separated thread counts (default 10,40,160)")
@@ -105,7 +107,7 @@ def _build_parser():
                    help="events per trace (default 0 = 100 per thread)")
     p.add_argument("--po", choices=ORDERS, default="hb")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--star-style", choices=STAR_STYLES, default="paired")
+    p.add_argument("--star-style", default="paired", help="star interleaving (star only)")
     p.add_argument("--csv", default="bench.csv", help="output CSV (default bench.csv)")
     p.add_argument("--repeat", type=_positive_int, default=3, metavar="N")
     p.set_defaults(func=_cmd_bench)
@@ -251,6 +253,8 @@ def _cmd_analyze(args):
 
 
 def _cmd_gen(args):
+    from .tracegen import GenSpec, generate
+
     spec = GenSpec(
         pattern=args.pattern,
         threads=args.threads,
@@ -268,7 +272,12 @@ def _cmd_gen(args):
 
 
 def _cmd_bench(args):
-    patterns = [p.strip() for p in args.patterns.split(",") if p.strip()]
+    from .tracegen import PATTERNS, GenSpec, generate
+
+    if args.patterns is None:
+        patterns = PATTERNS
+    else:
+        patterns = [p.strip() for p in args.patterns.split(",") if p.strip()]
     if not patterns:
         print(f"error: no pattern in {args.patterns!r}", file=sys.stderr)
         return 2

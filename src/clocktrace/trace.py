@@ -18,9 +18,16 @@ file, and checks lock discipline in the same pass, so the first bad line
 in file order, malformed or misusing a lock, is the one reported.
 validate_trace checks lock discipline of a trace built in memory and
 reports its first misuse. Both apply one rule, _lock_misuse.
-"""
 
-from dataclasses import dataclass
+parse_trace builds one Event per distinct line text: a line that repeats
+an earlier one, byte for byte, comment included, gets the same Event
+object, so events are shared and never mutated. Its memo, dropped when
+parse_trace returns, holds one copy of each distinct line while parsing:
+in the worst case, a trace with no repeated line, the whole text once.
+The record classes (Event, Trace, Violation, and the run records of
+analyses) are plain __slots__ classes, not dataclasses, so that reading
+and analyzing a trace never imports dataclasses or its inspect.
+"""
 
 ACQ = "acq"
 REL = "rel"
@@ -41,31 +48,60 @@ class TraceParseError(ValueError):
         super().__init__(f"line {lineno}: {message}")
 
 
-@dataclass(slots=True)
-class Event:
-    tid: int
-    op: str
-    target: int  # lock id for acq/rel, variable id for r/w
+class Record:
+    """Base of the plain record classes: the fields are the class's
+    __slots__, in order. == compares them between two records of the same
+    class, and repr shows them, as a dataclass's do. A record is
+    unhashable unless its class defines __hash__."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _fields(self):
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self.__slots__, self._fields()))
+        return f"{self.__class__.__qualname__}({fields})"
 
 
-@dataclass
-class Trace:
-    events: list
-    thread_count: int
-    lock_count: int
-    var_count: int
+class Event(Record):
+    __slots__ = ("tid", "op", "target")
+
+    def __init__(self, tid, op, target):
+        self.tid = tid
+        self.op = op
+        self.target = target  # lock id for acq/rel, variable id for r/w
+
+
+class Trace(Record):
+    __slots__ = ("events", "thread_count", "lock_count", "var_count")
+
+    def __init__(self, events, thread_count, lock_count, var_count):
+        self.events = events
+        self.thread_count = thread_count
+        self.lock_count = lock_count
+        self.var_count = var_count
 
     def __len__(self):
         return len(self.events)
 
 
-@dataclass
-class Violation:
+class Violation(Record):
     """The first lock-discipline misuse validate_trace finds."""
 
-    index: int  # event index (0-based)
-    kind: str  # "reacquire" | "release-not-held" | "release-free"
-    message: str
+    __slots__ = ("index", "kind", "message")
+
+    def __init__(self, index, kind, message):
+        self.index = index  # event index (0-based)
+        self.kind = kind  # "reacquire" | "release-not-held" | "release-free"
+        self.message = message
 
 
 def parse_trace(source):
@@ -76,7 +112,8 @@ def parse_trace(source):
     lines are numbered as str.splitlines numbers them. Raises
     TraceParseError, naming the line, at the first line in the trace
     that is malformed or breaks lock discipline (see _lock_misuse): the
-    analyses assume well-formed lock use and would answer wrongly.
+    analyses assume well-formed lock use and would answer wrongly. Lines
+    with the same text share one Event (see the module docstring).
     """
     if isinstance(source, str):
         source = (source,)
@@ -87,6 +124,7 @@ def parse_trace(source):
     ops = {ACQ: (ACQ, locks), REL: (REL, locks),
            READ: (READ, variables), WRITE: (WRITE, variables)}
     holder = {}  # lock id -> id of the thread holding it
+    seen = {}  # line text -> the Event parsed from it
     events = []
     append = events.append
     lineno = 0
@@ -95,44 +133,49 @@ def parse_trace(source):
         # splits at \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029
         for raw in chunk.splitlines():
             lineno += 1
-            if "#" in raw:
-                raw = raw.split("#", 1)[0]
-            parts = raw.split()
-            if not parts:
-                continue
-            if len(parts) != 3:
-                if len(parts) == 2 and parts[1] in UNSUPPORTED_OPS:
-                    raise TraceParseError(lineno, f"unsupported operation {parts[1]!r}")
-                raise TraceParseError(
-                    lineno, f"expected 'tid op target', got {raw.strip()!r}"
-                )
-            tname, op, target = parts
-            # a name's syntax is checked only when it is first seen
-            tid = threads.get(tname)
-            if tid is None:
-                if not (tname.startswith("t") and tname.isascii()
-                        and tname[1:].isdigit()):
+            ev = seen.get(raw)
+            if ev is None:
+                line = raw.split("#", 1)[0] if "#" in raw else raw
+                parts = line.split()
+                if not parts:
+                    continue
+                if len(parts) != 3:
+                    if len(parts) == 2 and parts[1] in UNSUPPORTED_OPS:
+                        raise TraceParseError(
+                            lineno, f"unsupported operation {parts[1]!r}")
                     raise TraceParseError(
-                        lineno, f"bad thread name {tname!r} (want t<digits>)")
-                tid = threads[tname] = len(threads)
-            known = ops.get(op)
-            if known is None:
-                if op in UNSUPPORTED_OPS:
-                    raise TraceParseError(lineno, f"unsupported operation {op!r}")
-                raise TraceParseError(lineno, f"unknown operation {op!r}")
-            op, table = known
-            tgt = table.get(target)
-            if tgt is None:
-                if not target.isidentifier():
-                    raise TraceParseError(lineno, f"bad target name {target!r}")
-                tgt = table[target] = len(table)
-            if table is locks:
-                misuse = _lock_misuse(holder, tid, op, tgt)
+                        lineno, f"expected 'tid op target', got {line.strip()!r}")
+                tname, op, target = parts
+                # a name's syntax is checked only when it is first seen
+                tid = threads.get(tname)
+                if tid is None:
+                    if not (tname.startswith("t") and tname.isascii()
+                            and tname[1:].isdigit()):
+                        raise TraceParseError(
+                            lineno, f"bad thread name {tname!r} (want t<digits>)")
+                    tid = threads[tname] = len(threads)
+                known = ops.get(op)
+                if known is None:
+                    if op in UNSUPPORTED_OPS:
+                        raise TraceParseError(lineno, f"unsupported operation {op!r}")
+                    raise TraceParseError(lineno, f"unknown operation {op!r}")
+                op, table = known
+                tgt = table.get(target)
+                if tgt is None:
+                    if not target.isidentifier():
+                        raise TraceParseError(lineno, f"bad target name {target!r}")
+                    tgt = table[target] = len(table)
+                ev = seen[raw] = Event(tid, op, tgt)
+            # a repeated line is checked again: lock discipline depends on
+            # the events before it, not on the line alone
+            op = ev.op
+            if op == ACQ or op == REL:
+                misuse = _lock_misuse(holder, ev.tid, op, ev.target)
                 if misuse:
+                    line = raw.split("#", 1)[0].strip()
                     raise TraceParseError(
-                        lineno,
-                        f"lock discipline violated ({misuse[0]}): {raw.strip()!r}")
-            append(Event(tid, op, tgt))
+                        lineno, f"lock discipline violated ({misuse[0]}): {line!r}")
+            append(ev)
     return Trace(events, len(threads), len(locks), len(variables))
 
 

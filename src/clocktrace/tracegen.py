@@ -78,7 +78,7 @@ class GenSpec:
     threads: int
     events: int
     seed: int = 0
-    star_style: str = "paired"  # star only
+    star_style: str = "paired"  # checked for every pattern, used by star only
 
     def validate(self) -> None:
         if self.pattern not in PATTERNS:
@@ -89,7 +89,7 @@ class GenSpec:
             raise ValueError(f"events must be >= 2, got {self.events}")
         if not 0 <= self.seed <= _MASK64:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
-        if self.pattern == "star" and self.star_style not in STAR_STYLES:
+        if self.star_style not in STAR_STYLES:
             raise ValueError(f"unknown star_style {self.star_style!r}; expected one of {STAR_STYLES}")
 
 

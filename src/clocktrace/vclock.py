@@ -8,7 +8,7 @@ join and copy tallies into it, so a run can report how many entries its
 operations touched and changed.
 """
 
-from typing import NamedTuple
+from collections import namedtuple
 
 
 class ClockContractError(Exception):
@@ -16,11 +16,8 @@ class ClockContractError(Exception):
     source is ahead on the target's own root thread)."""
 
 
-class Epoch(NamedTuple):
-    """A single (thread, local clock) component, enough to identify one event."""
-
-    tid: int
-    clk: int
+Epoch = namedtuple("Epoch", ("tid", "clk"))
+Epoch.__doc__ = "A single (thread, local clock) component, enough to identify one event."
 
 
 # --- pure vector-time helpers -------------------------------------------

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clocktrace import cli
+from clocktrace import cli, tracegen
 from clocktrace.analyses import HB, MAZ, ORDERS, run_analysis
 from clocktrace.cli import CSV_COLUMNS
 from clocktrace.trace import Event, Trace, parse_trace, serialize_trace, validate_trace
@@ -87,6 +87,32 @@ class TestGen:
     def test_bad_spec_exits_2(self, tmp_path):
         assert cli.main(["gen", "--pattern", "single_lock", "--threads", "1",
                          "--events", "4"]) == 2
+
+    @pytest.mark.parametrize("argv, valid", [
+        (["gen", "--pattern", "nope"], tracegen.PATTERNS),
+        (["gen", "--pattern", "single_lock", "--star-style", "nope"],
+         tracegen.STAR_STYLES),
+        (["gen", "--pattern", "star", "--star-style", "nope"], tracegen.STAR_STYLES),
+        (["bench", "--patterns", "star,nope"], tracegen.PATTERNS),
+        (["bench", "--patterns", "single_lock", "--star-style", "nope"],
+         tracegen.STAR_STYLES),
+    ], ids=["gen-pattern", "gen-single_lock-style", "gen-star-style",
+            "bench-pattern", "bench-style"])
+    def test_unknown_name_exits_2_naming_the_valid_ones(self, tmp_path, capsys,
+                                                         monkeypatch, argv, valid):
+        # GenSpec.validate is the one check of pattern and star style names
+        drawn = []
+        monkeypatch.setattr(tracegen, "SplitMix64",
+                            lambda seed: drawn.append(seed))
+        out = tmp_path / "out"
+        argv = argv + ["--threads", "3", "--events", "20",
+                       "--out" if argv[0] == "gen" else "--csv", str(out)]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unknown ")
+        assert all(repr(name) in captured.err for name in valid)
+        assert drawn == [] and not out.exists()
 
 
 class TestAnalyze:
@@ -669,7 +695,8 @@ def test_cli_import_leaves_out_costly_modules():
     proc = subprocess.run(
         [sys.executable, "-S", "-c",
          "import sys, clocktrace.cli; print(sorted(m for m in "
-         "('statistics', 'csv', 'clocktrace.selfcheck') if m in sys.modules))"],
+         "('statistics', 'csv', 'clocktrace.selfcheck', 'clocktrace.tracegen', "
+         "'dataclasses', 'inspect', 'typing') if m in sys.modules))"],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr

@@ -97,6 +97,10 @@ def test_parse_errors_carry_line_numbers(bad, lineno):
         ("t0 acq l0\nt1 rel l0\n", 2, "release-not-held", "t1 rel l0"),
         ("t0 w x\nt0 rel l0\n", 2, "release-free", "t0 rel l0"),
         ("t0 acq l0\nt0 rel l0\nt0 rel l0\n", 3, "release-free", "t0 rel l0"),
+        # a repeated line shares its Event and is checked again
+        ("t0 acq l0\nt0 acq l0\n", 2, "reacquire", "t0 acq l0"),
+        ("t0 acq l0  # take\nt0 rel l0\nt0 acq l0  # take\nt0 acq l0  # take\n",
+         4, "reacquire", "t0 acq l0"),
     ],
 )
 def test_parse_rejects_lock_misuse_on_its_line(text, lineno, kind, line):
@@ -130,6 +134,10 @@ def parse_outcome(source):
         ("t0 w x\x0c\nt0 w x y\n", 3),
         ("t0 acq l\u2028t1 acq l\n", 2),
         ("t0 w x\n# c\n\nt0 rel l", 4),
+        # repeated lines, with and without a trailing comment
+        ("t0 acq l\nt0 w x\nt0 rel l\nt0 acq l\nt0 w x  # again\nt0 rel l\n"
+         "t0 w x  # again\nt1 r x\nt0 w x\n", None),
+        ("t0 acq l\nt0 rel l  # out\nt0 w x\nt0 w x\nt0 rel l  # out\n", 5),
         ("t0 acq l\x0ct0 w x\x85t0 w x\n\n", None),
     ],
 )
@@ -146,8 +154,10 @@ def test_file_stream_and_text_agree(tmp_path, text, lineno):
     assert from_file == from_stream == from_text
     if lineno is None:
         assert isinstance(from_text, Trace)
-        assert len(from_text) == sum(
-            bool(ln.split("#", 1)[0].strip()) for ln in text.splitlines())
+        lines = [ln for ln in text.splitlines() if ln.split("#", 1)[0].strip()]
+        assert len(from_text) == len(lines)
+        # one Event per distinct line text
+        assert len(set(map(id, from_text.events))) == len(set(lines))
     else:
         assert from_text[0] == lineno
 
