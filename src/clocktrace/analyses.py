@@ -26,6 +26,7 @@ name the earlier access first ("write-read" = earlier write, later read).
 """
 
 import time
+from collections import namedtuple
 from functools import partial
 from operator import ne
 
@@ -41,30 +42,10 @@ ORDERS = (HB, SHB, MAZ)
 CLOCK_KINDS = ("tree", "vector")
 
 
-class RaceReport(Record):
-    """One reported race: its kind ("write-write" | "write-read" |
-    "read-write"), the variable, the Epochs of the earlier and the later
-    access, and index, the later access's position in the trace.
-    Immutable and hashable."""
-
-    __slots__ = ("kind", "var", "earlier", "later", "index")
-
-    def __init__(self, kind, var, earlier, later, index):
-        init = object.__setattr__
-        init(self, "kind", kind)
-        init(self, "var", var)
-        init(self, "earlier", earlier)
-        init(self, "later", later)
-        init(self, "index", index)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __hash__(self):
-        return hash(self._fields())
+RaceReport = namedtuple("RaceReport", ("kind", "var", "earlier", "later", "index"))
+RaceReport.__doc__ = """One reported race: its kind ("write-write" | "write-read" |
+"read-write"), the variable, the Epochs of the earlier and the later
+access, and index, the later access's position in the trace."""
 
 
 class AnalysisRun(Record):
@@ -82,10 +63,11 @@ class AnalysisRun(Record):
         self.vars = vars
         self.races = races
         self.counter = counter  # the run's WorkCounter
-        # shb writes unordered with the last write: each races it and forces a
-        # deep copy into the last-write clock (0 under hb and maz)
+        # derived by Engine.record: the shb write-write races, each forcing a
+        # deep copy into a last-write clock (else 0), and the variables given
+        # a last-write clock by a fresh copy at their first write (0 under hb)
         self.deep_copies = deep_copies
-        self.fresh_copies = fresh_copies  # first write to a variable (empty target)
+        self.fresh_copies = fresh_copies
         self.unordered_pairs = unordered_pairs  # None when not counted
         self.elapsed = elapsed  # seconds spent processing events (parsing excluded)
 
@@ -124,8 +106,6 @@ class Engine:
         self.write_epochs = {}  # var -> Epoch of last write
         self.read_epochs = {}  # var -> {tid: clk since last write}, first-read order
         self.races = []
-        self.deep_copies = 0
-        self.fresh_copies = 0
         self.unordered_pairs = 0 if count_unordered else None
         self._access_log = {} if count_unordered else None
         self.index = 0
@@ -189,13 +169,10 @@ class Engine:
                             "read-write", x, Epoch(rt, rc), Epoch(t, C.clk[t]), i))
                         break
             if po != HB:
+                # unordered is never set under maz: C has just joined lw
+                deep = lw is None or unordered
                 if lw is None:
                     lw = self.write_clocks[x] = self._aux()
-                    self.fresh_copies += 1
-                    deep = True
-                elif unordered:  # never under maz: C has just joined lw
-                    self.deep_copies += 1
-                    deep = True
                 dst = lw
             self.write_epochs[x] = Epoch(t, C.clk[t])
             self.read_epochs[x] = {}
@@ -231,8 +208,9 @@ class Engine:
             vars=trace.var_count,
             races=self.races,
             counter=self.counter,
-            deep_copies=self.deep_copies,
-            fresh_copies=self.fresh_copies,
+            deep_copies=(sum(r.kind == "write-write" for r in self.races)
+                         if self.po == SHB else 0),
+            fresh_copies=len(self.write_clocks),
             unordered_pairs=self.unordered_pairs,
             elapsed=elapsed,
         )

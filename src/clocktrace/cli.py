@@ -127,10 +127,13 @@ def _positive_int(text):
 def _read_trace(path):
     """Parse a trace file, or stdin for "-", line by line as it is read
     (see parse_trace). Raises TraceParseError, naming the line, at the
-    first malformed line or lock-discipline violation."""
-    if path == "-":
+    first line that is not UTF-8 (file and stdin are decoded alike, see
+    clocktrace.trace), is malformed or breaks lock discipline."""
+    stdin = path == "-"
+    if stdin and not hasattr(sys.stdin, "buffer"):  # text only, e.g. io.StringIO
         return parse_trace(sys.stdin)
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(sys.stdin.fileno() if stdin else path, encoding="utf-8",
+              errors="surrogateescape", closefd=not stdin) as fh:
         return parse_trace(fh)
 
 

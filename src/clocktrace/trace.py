@@ -24,10 +24,18 @@ an earlier one, byte for byte, comment included, gets the same Event
 object, so events are shared and never mutated. Its memo, dropped when
 parse_trace returns, holds one copy of each distinct line while parsing:
 in the worst case, a trace with no repeated line, the whole text once.
-The record classes (Event, Trace, Violation, and the run records of
-analyses) are plain __slots__ classes, not dataclasses, so that reading
-and analyzing a trace never imports dataclasses or its inspect.
+Trace text is UTF-8. Readers decode it with errors="surrogateescape",
+and parse_trace names the first line, comment included, that holds the
+lone surrogate a byte that is not UTF-8 becomes.
+
+Value records (Violation, analyses.RaceReport, vclock.Epoch) are
+namedtuples. Event, Trace and analyses.AnalysisRun are __slots__ classes
+on one base, Record: Event fields read faster from slots, Trace has a
+length, AnalysisRun properties. None is a dataclass, so reading and
+analyzing a trace never imports dataclasses or its inspect.
 """
+
+from collections import namedtuple
 
 ACQ = "acq"
 REL = "rel"
@@ -52,22 +60,21 @@ class Record:
     """Base of the plain record classes: the fields are the class's
     __slots__, in order. == compares them between two records of the same
     class, and repr shows them, as a dataclass's do. A record is
-    unhashable unless its class defines __hash__."""
+    unhashable, as defining __eq__ makes it."""
 
     __slots__ = ()
-    __hash__ = None
 
-    def _fields(self):
+    def _values(self):
         return tuple(map(self.__getattribute__, self.__slots__))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._fields() == other._fields()
+        return self._values() == other._values()
 
     def __repr__(self):
         fields = ", ".join(f"{name}={value!r}" for name, value
-                           in zip(self.__slots__, self._fields()))
+                           in zip(self.__slots__, self._values()))
         return f"{self.__class__.__qualname__}({fields})"
 
 
@@ -93,15 +100,10 @@ class Trace(Record):
         return len(self.events)
 
 
-class Violation(Record):
-    """The first lock-discipline misuse validate_trace finds."""
-
-    __slots__ = ("index", "kind", "message")
-
-    def __init__(self, index, kind, message):
-        self.index = index  # event index (0-based)
-        self.kind = kind  # "reacquire" | "release-not-held" | "release-free"
-        self.message = message
+Violation = namedtuple("Violation", ("index", "kind", "message"))
+Violation.__doc__ = """The first lock-discipline misuse validate_trace finds: the
+event's index (0-based), its kind ("reacquire" | "release-not-held" |
+"release-free") and a message."""
 
 
 def parse_trace(source):
@@ -111,9 +113,9 @@ def parse_trace(source):
     open file or sys.stdin, which is read once, line by line. Either way
     lines are numbered as str.splitlines numbers them. Raises
     TraceParseError, naming the line, at the first line in the trace
-    that is malformed or breaks lock discipline (see _lock_misuse): the
-    analyses assume well-formed lock use and would answer wrongly. Lines
-    with the same text share one Event (see the module docstring).
+    that is not UTF-8, malformed or breaks lock discipline (_lock_misuse):
+    the analyses assume well-formed lock use and would answer wrongly.
+    Lines with the same text share one Event (see the module docstring).
     """
     if isinstance(source, str):
         source = (source,)
@@ -135,6 +137,8 @@ def parse_trace(source):
             lineno += 1
             ev = seen.get(raw)
             if ev is None:
+                if not raw.isascii():
+                    _check_decoded(raw, lineno)
                 line = raw.split("#", 1)[0] if "#" in raw else raw
                 parts = line.split()
                 if not parts:
@@ -177,6 +181,18 @@ def parse_trace(source):
                         lineno, f"lock discipline violated ({misuse[0]}): {line!r}")
             append(ev)
     return Trace(events, len(threads), len(locks), len(variables))
+
+
+def _check_decoded(raw, lineno):
+    """Raise TraceParseError if raw holds a lone surrogate: a byte that
+    was not UTF-8 when the line was decoded with surrogateescape."""
+    try:
+        raw.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        char = raw[exc.start]
+        what = (f"undecodable byte {ord(char) - 0xDC00:#04x}"
+                if "\udc80" <= char <= "\udcff" else f"lone surrogate {char!r}")
+        raise TraceParseError(lineno, f"{what} (traces are UTF-8)") from None
 
 
 def _lock_misuse(holder, tid, op, lock):

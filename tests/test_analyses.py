@@ -21,7 +21,7 @@ from clocktrace.analyses import (
 )
 from clocktrace.metrics import verify_bounds, vtwork
 from clocktrace.oracle import oracle_races, oracle_timestamps
-from clocktrace.trace import parse_trace, serialize_trace
+from clocktrace.trace import WRITE, Violation, parse_trace, serialize_trace
 from clocktrace.tracegen import GenSpec, generate, random_trace
 
 
@@ -97,6 +97,27 @@ class TestRaceReporting:
         trace = parse_trace("t0 r x\nt1 r x\nt2 r x\n")
         assert run_analysis(trace, HB, "tree").races == []
 
+    @pytest.mark.parametrize("make, text", [
+        (lambda: run_analysis(parse_trace("t0 w x\nt1 r x\n"), HB, "tree").races[0],
+         "RaceReport(kind='write-read', var=0, earlier=Epoch(tid=0, clk=1), "
+         "later=Epoch(tid=1, clk=1), index=1)"),
+        (lambda: Violation(1, "reacquire", "event 1: thread #1 acquires lock #0"),
+         "Violation(index=1, kind='reacquire', "
+         "message='event 1: thread #1 acquires lock #0')"),
+    ], ids=["RaceReport", "Violation"])
+    def test_reports_are_immutable_hashable_values(self, make, text):
+        report = make()
+        assert repr(report) == text
+        assert isinstance(report, tuple)
+        with pytest.raises(AttributeError):
+            report.index = 2
+        with pytest.raises(AttributeError):
+            del report.index
+        twin = make()  # built apart, so equal but not the same object
+        assert twin == report and twin is not report
+        assert hash(twin) == hash(report)
+        assert len({report, twin}) == 1
+
     def test_synchronized_accesses_do_not_race(self):
         trace = parse_trace(
             "t0 acq m\nt0 w x\nt0 rel m\nt1 acq m\nt1 w x\nt1 rel m\n"
@@ -126,9 +147,9 @@ def test_shb_deep_copies_match_brute_force(seed):
     expected = oracle_forced_deep_copies(trace)
     for kind in ("tree", "vector"):
         run = run_analysis(trace, SHB, kind)
+        # deep_copies is derived from the shb write-write races, so the
+        # brute-force count of forced copies is the independent check
         assert run.deep_copies == expected
-        # a write unordered with the last write races it and forces the copy
-        assert run.deep_copies == sum(r.kind == "write-write" for r in run.races)
     # the other orders never hit the non-monotone write path
     assert run_analysis(trace, HB, "tree").deep_copies == 0
     assert run_analysis(trace, MAZ, "tree").deep_copies == 0
@@ -145,10 +166,16 @@ def test_race_free_trace_has_no_deep_copies():
 
 
 def test_fresh_copies_count_first_writes():
-    trace = parse_trace("t0 w x\nt1 w x\nt0 w y\nt1 r x\n")
-    assert run_analysis(trace, SHB, "tree").fresh_copies == 2
-    assert run_analysis(trace, MAZ, "tree").fresh_copies == 2
-    assert run_analysis(trace, HB, "tree").fresh_copies == 0
+    # one fresh copy into a last-write clock per written variable
+    traces = [parse_trace("t0 w x\nt1 w x\nt0 w y\nt1 r x\n")]
+    traces += [random_trace(seed + 50, events=150, threads=4, locks=2, variables=4)
+               for seed in range(8)]
+    for trace in traces:
+        written = len({ev.target for ev in trace.events if ev.op == WRITE})
+        for kind in ("tree", "vector"):
+            assert run_analysis(trace, SHB, kind).fresh_copies == written
+            assert run_analysis(trace, MAZ, kind).fresh_copies == written
+            assert run_analysis(trace, HB, kind).fresh_copies == 0
 
 
 def test_unordered_pairs_can_be_skipped():

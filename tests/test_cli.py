@@ -250,6 +250,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "line 5: lock discipline violated (reacquire): 't3 acq m'" in err
 
+    @pytest.mark.parametrize("data, message", [
+        # 0xff in a comment on line 6001, past the first 8 KB read chunk
+        (b"t0 w x0\n" * 6000 + b"t1 w x0  # \xff\n" + b"t0 w x0\n" * 1000,
+         "error: line 6001: undecodable byte 0xff (traces are UTF-8)\n"),
+        # a malformed line before the bad byte is reported first
+        (b"t0 bogus\nt0 w x\nt1 w x\n# \xff\n",
+         "error: line 1: expected 'tid op target', got 't0 bogus'\n"),
+    ], ids=["past-first-chunk", "malformed-line-first"])
+    def test_undecodable_byte_is_named_by_line_from_file_and_stdin(
+            self, tmp_path, capsys, data, message):
+        bad = tmp_path / "bad.trace"
+        bad.write_bytes(data)
+        assert cli.main(["analyze", "--po", "hb", "--input", str(bad)]) == 2
+        assert capsys.readouterr().err == message
+        # stdin is decoded as the file is, whatever the interpreter's own
+        # stdin encoding
+        proc = subprocess.run(
+            [sys.executable, "-m", "clocktrace.cli", "analyze", "--po", "hb",
+             "--input", "-"], input=data, capture_output=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=SRC, PYTHONIOENCODING="latin-1"),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.decode() == message
+
     def test_gen_refuses_more_threads_than_one_draw_covers(self):
         # a subprocess with a timeout, so a generator that never returns
         # fails the test instead of hanging it

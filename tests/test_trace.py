@@ -111,6 +111,16 @@ def test_parse_rejects_lock_misuse_on_its_line(text, lineno, kind, line):
         f"line {lineno}: lock discipline violated ({kind}): {line!r}")
 
 
+def test_parse_names_the_line_of_an_undecodable_byte():
+    # a reader decodes with surrogateescape, which keeps a bad byte as a
+    # lone surrogate for parse_trace to find
+    text = b"t0 w x\n# caf\xe9\nt1 w x\n".decode("utf-8", "surrogateescape")
+    with pytest.raises(TraceParseError) as exc:
+        parse_trace(text)
+    assert str(exc.value) == "line 2: undecodable byte 0xe9 (traces are UTF-8)"
+    assert len(parse_trace("t0 w x  # café\n")) == 1
+
+
 def parse_outcome(source):
     try:
         return parse_trace(source)
