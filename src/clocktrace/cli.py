@@ -219,8 +219,10 @@ def _cmd_analyze(args):
 
     if args.races:
         for r in runs[0].races:
-            print(f"race {r.kind} var=x{r.var} earlier=t{r.earlier.tid}@{r.earlier.clk} "
-                  f"later=t{r.later.tid}@{r.later.clk} event={r.index}")
+            print(f"race {r.kind} var={trace.var_name(r.var)} "
+                  f"earlier={trace.thread_name(r.earlier.tid)}@{r.earlier.clk} "
+                  f"later={trace.thread_name(r.later.tid)}@{r.later.clk} "
+                  f"event={r.index}")
 
     if args.csv:
         _append_csv(args.csv, results)

@@ -118,6 +118,9 @@ VECTOR_SMALL = (11, 6, 5, 32, 14, 20)
 VECTOR_LARGE = (28, 6, 9, 45, 17, 26)
 VECTOR_OTHER = (28, 5, 9, 45, 17, 26)
 
+# Seeds of the random traces the sweep checks against the oracle.
+SWEEP_SEEDS = range(6)
+
 
 def check_walkthrough():
     fails = []
@@ -195,9 +198,9 @@ def check_vector_arithmetic():
     return fails
 
 
-def check_sweep(seeds=range(6)):
+def check_sweep():
     fails = []
-    for seed in seeds:
+    for seed in SWEEP_SEEDS:
         trace = random_trace(seed)
         for po in ORDERS:
             want_ts = oracle_timestamps(trace, po)

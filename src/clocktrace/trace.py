@@ -11,7 +11,8 @@ Thread names must look like ``t<digits>``, with ASCII digits. Targets
 may be ``l<digits>`` / ``x<digits>`` or any bare identifier; what
 namespace a target lives in is decided by the operation (acq/rel ->
 lock, r/w -> variable). Names are interned to dense integer ids in order
-of first occurrence.
+of first occurrence; the parsed Trace keeps the thread and variable
+names by id, so reports can name what the text named.
 
 parse_trace reads a trace in one pass, from text or line by line from a
 file, and checks lock discipline in the same pass, so the first bad line
@@ -88,16 +89,30 @@ class Event(Record):
 
 
 class Trace(Record):
-    __slots__ = ("events", "thread_count", "lock_count", "var_count")
+    __slots__ = ("events", "thread_count", "lock_count", "var_count",
+                 "thread_names", "var_names")
 
-    def __init__(self, events, thread_count, lock_count, var_count):
+    def __init__(self, events, thread_count, lock_count, var_count,
+                 thread_names=None, var_names=None):
         self.events = events
         self.thread_count = thread_count
         self.lock_count = lock_count
         self.var_count = var_count
+        # id -> name as the trace text spelled it (parse_trace keeps them);
+        # None for a trace built in memory, named as serialize_trace names it
+        self.thread_names = thread_names
+        self.var_names = var_names
 
     def __len__(self):
         return len(self.events)
+
+    def thread_name(self, tid):
+        names = self.thread_names
+        return f"t{tid}" if names is None else names[tid]
+
+    def var_name(self, var):
+        names = self.var_names
+        return f"x{var}" if names is None else names[var]
 
 
 Violation = namedtuple("Violation", ("index", "kind", "message"))
@@ -180,7 +195,8 @@ def parse_trace(source):
                     raise TraceParseError(
                         lineno, f"lock discipline violated ({misuse[0]}): {line!r}")
             append(ev)
-    return Trace(events, len(threads), len(locks), len(variables))
+    return Trace(events, len(threads), len(locks), len(variables),
+                 list(threads), list(variables))
 
 
 def _check_decoded(raw, lineno):

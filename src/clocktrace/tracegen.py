@@ -21,7 +21,8 @@ platforms and releases for a given spec:
   picks an ordered pair (i, j) uniformly and emits four events —
   i acq/rel then j acq/rel of the pair's lock.
 
-Event counts round down to whole rounds (2 or 4 events each). These
+Event counts round down to whole rounds (2 or 4 events each); a count
+below one round is refused, as it would give an empty trace. These
 patterns emit no read or write events; var_count is 0.
 
 random_trace draws small legal traces that mix lock events with reads
@@ -85,8 +86,11 @@ class GenSpec:
             raise ValueError(f"unknown pattern {self.pattern!r}; expected one of {PATTERNS}")
         if self.threads < 2:
             raise ValueError(f"threads must be >= 2, got {self.threads}")
-        if self.events < 2:
-            raise ValueError(f"events must be >= 2, got {self.events}")
+        shape = f"star {self.star_style}" if self.pattern == "star" else self.pattern
+        size = 4 if shape in ("star paired", "pairwise") else 2
+        if self.events < size:
+            raise ValueError(
+                f"events must be >= {size}, one {shape} round, got {self.events}")
         if not 0 <= self.seed <= _MASK64:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
         if self.star_style not in STAR_STYLES:

@@ -27,22 +27,26 @@ their children, and siblings linked oldest first end up newest first, as
 in the source, ahead of the children self kept.
 
 Nodes live in dense arrays indexed by thread id, so thread-id lookup is
-O(1). A structural copy from a dense clock copies one list, clk, and
-shares the five link arrays: the copy and its source read the same link
-arrays until either side relinks, and _move, the only code that relinks
-in place, first takes private copies (copy on write). clk is always
-copied: in an analysis the source of a deep copy is the acting thread's
-clock, whose next increment rewrites it. A clock takes one of two
-storage forms:
+O(1). The tree's shape is one link set, the tuple links = (aclk, parent,
+head, nxt, prv) of length-k lists: head[u] is u's first (most recently
+attached) child, nxt[u] and prv[u] its next younger and previous sibling.
+NIL (-1) is the one sentinel: an empty link, and the root's aclk, which
+is never compared (dump shows the root's as ⊥). A structural copy from a
+dense clock copies one list, clk, and shares the link set: the copy and
+its source read the same links until either side relinks, and _move, the
+only code that relinks in place, first copies the set (copy on write).
+clk is always copied: in an analysis the source of a deep copy is the
+acting thread's clock, whose next increment rewrites it. A clock takes
+one of two storage forms:
 
 - sparse: clk is an Entries mapping holding the root's entry alone, or
-  nothing on an empty clock, and the five link arrays (aclk, parent,
-  head, nxt, prv) are None. An empty clock (aux) and a root-only clock
-  (a fresh owned clock, or a copy of one) take this form, and on a
-  hub/star trace almost every clock stays in it, at O(1) memory. The
-  first mutation of an empty clock is always a deep copy.
-- dense: clk and the five link arrays are length-k lists. _move turns
-  a sparse clock dense when it first links a second node; a deep copy
+  nothing on an empty clock, and links is None. An empty clock (aux)
+  and a root-only clock (a fresh owned clock, or a copy of one) take
+  this form, and on a hub/star trace almost every clock stays in it, at
+  O(1) memory. The first mutation of an empty clock is always a deep
+  copy.
+- dense: clk is a length-k list and links a link set. _move turns a
+  sparse clock dense when it first links a second node; a deep copy
   from a sparse source turns a dense clock sparse again.
 
 Nodes are only ever added: a thread joins the tree when a join or copy
@@ -53,16 +57,16 @@ array. These invariants follow and check_integrity checks them:
   an entry is read as clk[t] with no membership test (Entries answers
   0 for a missing key); whole-clock reads (flatten, the deep-copy
   diff) branch on the form;
-- clk is an Entries mapping iff the link arrays are None, and then it
-  holds exactly the root's key, or no key on an empty clock;
+- clk is an Entries mapping iff links is None, and then it holds
+  exactly the root's key, or no key on an empty clock;
 - a thread is in the tree iff it is the root or parent[t] != NIL, and a
   thread outside it has no children (head[t] == NIL);
 - nodes counts the threads in the tree, and is at most 1 in the sparse
   form.
 
 One more invariant spans clocks, so check_integrity cannot see it: every
-clock that holds a link array another clock also holds has shared set,
-and no two clocks hold the same clk. shared may stay set after the other
+clock that holds a link set another clock also holds has shared set, and
+no two clocks hold the same clk. shared may stay set after the other
 holder has taken its own copies; that costs at most one needless copy.
 
 All traversals are iterative.
@@ -72,8 +76,7 @@ from operator import ne
 
 from .vclock import ClockContractError, vt_leq
 
-NIL = -1  # empty link
-BOT = -1  # "no attachment time" marker for the root; never compared, only shown
+NIL = -1  # empty link; also the root's aclk, which is never compared
 
 
 class Entries(dict):
@@ -86,18 +89,15 @@ class Entries(dict):
 
 
 class TreeClock:
-    __slots__ = (
-        "k", "clk", "aclk", "parent", "head", "nxt", "prv", "nodes",
-        "root", "counter", "shared",
-    )
+    __slots__ = ("k", "clk", "links", "nodes", "root", "counter", "shared")
 
     def __init__(self, size, counter, owner=NIL):
         self.k = size
         self.root = owner
         self.counter = counter
         # sparse until a second node is linked (see _move)
-        self.aclk = self.parent = self.head = self.nxt = self.prv = None
-        self.shared = False  # link arrays held by another clock too
+        self.links = None
+        self.shared = False  # links held by another clock too
         self.clk = Entries()
         if owner == NIL:  # empty: the first mutation is a deep copy
             self.nodes = 0
@@ -196,7 +196,7 @@ class TreeClock:
         if c.debug and not vt_leq(self._dense(), src._dense()):
             raise ClockContractError(
                 "single-entry monotonicity test missed a non-monotone target")
-        if self.head is None and src.head is None and src.root == r:
+        if self.links is None and src.links is None and src.root == r:
             # both hold r alone: one entry, counted as _move counts it
             c.impl_work += 2  # examined + rebuilt
             if mine != theirs:
@@ -219,28 +219,21 @@ class TreeClock:
         superseded, and self's old root is always gathered, even with its
         time unchanged, so the rebuild can reseat it). A root-only target
         turns dense here; a root-only source gathers only z."""
-        if self.head is None:
-            k = self.k
+        links = self.links
+        if links is None:
             self.clk = self._dense()
-            self.aclk = [BOT] * k
-            self.parent = [NIL] * k
-            self.head = [NIL] * k  # first (most recently attached) child
-            self.nxt = [NIL] * k   # next younger sibling
-            self.prv = [NIL] * k   # previous (more recently attached) sibling
+            self.links = links = tuple([NIL] * self.k for _ in range(5))
         elif self.shared:  # copy on write: the first relink takes copies
-            self.aclk, self.parent, self.head, self.nxt, self.prv = (
-                self.aclk[:], self.parent[:], self.head[:], self.nxt[:],
-                self.prv[:])
+            self.links = links = tuple(a[:] for a in links)
             self.shared = False
-        clk, aclk, parent, head, nxt, prv = (
-            self.clk, self.aclk, self.parent, self.head, self.nxt, self.prv)
-        sclk, saclk, sparent, shead, snxt = (
-            src.clk, src.aclk, src.parent, src.head, src.nxt)
+        aclk, parent, head, nxt, prv = links
+        clk, sclk, slinks = self.clk, src.clk, src.links
         root, z = self.root, src.root
         visited = 1
-        if shead is None:
+        if slinks is None:
             moved = [z]
         else:
+            saclk, sparent, shead, snxt, _ = slinks
             keep = root if copy_mode else NIL  # gathered even when not ahead
             guard = NIL if copy_mode else root  # must never be ahead in a join
             moved = []
@@ -283,7 +276,7 @@ class TreeClock:
                 changed += 1
             if u == z:  # the first node moved
                 if copy_mode:
-                    aclk[u] = BOT
+                    aclk[u] = NIL
                     parent[u] = prv[u] = nxt[u] = NIL
                     continue
                 p = root
@@ -309,11 +302,11 @@ class TreeClock:
 
     def _become_copy_of(self, src):
         """Full structural copy (the deep path). From a dense source this
-        copies clk and takes the five link arrays by reference, marking
-        both clocks shared so whichever relinks first copies them (see
-        _move); from a sparse source it is an O(1) copy of the one entry.
-        Work is everything discarded plus everything built, as if every
-        array were copied."""
+        copies clk and takes the link set by reference, marking both
+        clocks shared so whichever relinks first copies it (see _move);
+        from a sparse source it is an O(1) copy of the one entry. Work is
+        everything discarded plus everything built, as if every array
+        were copied."""
         c = self.counter
         c.impl_work += 2 * src.nodes + self.nodes
         old, new = self.clk, src.clk
@@ -330,14 +323,12 @@ class TreeClock:
             for t, v in few.items():
                 changed += (many[t] != v) - (many[t] != 0)
             c.vt_work += changed
-        if src.head is None:
+        self.links = src.links
+        if src.links is None:
             self.clk = Entries(new)
-            self.aclk = self.parent = self.head = self.nxt = self.prv = None
             self.shared = False
         else:
             self.clk = new[:]
-            self.aclk, self.parent, self.head, self.nxt, self.prv = (
-                src.aclk, src.parent, src.head, src.nxt, src.prv)
             self.shared = src.shared = True
         self.nodes = src.nodes
         self.root = src.root
@@ -350,19 +341,20 @@ class TreeClock:
         """Tree as indented text, one node per line, children in list order."""
         if self.root == NIL:
             return "(empty)\n"
-        if self.head is None:
+        if self.links is None:
             return f"tid={self.root} clk={self.clk[self.root]} aclk=⊥\n"
+        aclk, _, head, nxt, _ = self.links
         lines = []
         stack = [(self.root, 0)]
         while stack:
             u, depth = stack.pop()
-            a = "⊥" if u == self.root else str(self.aclk[u])
+            a = "⊥" if u == self.root else str(aclk[u])
             lines.append(f"{'  ' * depth}tid={u} clk={self.clk[u]} aclk={a}")
             kids = []
-            v = self.head[u]
+            v = head[u]
             while v != NIL:
                 kids.append(v)
-                v = self.nxt[v]
+                v = nxt[v]
             for v in reversed(kids):
                 stack.append((v, depth + 1))
         return "\n".join(lines) + "\n"
@@ -372,18 +364,17 @@ class TreeClock:
         The checks are explicit raises, so they hold under python -O.
 
         Checked: the clock is sparse (clk an Entries mapping) exactly when
-        its five link arrays are all None, and then stores the root's key
-        alone (no key when empty) and counts that one node; otherwise
-        parent/sibling links are mutually consistent, sibling aclk values
-        never increase front to back, every non-root node's aclk is at
-        most its parent's clk, the node count equals the number of nodes
-        reachable from the root, and every thread outside the tree has
-        clk 0, no parent and no children.
+        links is None, and then stores the root's key alone (no key when
+        empty) and counts that one node; otherwise parent/sibling links
+        are mutually consistent, sibling aclk values never increase front
+        to back, every non-root node's aclk is at most its parent's clk,
+        the node count equals the number of nodes reachable from the root,
+        and every thread outside the tree has clk 0, no parent and no
+        children.
         """
-        clk, root = self.clk, self.root
-        links = (self.aclk, self.parent, self.head, self.nxt, self.prv)
+        clk, root, links = self.clk, self.root, self.links
         if type(clk) is Entries:
-            if links != (None,) * 5:
+            if links is not None:
                 raise AssertionError("sparse clock holds link arrays")
             keys = [] if root == NIL else [root]
             if list(clk) != keys:
@@ -399,7 +390,7 @@ class TreeClock:
             return
         if type(clk) is not list or len(clk) != self.k:
             raise AssertionError(f"dense clk is not a {self.k}-list")
-        if None in links:
+        if links is None:
             raise AssertionError("dense clock lacks link arrays")
         if root == NIL:
             raise AssertionError("empty clock is dense")

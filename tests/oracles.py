@@ -25,8 +25,9 @@ def pruning_violations(a, b):
     descendant of u is also known to b. Indirect: if b knows u's thread at
     least to child v's attachment time, then v's whole subtree is known.
     """
-    if a.head is None:  # empty or root-only: no edges, nothing to prune
+    if a.links is None:  # empty or root-only: no edges, nothing to prune
         return []
+    aclk, _, head, nxt, _ = a.links
     out = []
     # bottom-up flag: does the subtree under u contain something b misses?
     order = []
@@ -34,33 +35,33 @@ def pruning_violations(a, b):
     while stack:
         u = stack.pop()
         order.append(u)
-        v = a.head[u]
+        v = head[u]
         while v != NIL:
             stack.append(v)
-            v = a.nxt[v]
+            v = nxt[v]
     stale = [False] * a.k  # "subtree of u holds a node b does not know"
     for u in reversed(order):
         miss = a.clk[u] > b.clk[u]
-        v = a.head[u]
+        v = head[u]
         while not miss and v != NIL:
             miss = stale[v]
-            v = a.nxt[v]
+            v = nxt[v]
         stale[u] = miss
     for u in order:
         known = a.clk[u] <= b.clk[u]
-        v = a.head[u]
+        v = head[u]
         while v != NIL:
             if known and stale[v]:
                 out.append(
                     f"direct: node {u} is known to the other clock but its "
                     f"descendant subtree under {v} is not"
                 )
-            if a.aclk[v] <= b.clk[u] and (stale[v] or a.clk[v] > b.clk[v]):
+            if aclk[v] <= b.clk[u] and (stale[v] or a.clk[v] > b.clk[v]):
                 out.append(
                     f"indirect: child {v} of {u} attached within the other "
                     f"clock's knowledge yet its subtree is not covered"
                 )
-            v = a.nxt[v]
+            v = nxt[v]
     return out
 
 

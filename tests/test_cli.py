@@ -88,6 +88,21 @@ class TestGen:
         assert cli.main(["gen", "--pattern", "single_lock", "--threads", "1",
                          "--events", "4"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--pattern", "pairwise", "--threads", "3", "--events", "3"],
+        ["gen", "--pattern", "star", "--threads", "3", "--events", "2"],
+        ["bench", "--patterns", "star", "--threads", "3", "--events", "3"],
+    ], ids=["gen-pairwise", "gen-star", "bench-star"])
+    def test_fewer_events_than_one_round_exit_2(self, tmp_path, capsys, argv):
+        # one round of star paired or pairwise is 4 events; fewer would
+        # write an empty trace
+        out = tmp_path / "out"
+        assert cli.main(argv + ["--out" if argv[0] == "gen" else "--csv",
+                                str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("error: events must be >= 4, one ")
+
     @pytest.mark.parametrize("argv, valid", [
         (["gen", "--pattern", "nope"], tracegen.PATTERNS),
         (["gen", "--pattern", "single_lock", "--star-style", "nope"],
@@ -173,8 +188,24 @@ class TestAnalyze:
         out = capsys.readouterr().out
         race_lines = [l for l in out.splitlines() if l.startswith("race ")]
         assert len(race_lines) == 2
-        assert race_lines[0] == "race write-read var=x0 earlier=t0@1 later=t1@1 event=1"
-        assert race_lines[1] == "race write-write var=x0 earlier=t0@1 later=t1@2 event=2"
+        assert race_lines[0] == "race write-read var=x earlier=t0@1 later=t1@1 event=1"
+        assert race_lines[1] == "race write-write var=x earlier=t0@1 later=t1@2 event=2"
+
+    def test_races_name_threads_and_variables_as_the_trace_does(
+            self, tmp_path, capsys):
+        # ids follow first appearance (t5 is thread 0, bar variable 0), so
+        # printing them would name other entities; event= skips the blank
+        # line and counts events from 0
+        trace = tmp_path / "named.trace"
+        trace.write_text("t5 w bar\nt7 w foo\nt5 r foo  # read\n\nt7 r bar\n")
+        rc = cli.main(["analyze", "--po", "hb", "--input", str(trace),
+                       "--races", "--repeat", "1"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert [l for l in out.splitlines() if l.startswith("race ")] == [
+            "race write-read var=foo earlier=t7@1 later=t5@2 event=2",
+            "race write-read var=bar earlier=t5@1 later=t7@2 event=3",
+        ]
 
     def test_oracle_mode_confirms_agreement(self, tmp_path, capsys):
         trace = gen_trace(tmp_path, events=120)
@@ -517,50 +548,50 @@ PINNED_SUMMARY = {
     "hb": """\
 po=hb clock=tree events=40 threads=3 locks=2 vars=2 races=27 pairs_unordered=193 vt_work=41 impl_work=42 deep_copies=0 time_ms=*
 po=hb clock=vector events=40 threads=3 locks=2 vars=2 races=27 pairs_unordered=193 vt_work=41 impl_work=43 deep_copies=0 time_ms=*
-race write-write var=x0 earlier=t0@2 later=t1@1 event=2
-race write-read var=x0 earlier=t1@1 later=t2@1 event=5
-race write-read var=x0 earlier=t1@1 later=t0@4 event=6
-race read-write var=x0 earlier=t2@1 later=t1@3 event=7
-race write-read var=x0 earlier=t1@3 later=t0@5 event=8
-race write-read var=x0 earlier=t1@3 later=t0@6 event=9
-race read-write var=x1 earlier=t2@2 later=t1@4 event=11
-race write-write var=x0 earlier=t1@3 later=t2@3 event=14
-race write-read var=x1 earlier=t1@6 later=t2@5 event=16
-race write-write var=x1 earlier=t1@6 later=t0@7 event=17
-race write-write var=x0 earlier=t2@3 later=t1@7 event=19
-race write-read var=x0 earlier=t1@7 later=t2@7 event=20
-race write-read var=x1 earlier=t0@7 later=t1@8 event=21
-race write-read var=x0 earlier=t1@7 later=t2@8 event=22
-race write-write var=x0 earlier=t1@7 later=t0@8 event=23
-race write-read var=x0 earlier=t0@8 later=t1@9 event=24
-race write-write var=x0 earlier=t0@8 later=t1@10 event=25
-race write-write var=x0 earlier=t1@11 later=t2@9 event=27
-race write-read var=x1 earlier=t0@7 later=t2@10 event=29
-race write-write var=x0 earlier=t2@9 later=t0@10 event=30
-race write-write var=x0 earlier=t0@10 later=t2@11 event=31
-race read-write var=x1 earlier=t1@8 later=t0@11 event=32
-race write-read var=x1 earlier=t0@11 later=t2@12 event=33
-race write-read var=x1 earlier=t0@11 later=t2@13 event=34
-race write-read var=x0 earlier=t2@11 later=t0@12 event=35
-race write-write var=x0 earlier=t2@11 later=t1@12 event=36
-race read-write var=x1 earlier=t2@13 later=t0@13 event=37
+race write-write var=x1 earlier=t0@2 later=t1@1 event=2
+race write-read var=x1 earlier=t1@1 later=t2@1 event=5
+race write-read var=x1 earlier=t1@1 later=t0@4 event=6
+race read-write var=x1 earlier=t2@1 later=t1@3 event=7
+race write-read var=x1 earlier=t1@3 later=t0@5 event=8
+race write-read var=x1 earlier=t1@3 later=t0@6 event=9
+race read-write var=x0 earlier=t2@2 later=t1@4 event=11
+race write-write var=x1 earlier=t1@3 later=t2@3 event=14
+race write-read var=x0 earlier=t1@6 later=t2@5 event=16
+race write-write var=x0 earlier=t1@6 later=t0@7 event=17
+race write-write var=x1 earlier=t2@3 later=t1@7 event=19
+race write-read var=x1 earlier=t1@7 later=t2@7 event=20
+race write-read var=x0 earlier=t0@7 later=t1@8 event=21
+race write-read var=x1 earlier=t1@7 later=t2@8 event=22
+race write-write var=x1 earlier=t1@7 later=t0@8 event=23
+race write-read var=x1 earlier=t0@8 later=t1@9 event=24
+race write-write var=x1 earlier=t0@8 later=t1@10 event=25
+race write-write var=x1 earlier=t1@11 later=t2@9 event=27
+race write-read var=x0 earlier=t0@7 later=t2@10 event=29
+race write-write var=x1 earlier=t2@9 later=t0@10 event=30
+race write-write var=x1 earlier=t0@10 later=t2@11 event=31
+race read-write var=x0 earlier=t1@8 later=t0@11 event=32
+race write-read var=x0 earlier=t0@11 later=t2@12 event=33
+race write-read var=x0 earlier=t0@11 later=t2@13 event=34
+race write-read var=x1 earlier=t2@11 later=t0@12 event=35
+race write-write var=x1 earlier=t2@11 later=t1@12 event=36
+race read-write var=x0 earlier=t2@13 later=t0@13 event=37
 """,
     "shb": """\
 po=shb clock=tree events=40 threads=3 locks=2 vars=2 races=13 pairs_unordered=110 vt_work=86 impl_work=154 deep_copies=9 time_ms=*
 po=shb clock=vector events=40 threads=3 locks=2 vars=2 races=13 pairs_unordered=110 vt_work=86 impl_work=148 deep_copies=9 time_ms=*
-race write-write var=x0 earlier=t0@2 later=t1@1 event=2
-race read-write var=x0 earlier=t2@1 later=t1@3 event=7
-race read-write var=x1 earlier=t2@2 later=t1@4 event=11
-race write-write var=x0 earlier=t1@3 later=t2@3 event=14
-race write-write var=x1 earlier=t1@6 later=t0@7 event=17
-race write-write var=x0 earlier=t2@3 later=t1@7 event=19
-race write-write var=x0 earlier=t1@7 later=t0@8 event=23
-race write-write var=x0 earlier=t1@11 later=t2@9 event=27
-race write-write var=x0 earlier=t2@9 later=t0@10 event=30
-race write-write var=x0 earlier=t0@10 later=t2@11 event=31
-race read-write var=x1 earlier=t1@8 later=t0@11 event=32
-race write-write var=x0 earlier=t2@11 later=t1@12 event=36
-race read-write var=x1 earlier=t2@13 later=t0@13 event=37
+race write-write var=x1 earlier=t0@2 later=t1@1 event=2
+race read-write var=x1 earlier=t2@1 later=t1@3 event=7
+race read-write var=x0 earlier=t2@2 later=t1@4 event=11
+race write-write var=x1 earlier=t1@3 later=t2@3 event=14
+race write-write var=x0 earlier=t1@6 later=t0@7 event=17
+race write-write var=x1 earlier=t2@3 later=t1@7 event=19
+race write-write var=x1 earlier=t1@7 later=t0@8 event=23
+race write-write var=x1 earlier=t1@11 later=t2@9 event=27
+race write-write var=x1 earlier=t2@9 later=t0@10 event=30
+race write-write var=x1 earlier=t0@10 later=t2@11 event=31
+race read-write var=x0 earlier=t1@8 later=t0@11 event=32
+race write-write var=x1 earlier=t2@11 later=t1@12 event=36
+race read-write var=x0 earlier=t2@13 later=t0@13 event=37
 """,
     "maz": """\
 po=maz clock=tree events=40 threads=3 locks=2 vars=2 races=0 pairs_unordered=0 vt_work=152 impl_work=360 deep_copies=0 time_ms=*

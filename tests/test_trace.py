@@ -48,6 +48,15 @@ def test_interning_order_is_first_occurrence():
     assert tr.events[2].target == 1
 
 
+def test_parsed_trace_keeps_thread_and_variable_names():
+    tr = parse_trace("t9 w x5\nt2 acq m\nt2 w x5\nt2 rel m\nt9 r x1\n")
+    assert (tr.thread_names, tr.var_names) == (["t9", "t2"], ["x5", "x1"])
+    assert (tr.thread_name(0), tr.var_name(1)) == ("t9", "x1")
+    built = Trace(tr.events, 2, 1, 2)  # in memory: named as serialized
+    assert (built.thread_names, built.var_names) == (None, None)
+    assert (built.thread_name(0), built.var_name(1)) == ("t0", "x1")
+
+
 def test_lock_and_variable_namespaces_are_separate():
     tr = parse_trace("t0 acq m\nt0 w m\nt0 rel m\n")
     assert tr.lock_count == 1

@@ -174,9 +174,12 @@ class TestSpecValidation:
             {"pattern": "single_lock", "seed": -1},
             {"pattern": "single_lock", "seed": 2**64},
             {"pattern": "star", "star_style": "mesh"},
+            {"pattern": "pairwise", "events": 3},
+            {"pattern": "star", "events": 2},
+            {"pattern": "star", "events": 3, "star_style": "paired"},
         ],
         # Ids are pinned so deleting a case does not rename the ones after it.
-        ids=["kw0", "kw1", "kw2", "kw3", "kw4", "kw9"],
+        ids=["kw0", "kw1", "kw2", "kw3", "kw4", "kw9", "kw10", "kw11", "kw12"],
     )
     def test_bad_specs_are_rejected(self, kw):
         kw.setdefault("threads", 4)
@@ -184,6 +187,18 @@ class TestSpecValidation:
         kw.setdefault("seed", 1)
         with pytest.raises(ValueError):
             generate(GenSpec(**kw))
+
+    @pytest.mark.parametrize("pattern,style,size", [
+        ("single_lock", "paired", 2), ("skewed_locks", "paired", 2),
+        ("star", "relay", 2), ("star", "paired", 4), ("pairwise", "relay", 4),
+    ])
+    def test_one_round_is_the_fewest_events(self, pattern, style, size):
+        # fewer events than one round would give an empty trace
+        spec = GenSpec(pattern, 3, size, seed=1, star_style=style)
+        assert len(generate(spec).events) == size
+        with pytest.raises(ValueError, match=f"events must be >= {size}, "
+                                             f"one {pattern}.* round, got {size - 1}"):
+            generate(GenSpec(pattern, 3, size - 1, seed=1, star_style=style))
 
     def test_star_styles_are_enumerated(self):
         assert set(STAR_STYLES) == {"paired", "relay"}

@@ -20,7 +20,7 @@ from clocktrace import analyses
 from clocktrace.analyses import HB, MAZ, SHB, run_analysis
 from clocktrace.trace import ACQ
 from clocktrace.tracegen import GenSpec, SplitMix64, generate, random_trace
-from clocktrace.treeclock import BOT, NIL, Entries, TreeClock
+from clocktrace.treeclock import NIL, Entries, TreeClock
 from clocktrace.vclock import ClockContractError, VectorClock, WorkCounter, vt_leq
 from oracles import pruning_violations
 
@@ -32,21 +32,21 @@ def build(k, spec):
     children given in display (most recently attached first) order."""
     tc = TreeClock.owned(spec[0], k, WorkCounter())
     tc.clk = [0] * k
-    tc.aclk = [BOT] * k
-    tc.parent, tc.head, tc.nxt, tc.prv = ([NIL] * k for _ in range(4))
+    tc.links = tuple([NIL] * k for _ in range(5))
+    aclks, parent, head, nxt, prv = tc.links
 
     def place(node):
         """Set the node's fields and link its subtree; returns its size."""
         tid, clk, aclk, kids = node
         tc.clk[tid] = clk
-        tc.aclk[tid] = aclk
-        tc.head[tid] = kids[0][0] if kids else NIL
+        aclks[tid] = aclk
+        head[tid] = kids[0][0] if kids else NIL
         size = 1
         for i, kid in enumerate(kids):
             size += place(kid)
-            tc.parent[kid[0]] = tid
-            tc.prv[kid[0]] = kids[i - 1][0] if i else NIL
-            tc.nxt[kid[0]] = kids[i + 1][0] if i + 1 < len(kids) else NIL
+            parent[kid[0]] = tid
+            prv[kid[0]] = kids[i - 1][0] if i else NIL
+            nxt[kid[0]] = kids[i + 1][0] if i + 1 < len(kids) else NIL
         return size
 
     tc.nodes = place(spec)
@@ -56,8 +56,8 @@ def build(k, spec):
 # Two four-thread trees with the same root but different histories: in the
 # first, thread 3 learned of threads 2 and 1 separately; in the second it
 # learned everything through thread 2.
-TREE_A = (3, 2, BOT, [(2, 2, 2, []), (1, 2, 1, [(0, 1, 1, [])])])
-TREE_B = (3, 2, BOT, [(2, 3, 2, [(1, 1, 2, []), (0, 1, 1, [])])])
+TREE_A = (3, 2, NIL, [(2, 2, 2, []), (1, 2, 1, [(0, 1, 1, [])])])
+TREE_B = (3, 2, NIL, [(2, 3, 2, [(1, 1, 2, []), (0, 1, 1, [])])])
 
 TREE_A_FLAT = (1, 2, 2, 2)
 TREE_B_FLAT = (1, 1, 3, 2)
@@ -146,7 +146,7 @@ class TestBasics:
     def test_empty_aux_holds_no_link_arrays(self):
         l = TreeClock.aux(4, WorkCounter())
         assert l.nodes == 0
-        assert (l.aclk, l.parent, l.head, l.nxt, l.prv) == (None,) * 5
+        assert l.links is None
         assert [l.clk[t] for t in range(4)] == [0, 0, 0, 0]
         assert repr(l) == "TreeClock(root=-1, [0, 0, 0, 0])"
 
@@ -212,7 +212,7 @@ class TestInvariants:
             for clock in clocks:
                 present = set(walk_nodes(clock))
                 assert clock.nodes == len(present)
-                if clock.head is None:
+                if clock.links is None:
                     assert clock.nodes <= 1
                 for t in range(clock.k):
                     if t not in present:
@@ -245,8 +245,8 @@ class TestInvariants:
             o.check_integrity()
 
     def test_sparse_form_iff_no_link_arrays(self):
-        """clk is an Entries mapping exactly when the link arrays are None,
-        and then stores the root's key alone (no key when empty)."""
+        """clk is an Entries mapping exactly when links is None, and then
+        stores the root's key alone (no key when empty)."""
         c = WorkCounter()
         o = TreeClock.owned(0, 3, c)
         o.clk[1] = 0  # a second key, even a zero one
@@ -257,7 +257,7 @@ class TestInvariants:
         with pytest.raises(AssertionError, match="stores keys"):
             e.check_integrity()
         o = TreeClock.owned(0, 3, c)
-        o.head = [NIL] * 3
+        o.links = tuple([NIL] * 3 for _ in range(5))
         with pytest.raises(AssertionError, match="holds link arrays"):
             o.check_integrity()
         o = TreeClock.owned(0, 3, c)
@@ -271,24 +271,21 @@ class TestInvariants:
 
 
 class TestLinkArrays:
-    """A clock allocates its clk list and five link arrays only when it
-    first links a second node; until then it stores its one entry."""
-
-    @staticmethod
-    def links(tc):
-        return (tc.aclk, tc.parent, tc.head, tc.nxt, tc.prv)
+    """A clock allocates its clk list and its link set of five k-lists
+    only when it first links a second node; until then it stores its one
+    entry."""
 
     def test_root_only_clocks_and_their_copies_hold_none(self):
         c = WorkCounter(debug=True)
         a = TreeClock.owned(0, 4, c)
-        assert self.links(a) == (None,) * 5
+        assert a.links is None
         assert a.nodes == 1
         assert a.dump() == "tid=0 clk=0 aclk=⊥\n"
         a.check_integrity()
         a.increment()
         lk = TreeClock.aux(4, c)
         assert lk.copy_check_monotone(a) == "deep"
-        assert self.links(lk) == (None,) * 5
+        assert lk.links is None
         assert lk.dump() == "tid=0 clk=1 aclk=⊥\n"
         # the same root again: a one-entry monotone copy, counted as a
         # two-pass copy of one node would be
@@ -296,7 +293,7 @@ class TestLinkArrays:
         w0, vt0 = c.impl_work, c.vt_work
         assert lk.copy_check_monotone(a) == "monotone"
         assert (c.impl_work, c.vt_work) == (w0 + 2, vt0 + 1)
-        assert self.links(lk) == (None,) * 5
+        assert lk.links is None
         assert lk.flatten() == (2, 0, 0, 0)
         w0 = c.impl_work
         assert lk.copy_check_monotone(a) == "monotone"
@@ -308,10 +305,10 @@ class TestLinkArrays:
         b = TreeClock.owned(1, 4, c)
         a.increment()
         a.join(b)  # b is at time 0: early exit, nothing linked
-        assert self.links(a) == (None,) * 5
+        assert a.links is None
         b.increment()
         a.join(b)
-        assert None not in self.links(a)
+        assert [len(array) for array in a.links] == [4] * 5
         assert a.nodes == 2
         assert a.dump() == "tid=0 clk=1 aclk=⊥\n  tid=1 clk=1 aclk=1\n"
         a.check_integrity()
@@ -319,7 +316,7 @@ class TestLinkArrays:
         d = TreeClock.owned(2, 4, c)
         d.increment()
         assert a.copy_check_monotone(d) == "deep"
-        assert self.links(a) == (None,) * 5
+        assert a.links is None
         assert a.nodes == 1
         assert a.flatten() == (0, 0, 1, 0)
 
@@ -353,7 +350,7 @@ class TestLinkArrays:
             pass
         clocks = engine.thread_clocks + list(engine.lock_clocks.values())
         assert len(clocks) == 2 * k - 1
-        linked = sum(clock.head is not None for clock in clocks)
+        linked = sum(clock.links is not None for clock in clocks)
         server_acquires = sum(ev.tid == 0 and ev.op == ACQ
                               for ev in trace.events)
         assert 1 <= linked <= 1 + 2 * server_acquires
@@ -389,8 +386,8 @@ class TestLinkArrays:
     def test_deep_copies_share_links_on_a_seeded_rw_trace(self, monkeypatch):
         # the benchmark's r/w generator under maz, where most copies are
         # deep copies of a dense thread clock: the copies share that
-        # clock's link arrays, 578 sets among 1238 dense clocks (1238
-        # with a private set each)
+        # clock's link set, 578 sets among 1238 dense clocks (1238 with a
+        # private set each)
         monkeypatch.syspath_prepend(os.path.join(ROOT, "benchmark"))
         from rwgen import RWSpec, generate_rw
 
@@ -401,12 +398,12 @@ class TestLinkArrays:
         clocks = (engine.thread_clocks + list(engine.lock_clocks.values())
                   + list(engine.write_clocks.values())
                   + list(engine.read_clocks.values()))
-        dense = [clock for clock in clocks if clock.head is not None]
+        dense = [clock for clock in clocks if clock.links is not None]
         assert len(dense) == 1238
-        assert len({id(clock.head) for clock in dense}) == 578
+        assert len({id(clock.links) for clock in dense}) == 578
         holders = {}
         for clock in dense:
-            for array in self.links(clock):
+            for array in clock.links:
                 holders.setdefault(id(array), []).append(clock)
         for group in holders.values():
             if len(group) > 1:
@@ -430,7 +427,7 @@ class TestLinkArrays:
         def form(clock):
             if clock.root == NIL:
                 return "empty"
-            return "root-only" if clock.head is None else "dense"
+            return "root-only" if clock.links is None else "dense"
 
         for t in range(k):  # every root time is at least 1, as in the engine
             trees[t].increment()
@@ -466,8 +463,8 @@ class TestLinkArrays:
     def test_shared_links_match_eager_copies(self, seed):
         """A seeded script deep-copies dense clocks into several aux clocks
         and relinks sources and copies in random order. It runs on tree
-        clocks that share link arrays after a deep copy and on tree clocks
-        that slice them at once; after each step the two sets agree in
+        clocks that share the link set after a deep copy and on tree clocks
+        that copy it at once; after each step the two sets agree in
         shape and counters, and both agree with vector clocks."""
 
         class Eager(TreeClock):
@@ -475,10 +472,8 @@ class TestLinkArrays:
 
             def _become_copy_of(self, src):
                 super()._become_copy_of(src)
-                if self.head is not None:
-                    self.aclk, self.parent, self.head, self.nxt, self.prv = (
-                        self.aclk[:], self.parent[:], self.head[:],
-                        self.nxt[:], self.prv[:])
+                if self.links is not None:
+                    self.links = tuple(a[:] for a in self.links)
                     self.shared = src.shared = False
 
         k, naux = 5, 4
@@ -502,8 +497,8 @@ class TestLinkArrays:
             dst = rng.below(k) if op <= 4 else k + rng.below(naux)
             if op >= 5 and (src == dst or cow[src].root == NIL):
                 continue
-            head = cow[dst].head
-            holders = sum(c.head is head for c in cow) if head else 0
+            links = cow[dst].links
+            holders = sum(c.links is links for c in cow) if links else 0
             for clocks in sets:
                 if op <= 4:
                     clocks[dst].increment()
@@ -511,7 +506,7 @@ class TestLinkArrays:
                     clocks[dst].join(clocks[src])
                 elif op >= 5:  # publish into an aux clock
                     status = clocks[dst].copy_check_monotone(clocks[src])
-            if holders > 1 and cow[dst].head is not head and (
+            if holders > 1 and cow[dst].links is not links and (
                     op in (3, 4) or status == "monotone"):
                 relinked.add("thread" if dst < k else "aux")
             for a, b, v in zip(cow, eager, vecs):
@@ -524,7 +519,7 @@ class TestLinkArrays:
             for i, a in enumerate(cow):  # the sharing invariant
                 for b in cow[i + 1:]:
                     assert a.clk is not b.clk
-                    if a.head is not None and a.head is b.head:
+                    if a.links is not None and a.links is b.links:
                         assert a.shared and b.shared
         # both a source and a copy relinked while still sharing
         assert relinked == {"thread", "aux"}
@@ -656,8 +651,7 @@ class TestMonotoneCopy:
         assert l.dump() == a.dump()
         l.check_integrity()
         assert l.clk is not a.clk
-        for name in ("aclk", "parent", "head", "nxt", "prv"):
-            assert getattr(l, name) is getattr(a, name)
+        assert l.links is a.links
         assert l.shared and a.shared
         a.increment()
         assert l.flatten() == (1, 1, 0, 0)
@@ -673,7 +667,7 @@ class TestMonotoneCopy:
         assert a.flatten() == (2, 1, 1, 0)
         assert l.dump() == m.dump() == shape
         assert l.flatten() == m.flatten() == (1, 1, 0, 0)
-        assert l.head is not a.head and l.head is m.head
+        assert l.links is not a.links and l.links is m.links
         l.check_integrity()
         # then one copy relinks: the source and the other copy keep theirs
         before = a.dump()
@@ -683,7 +677,7 @@ class TestMonotoneCopy:
         assert l.flatten() == b.flatten() == (2, 2, 1, 0)
         assert a.dump() == before
         assert m.dump() == shape
-        assert l.head is not m.head
+        assert l.links is not m.links
         l.check_integrity()
         m.check_integrity()
 
@@ -699,7 +693,7 @@ class TestMonotoneCopy:
         t1.increment()
         assert lk.copy_check_monotone(t1) == "monotone"
         assert lk.root == 1
-        assert lk.aclk[lk.root] == BOT
+        assert lk.links[0][lk.root] == NIL
         assert lk.flatten() == t1.flatten() == (1, 2, 0)
         lk.check_integrity()
         assert lk.dump() == (
@@ -947,17 +941,18 @@ def walk_nodes(tc):
 
 def walk_edges(tc):
     """Yield (parent_tid, child_tid, child_clk, attach_time) for every edge;
-    a clock without link arrays has none."""
-    if tc.head is None:
+    a clock without a link set has none."""
+    if tc.links is None:
         return
+    aclk, _, head, nxt, _ = tc.links
     stack = [tc.root]
     while stack:
         u = stack.pop()
-        v = tc.head[u]
+        v = head[u]
         while v != NIL:
-            yield u, v, tc.clk[v], tc.aclk[v]
+            yield u, v, tc.clk[v], aclk[v]
             stack.append(v)
-            v = tc.nxt[v]
+            v = nxt[v]
 
 
 @pytest.mark.parametrize("po", [HB, MAZ])
