@@ -10,7 +10,8 @@ Four commands:
   replays the trace through one engine per clock kind in lockstep and
   compares every event's timestamp across the kinds and with the
   brute-force oracle; races and vt_work are compared once the runs are
-  done.
+  done, vt_work across the kinds and, with --oracle, with the oracle's
+  recount (metrics.vtwork).
 - gen: write a synthetic trace from the deterministic generator.
   GenSpec.validate is the one check of pattern and star-style names.
 - bench: run a (pattern x thread-count x clock) matrix, append all rows
@@ -40,7 +41,7 @@ import os
 import sys
 
 from .analyses import CLOCK_KINDS, ORDERS, Engine, race_event_indices, run_analysis
-from .metrics import verify_bounds
+from .metrics import verify_bounds, vtwork
 from .oracle import ORACLE_MAX_EVENTS, oracle_races, oracle_timestamps
 from .trace import TraceParseError, parse_trace, serialize_trace
 
@@ -252,6 +253,11 @@ def _cmd_analyze(args):
             return 1
         if race_event_indices(trace, runs[0].races) != oracle_races(trace, args.po):
             print("divergence: engine races differ from oracle", file=sys.stderr)
+            return 1
+        want_work = vtwork(trace, args.po)
+        if runs[0].vt_work != want_work:
+            print(f"divergence: engine vt_work differs from oracle "
+                  f"(engine={runs[0].vt_work}, oracle={want_work})", file=sys.stderr)
             return 1
         print("oracle agreement: timestamps and races match")
     return 0

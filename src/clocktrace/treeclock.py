@@ -24,7 +24,10 @@ visits the gathered nodes in that order and, for each, unlinks it from
 self (or counts it as new), takes the source's clk and links it at the
 front of its source parent's child list. Parents are thus placed before
 their children, and siblings linked oldest first end up newest first, as
-in the source, ahead of the children self kept.
+in the source, ahead of the children self kept. A join whose source is
+ahead on the target's own root thread is outside the contract: join
+refuses it with one O(1) test of that entry before the target changes,
+so _move checks no contract.
 
 Nodes live in dense arrays indexed by thread id, so thread-id lookup is
 O(1). The tree's shape is one link set, the tuple links = (aclk, parent,
@@ -152,8 +155,9 @@ class TreeClock:
         rebuild pass moves each into place mirroring the source and hangs
         the source root as the newest child of self's root. The monotone
         copy path runs the same two passes (see _move). A source that is
-        strictly ahead on self's *own* root thread is outside this
-        operation's contract.
+        strictly ahead on self's *own* root thread, as its root or deeper,
+        is outside this operation's contract: one O(1) test of that entry
+        refuses it with ClockContractError before self changes.
         """
         if src.root == NIL:
             return
@@ -161,11 +165,11 @@ class TreeClock:
             raise ClockContractError("join into an uninitialized tree clock")
         c = self.counter
         c.joins += 1
-        z = src.root
+        z, r = src.root, self.root
         if src.clk[z] <= self.clk[z]:
             c.impl_work += 1  # examined the source root, nothing to do
             return
-        if z == self.root:
+        if src.clk[r] > self.clk[r]:  # covers z == r, as past the early exit
             raise ClockContractError(
                 "join source is ahead on the target's own root thread"
             )
@@ -235,7 +239,6 @@ class TreeClock:
         else:
             saclk, sparent, shead, snxt, _ = slinks
             keep = root if copy_mode else NIL  # gathered even when not ahead
-            guard = NIL if copy_mode else root  # must never be ahead in a join
             moved = []
             stack = [z]
             while stack:
@@ -245,13 +248,7 @@ class TreeClock:
                 v = shead[u]
                 while v != NIL:
                     visited += 1
-                    if sclk[v] > clk[v]:
-                        if v == guard:
-                            raise ClockContractError(
-                                "join source is ahead on the target's own root thread"
-                            )
-                        stack.append(v)
-                    elif v == keep:
+                    if sclk[v] > clk[v] or v == keep:
                         stack.append(v)
                     # later siblings were attached no later than v; if self
                     # already knows u's thread past v's attachment, they are stale

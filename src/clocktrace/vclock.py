@@ -9,6 +9,7 @@ operations touched and changed.
 """
 
 from collections import namedtuple
+from operator import ne
 
 
 class ClockContractError(Exception):
@@ -91,15 +92,12 @@ class VectorClock:
         c.vt_work += changed
 
     def copy_check_monotone(self, src):
-        """self <- src, entry by entry. Vector clocks have no cheaper
-        monotone path, so every copy is this plain copy; the return value
-        mirrors the tree clock API and never reports a deep rebuild."""
+        """self <- src, diffed and copied at C speed. Vector clocks have no
+        cheaper monotone path, so every copy is this plain copy; the return
+        value mirrors the tree clock API and never reports a deep rebuild."""
         mine = self.clk
-        changed = 0
-        for i, v in enumerate(src.clk):
-            if mine[i] != v:
-                mine[i] = v
-                changed += 1
+        changed = sum(map(ne, mine, src.clk))
+        mine[:] = src.clk
         c = self.counter
         c.copies += 1
         c.impl_work += len(mine)

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from clocktrace import cli, tracegen
 from clocktrace.analyses import HB, MAZ, ORDERS, run_analysis
 from clocktrace.cli import CSV_COLUMNS
+from clocktrace.metrics import vtwork
 from clocktrace.trace import Event, Trace, parse_trace, serialize_trace, validate_trace
 from clocktrace.tracegen import random_trace
 from clocktrace.vclock import VectorClock
@@ -416,6 +417,8 @@ class TestExitCodes:
         ("tree", "oracle timestamps", "engine timestamps differ from oracle"),
         ("both", "oracle timestamps", "engine timestamps differ from oracle"),
         ("vector", "oracle races", "engine races differ from oracle"),
+        ("both", "oracle vt_work",
+         "engine vt_work differs from oracle (engine=41, oracle=42)"),
     ])
     def test_each_divergence_exits_1(self, tmp_path, capsys, monkeypatch,
                                      clock, fault, message):
@@ -441,6 +444,9 @@ class TestExitCodes:
         if fault == "oracle races":
             monkeypatch.setattr(cli, "oracle_races",
                                 lambda trace, po: real_races(trace, po)[:-1])
+        if fault == "oracle vt_work":
+            monkeypatch.setattr(cli, "vtwork",
+                                lambda trace, po: vtwork(trace, po) + 1)
         rc = cli.main(["analyze", "--po", HB, "--clock", clock, "--oracle",
                        "--input", str(racy_trace(tmp_path)), "--repeat", "1"])
         assert rc == 1

@@ -630,6 +630,37 @@ class TestJoin:
         with pytest.raises(ClockContractError):
             fresh.join(l)
 
+    @pytest.mark.parametrize("form", ["root-only", "dense shared"])
+    def test_refused_join_leaves_target_unchanged(self, form):
+        # the source holds the target's root thread 0 below its own root
+        # 1, ahead of the target: refused before the target is touched
+        c = WorkCounter()
+        a = TreeClock.owned(0, 4, c)
+        a.increment()
+        a.increment()
+        src = TreeClock.owned(1, 4, c)
+        src.increment()
+        src.join(a)
+        src.increment()
+        target = TreeClock.owned(0, 4, c)
+        target.increment()
+        if form == "dense shared":
+            other = TreeClock.owned(2, 4, c)
+            other.increment()
+            target.join(other)
+            copy = TreeClock.aux(4, c)
+            assert copy.copy_check_monotone(target) == "deep"
+            assert target.links is copy.links
+        links, shared, clk_type, shape = (target.links, target.shared,
+                                          type(target.clk), target.dump())
+        with pytest.raises(ClockContractError):
+            target.join(src)
+        assert target.links is links
+        assert target.shared is shared
+        assert type(target.clk) is clk_type
+        assert target.dump() == shape
+        target.check_integrity()
+
 
 class TestMonotoneCopy:
     def test_onto_empty_becomes_deep_copy(self):
