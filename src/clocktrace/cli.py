@@ -20,11 +20,11 @@ Four commands:
 - selfcheck: run the embedded fixture suite.
 
 Exit codes: 0 success; 1 divergence, race-check mismatch, or assertion
-failure; 2 usage or I/O errors, malformed traces, and traces that break
-lock discipline (the first bad line in file order, malformed or misusing
-a lock, is named). Timing uses a monotonic clock, covers only the engine
-(not parsing or the comparison pass), and reports the median over
---repeat runs (default 3).
+failure; 2 usage or I/O errors, malformed traces, traces that break lock
+discipline (the first bad line in file order, malformed or misusing a
+lock, is named), and an analyze input with no events. Timing uses a
+monotonic clock, covers only the engine (not parsing or the comparison
+pass), and reports the median over --repeat runs (default 3).
 
 Every command runs with the cyclic garbage collector off: the pipeline
 builds no reference cycles, so a collection would only scan the clocks'
@@ -202,6 +202,9 @@ def _compare_timestamps(trace, po, kinds, want):
 
 def _cmd_analyze(args):
     trace = _read_trace(args.input)
+    if not trace.events:  # e.g. the empty output of a failed upstream gen
+        print(f"error: {args.input}: trace has no events", file=sys.stderr)
+        return 2
     kinds = [args.clock] if args.clock != "both" else ["tree", "vector"]
     compare = args.clock == "both" or args.oracle
     if args.oracle and len(trace) > ORACLE_MAX_EVENTS:

@@ -18,13 +18,22 @@ against flat vector clocks throughout the test suite.
 Each clock has one copy operation, which picks its path in O(1): the
 monotone path when the target is below the source, else a deep
 (structural) copy. Join and the monotone copy path share one traversal
-(_move) in two passes. The gather pass walks the source in pre-order,
-pushing siblings newest first so they pop oldest first. The rebuild pass
-visits the gathered nodes in that order and, for each, unlinks it from
-self (or counts it as new), takes the source's clk and links it at the
-front of its source parent's child list. Parents are thus placed before
-their children, and siblings linked oldest first end up newest first, as
-in the source, ahead of the children self kept. A join whose source is
+(_move) in two passes. The gather pass walks the source breadth first
+into one list, which it reads while it appends: starting from the source
+root z, it appends each listed node's children that are ahead, newest
+first, so each parent's gathered children sit together in source order.
+The rebuild pass walks that list backwards, down to but not including z,
+and for each node unlinks it from self (or counts it as new), takes the
+source's clk and links it at the front of its source parent's child
+list. Backwards, each parent's children come oldest first, so they end
+up newest first, as in the source, ahead of the children self kept; and
+every node is linked before its parent. That is safe: a relinked node
+keeps its child list, and the source parent of every gathered node but z
+was gathered too, so it is relinked later. z comes last, once, as the
+root (copy) or the newest child of self's root (join). Every gathered
+node is strictly ahead but z and, in a copy, self's old root, so the
+number of changed entries is the list's length less those two where
+unchanged, with no per-node test. A join whose source is
 ahead on the target's own root thread is outside the contract: join
 refuses it with one O(1) test of that entry before the target changes,
 so _move checks no contract.
@@ -216,13 +225,19 @@ class TreeClock:
 
     def _move(self, src, copy_mode):
         """Bring the source nodes ahead of self into self's tree in the
-        source's shape (gather, then rebuild; see the module docstring) and
-        tally the work. This is the body of both join and the monotone path
-        of copy_check_monotone. The source root becomes the newest child of
-        self's root (join) or the root (copy_mode: the target is wholly
-        superseded, and self's old root is always gathered, even with its
-        time unchanged, so the rebuild can reseat it). A root-only target
-        turns dense here; a root-only source gathers only z."""
+        source's shape and tally the work: the body of both join and the
+        monotone path of copy_check_monotone. The gather appends to moved
+        while it iterates over it, so moved holds the nodes ahead breadth
+        first from z, each parent's gathered children together, newest
+        first. The rebuild walks moved backwards, so it links siblings
+        oldest first, each at the front of its source parent's list, and
+        they end up newest first, as in the source (the module docstring
+        says why a child may be linked before its parent). z comes last:
+        the newest child of self's root (join) or the root (copy_mode: the
+        target is wholly superseded, and self's old root is always
+        gathered, even with its time unchanged, so the rebuild can reseat
+        it). A root-only target turns dense here; a root-only source
+        gathers only z."""
         links = self.links
         if links is None:
             self.clk = self._dense()
@@ -233,30 +248,28 @@ class TreeClock:
         aclk, parent, head, nxt, prv = links
         clk, sclk, slinks = self.clk, src.clk, src.links
         root, z = self.root, src.root
+        moved = [z]
         visited = 1
-        if slinks is None:
-            moved = [z]
-        else:
+        if slinks is not None:
             saclk, sparent, shead, snxt, _ = slinks
             keep = root if copy_mode else NIL  # gathered even when not ahead
-            moved = []
-            stack = [z]
-            while stack:
-                u = stack.pop()
-                moved.append(u)
+            for u in moved:
                 cu = clk[u]  # self's time for u before this operation
                 v = shead[u]
                 while v != NIL:
                     visited += 1
                     if sclk[v] > clk[v] or v == keep:
-                        stack.append(v)
+                        moved.append(v)
                     # later siblings were attached no later than v; if self
                     # already knows u's thread past v's attachment, they are stale
                     if saclk[v] <= cu:
                         break
                     v = snxt[v]
-        fresh = changed = 0
-        for u in moved:
+        changed = len(moved)  # each is ahead, but maybe z and keep
+        if copy_mode:
+            changed -= (clk[z] == sclk[z]) + (z != root and clk[root] == sclk[root])
+        fresh = 0
+        for u in moved[:0:-1]:
             p = parent[u]
             if p != NIL:
                 before, after = prv[u], nxt[u]
@@ -266,21 +279,11 @@ class TreeClock:
                     head[p] = after
                 if after != NIL:
                     prv[after] = before
-            elif u != root:
-                fresh += 1  # outside the tree: clk 0 and no children
-            if clk[u] != sclk[u]:
-                clk[u] = sclk[u]
-                changed += 1
-            if u == z:  # the first node moved
-                if copy_mode:
-                    aclk[u] = NIL
-                    parent[u] = prv[u] = nxt[u] = NIL
-                    continue
-                p = root
-                aclk[u] = clk[root]
             else:
-                p = sparent[u]
-                aclk[u] = saclk[u]
+                fresh += 1  # new (clk 0, no children), or the old root
+            clk[u] = sclk[u]
+            p = sparent[u]
+            aclk[u] = saclk[u]
             after = head[p]
             head[p] = u
             prv[u] = NIL
@@ -288,9 +291,32 @@ class TreeClock:
             if after != NIL:
                 prv[after] = u
             parent[u] = p
-        self.nodes += fresh
+        p = parent[z]  # z last, once
+        if p != NIL:
+            before, after = prv[z], nxt[z]
+            if before != NIL:
+                nxt[before] = after
+            else:
+                head[p] = after
+            if after != NIL:
+                prv[after] = before
+        else:
+            fresh += 1
+        clk[z] = sclk[z]
         if copy_mode:
+            fresh -= 1  # self's old root, gathered once, is not new
+            aclk[z] = parent[z] = prv[z] = nxt[z] = NIL
             self.root = z
+        else:
+            aclk[z] = clk[root]
+            after = head[root]
+            head[root] = z
+            prv[z] = NIL
+            nxt[z] = after
+            if after != NIL:
+                prv[after] = z
+            parent[z] = root
+        self.nodes += fresh
         c = self.counter
         c.impl_work += visited + len(moved)  # examined + rebuilt
         c.vt_work += changed

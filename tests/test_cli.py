@@ -282,6 +282,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "line 5: lock discipline violated (reacquire): 't3 acq m'" in err
 
+    @pytest.mark.parametrize("text", ["", "# header only\n\n   # indented\n"],
+                             ids=["empty", "comment-only"])
+    def test_file_with_no_events_exits_2(self, tmp_path, capsys, text):
+        empty = tmp_path / "empty.trace"
+        empty.write_text(text)
+        rc = cli.main(["analyze", "--po", "hb", "--input", str(empty),
+                       "--oracle", "--repeat", "1"])
+        assert rc == 2
+        assert capsys.readouterr() == (
+            "", f"error: {empty}: trace has no events\n")
+
+    def test_empty_stdin_exits_2(self):
+        # what analyze reads when a `clocktrace gen` upstream in a pipe fails
+        proc = subprocess.run(
+            [sys.executable, "-m", "clocktrace.cli", "analyze", "--po", "hb",
+             "--input", "-", "--oracle", "--repeat", "1"],
+            input=b"", capture_output=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=SRC),
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr.decode() == "error: -: trace has no events\n"
+
     @pytest.mark.parametrize("data, message", [
         # 0xff in a comment on line 6001, past the first 8 KB read chunk
         (b"t0 w x0\n" * 6000 + b"t1 w x0  # \xff\n" + b"t0 w x0\n" * 1000,

@@ -9,6 +9,7 @@ checker itself.
 
 import hashlib
 import os
+from operator import ne
 
 import pytest
 from hypothesis import given, settings
@@ -573,6 +574,92 @@ def test_tree_shapes_are_pinned(name, po):
     for i, ev, engine in each_event(SHAPE_TRACES[name](), po):
         digest(i, ev, engine)
     assert h.hexdigest()[:16] == SHAPE_DIGESTS[name, po]
+
+
+# every WorkCounter field of a tree run: (vt_work, impl_work, joins, copies,
+# increments). A traversal can keep every shape above and still count its
+# work differently; these move if it does.
+TREE_COUNTS = {
+    ("star-relay", HB): (2225, 4275, 585, 600, 1200),
+    ("star-relay", SHB): (2225, 4275, 585, 600, 1200),
+    ("star-relay", MAZ): (2225, 4275, 585, 600, 1200),
+    ("single-lock", HB): (5132, 12377, 599, 600, 1200),
+    ("single-lock", SHB): (5132, 12377, 599, 600, 1200),
+    ("single-lock", MAZ): (5132, 12377, 599, 600, 1200),
+    ("random", HB): (1363, 2083, 87, 87, 1000),
+    ("random", SHB): (3588, 9831, 496, 497, 1000),
+    ("random", MAZ): (6589, 15475, 1253, 910, 1000),
+    # the benchmark's single-lock workload at k=160
+    ("single-lock-160", HB): (654567, 1490457, 7999, 8000, 16000),
+}
+COUNT_TRACES = dict(SHAPE_TRACES, **{
+    "single-lock-160": lambda: generate(GenSpec("single_lock", 160, 16_000)),
+})
+
+
+@pytest.mark.parametrize("name,po", sorted(TREE_COUNTS))
+def test_tree_counters_are_pinned(name, po):
+    c = run_analysis(COUNT_TRACES[name](), po, "tree").counter
+    assert (c.vt_work, c.impl_work, c.joins, c.copies,
+            c.increments) == TREE_COUNTS[name, po]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_each_operation_counts_exactly_the_entries_it_changes(seed):
+    """A seeded script of events over clocks in every storage form. Each
+    event ticks one thread, then joins another thread's clock or an aux
+    clock into it, or copies it into an aux clock, or copies one aux
+    clock into another. Each join and copy must add to vt_work exactly
+    the number of entries flatten() shows it changed. _move derives that
+    number from how many nodes it gathered, so the script must reach the
+    copies where a gathered node is not ahead: the source root z (a
+    state copied a second time), or the target's old root."""
+    k, n_aux = 5, 3
+    rng = SplitMix64(seed * 104729 + 7)
+    c = WorkCounter(debug=True)
+    threads = [TreeClock.owned(t, k, c) for t in range(k)]
+    auxes = [TreeClock.aux(k, c) for _ in range(n_aux)]
+    seen = set()
+
+    def apply(dst, src):
+        form = ("empty" if dst.root == NIL else "sparse" if dst.links is None
+                else "shared" if dst.shared else "dense")
+        r, z = dst.root, src.root
+        z_same = dst.clk[z] == src.clk[z]
+        root_same = r not in (NIL, z) and dst.clk[r] == src.clk[r]
+        before, vt0 = dst.flatten(), c.vt_work
+        if dst in threads:
+            dst.join(src)
+            seen.add(("join", form))
+        elif dst.copy_check_monotone(src) == "deep":
+            seen.add(("deep", form))
+        else:
+            seen.add(("monotone", form))
+            if dst.links is not None:  # took _move's copy mode
+                seen.add(("monotone", "z unchanged", z_same))
+                seen.add(("monotone", "old root unchanged", root_same))
+        assert c.vt_work - vt0 == sum(map(ne, before, dst.flatten()))
+
+    for _ in range(400):
+        t, roll = rng.below(k), rng.below(10)
+        threads[t].increment()
+        aux = auxes[rng.below(n_aux)]
+        if roll < 3:
+            apply(threads[t], threads[rng.below(k)])
+        elif roll < 5:
+            apply(threads[t], aux)
+        elif roll < 9:
+            apply(aux, threads[t])
+            if roll == 8:  # the same state again: nothing may change
+                apply(aux, threads[t])
+        elif aux.root != NIL:
+            apply(auxes[rng.below(n_aux)], aux)
+    for case in [("join", "sparse"), ("join", "dense"), ("join", "shared"),
+                 ("monotone", "sparse"), ("monotone", "dense"),
+                 ("monotone", "shared"), ("deep", "empty"), ("deep", "dense"),
+                 ("monotone", "z unchanged", True),
+                 ("monotone", "old root unchanged", True)]:
+        assert case in seen
 
 
 class TestJoin:
