@@ -12,10 +12,11 @@ Two cost models for the same run:
 - impl_work: how many entries/nodes the clock representation touched,
   including reads that led to no update. For vectors this is exactly
   thread_count * (joins + copies) + increments, since every join and
-  copy scans a full vector. For trees it is the number of nodes pushed,
-  tested, detached or attached, which the tree operations count as they
-  go; the whole point of the tree representation is keeping this close
-  to vt_work.
+  copy scans a full vector. For trees it is the nodes a join or
+  monotone copy examined in its gather pass plus the nodes it rebuilt,
+  1 per early exit or increment, and 2·|source tree| + |target tree|
+  per deep copy; the whole point of the tree representation is keeping
+  this close to vt_work.
 
 `verify_bounds` checks the relations that must hold:
 

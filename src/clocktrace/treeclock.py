@@ -73,8 +73,11 @@ array. These invariants follow and check_integrity checks them:
   exactly the root's key, or no key on an empty clock;
 - a thread is in the tree iff it is the root or parent[t] != NIL, and a
   thread outside it has no children (head[t] == NIL);
-- nodes counts the threads in the tree, and is at most 1 in the sparse
-  form.
+- every non-root node's clk is positive: _move brings in only nodes
+  strictly ahead, and keeps self's old root in a copy only at a
+  positive time; a deep copy takes its source's tree. So the tree is
+  the root plus the nonzero entries, and its size is derived, not
+  stored: len(clk) sparse, k - clk.count(0) + (clk[root] == 0) dense.
 
 One more invariant spans clocks, so check_integrity cannot see it: every
 clock that holds a link set another clock also holds has shared set, and
@@ -100,8 +103,18 @@ class Entries(dict):
         return 0
 
 
+def _census(clk, root):
+    """(nonzero entries, tree size) of a clock's clk and root. The tree is
+    the root plus the nonzero entries (module docstring); a sparse clk
+    stores exactly the tree's keys, the root's or none."""
+    if type(clk) is list:
+        nonzero = len(clk) - clk.count(0)
+        return nonzero, nonzero + (clk[root] == 0)
+    return clk[root] != 0, len(clk)
+
+
 class TreeClock:
-    __slots__ = ("k", "clk", "links", "nodes", "root", "counter", "shared")
+    __slots__ = ("k", "clk", "links", "root", "counter", "shared")
 
     def __init__(self, size, counter, owner=NIL):
         self.k = size
@@ -111,11 +124,8 @@ class TreeClock:
         self.links = None
         self.shared = False  # links held by another clock too
         self.clk = Entries()
-        if owner == NIL:  # empty: the first mutation is a deep copy
-            self.nodes = 0
-        else:
+        if owner != NIL:  # else empty: the first mutation is a deep copy
             self.clk[owner] = 0
-            self.nodes = 1
 
     # --- construction -----------------------------------------------------
 
@@ -167,6 +177,15 @@ class TreeClock:
         strictly ahead on self's *own* root thread, as its root or deeper,
         is outside this operation's contract: one O(1) test of that entry
         refuses it with ClockContractError before self changes.
+
+        Across calls, one root time names one state of a clock: at each
+        root time a clock takes its joins before any other clock copies
+        or joins from it, and it takes none at root time 0, which every
+        clock already holds. The engine keeps this, as each event
+        increments before it joins. The prunings trust it unchecked: a
+        sequence that breaks it can leave a later join or copy with a
+        wrong tree, which check_integrity (debug) reports and a run
+        without debug does not notice.
         """
         if src.root == NIL:
             return
@@ -193,7 +212,10 @@ class TreeClock:
         join's traversal in copy mode. An empty target, one whose root
         thread has not started (root time 0), or one the source has fallen
         behind takes the deep path, a full structural copy. An empty
-        source is outside the contract.
+        source is outside the contract, and so is a source whose state
+        changed at a root time another clock already held (see join):
+        the single-entry test and the prunings take that contract on
+        trust.
         """
         if src.root == NIL:
             raise ClockContractError("copy from an empty clock")
@@ -209,8 +231,11 @@ class TreeClock:
         if c.debug and not vt_leq(self._dense(), src._dense()):
             raise ClockContractError(
                 "single-entry monotonicity test missed a non-monotone target")
-        if self.links is None and src.links is None and src.root == r:
-            # both hold r alone: one entry, counted as _move counts it
+        if src.links is None:
+            # self <= src and 0 < mine <= src.clk[r], so src's one node is
+            # r; and self holds r alone, as a dense clock holds a non-root
+            # node at a positive time that src cannot cover. One entry,
+            # counted as _move counts it
             c.impl_work += 2  # examined + rebuilt
             if mine != theirs:
                 c.vt_work += 1
@@ -268,7 +293,6 @@ class TreeClock:
         changed = len(moved)  # each is ahead, but maybe z and keep
         if copy_mode:
             changed -= (clk[z] == sclk[z]) + (z != root and clk[root] == sclk[root])
-        fresh = 0
         for u in moved[:0:-1]:
             p = parent[u]
             if p != NIL:
@@ -279,8 +303,6 @@ class TreeClock:
                     head[p] = after
                 if after != NIL:
                     prv[after] = before
-            else:
-                fresh += 1  # new (clk 0, no children), or the old root
             clk[u] = sclk[u]
             p = sparent[u]
             aclk[u] = saclk[u]
@@ -300,11 +322,8 @@ class TreeClock:
                 head[p] = after
             if after != NIL:
                 prv[after] = before
-        else:
-            fresh += 1
         clk[z] = sclk[z]
         if copy_mode:
-            fresh -= 1  # self's old root, gathered once, is not new
             aclk[z] = parent[z] = prv[z] = nxt[z] = NIL
             self.root = z
         else:
@@ -316,7 +335,6 @@ class TreeClock:
             if after != NIL:
                 prv[after] = z
             parent[z] = root
-        self.nodes += fresh
         c = self.counter
         c.impl_work += visited + len(moved)  # examined + rebuilt
         c.vt_work += changed
@@ -329,20 +347,21 @@ class TreeClock:
         clocks shared so whichever relinks first copies it (see _move);
         from a sparse source it is an O(1) copy of the one entry. Work is
         everything discarded plus everything built, as if every array
-        were copied."""
+        were copied: 2·|source tree| + |target tree|."""
         c = self.counter
-        c.impl_work += 2 * src.nodes + self.nodes
         old, new = self.clk, src.clk
+        old_nonzero, old_size = _census(old, self.root)
+        new_nonzero, new_size = _census(new, src.root)
+        c.impl_work += 2 * new_size + old_size
         if type(old) is list and type(new) is list:
             c.vt_work += sum(map(ne, old, new))
         else:
             # few holds at most one key: every nonzero entry of many
             # changes, except where few stores a key of its own
-            few, many = (old, new) if type(new) is list else (new, old)
-            if type(many) is list:
-                changed = self.k - many.count(0)
+            if type(new) is list:
+                few, many, changed = old, new, new_nonzero
             else:
-                changed = sum(map(bool, many.values()))
+                few, many, changed = new, old, old_nonzero
             for t, v in few.items():
                 changed += (many[t] != v) - (many[t] != 0)
             c.vt_work += changed
@@ -353,7 +372,6 @@ class TreeClock:
         else:
             self.clk = new[:]
             self.shared = src.shared = True
-        self.nodes = src.nodes
         self.root = src.root
         if c.debug:
             self.check_integrity()
@@ -388,12 +406,12 @@ class TreeClock:
 
         Checked: the clock is sparse (clk an Entries mapping) exactly when
         links is None, and then stores the root's key alone (no key when
-        empty) and counts that one node; otherwise parent/sibling links
-        are mutually consistent, sibling aclk values never increase front
-        to back, every non-root node's aclk is at most its parent's clk,
-        the node count equals the number of nodes reachable from the root,
+        empty); otherwise parent/sibling links are mutually consistent,
+        sibling aclk values never increase front to back, every non-root
+        node's aclk is at most its parent's clk and its clk is positive,
         and every thread outside the tree has clk 0, no parent and no
-        children.
+        children. The last two make the tree the root plus the nonzero
+        entries, which _census relies on.
         """
         clk, root, links = self.clk, self.root, self.links
         if type(clk) is Entries:
@@ -403,13 +421,6 @@ class TreeClock:
             if list(clk) != keys:
                 raise AssertionError(
                     f"sparse clock rooted at {root} stores keys {list(clk)}")
-            if root == NIL:
-                if self.nodes != 0:
-                    raise AssertionError(
-                        f"empty clock counts {self.nodes} nodes")
-            elif self.nodes != 1:
-                raise AssertionError(
-                    f"1 node reachable without links but {self.nodes} counted")
             return
         if type(clk) is not list or len(clk) != self.k:
             raise AssertionError(f"dense clk is not a {self.k}-list")
@@ -432,6 +443,8 @@ class TreeClock:
             while v != NIL:
                 if parent[v] != u:
                     raise AssertionError(f"parent link of {v} is stale")
+                if clk[v] <= 0:
+                    raise AssertionError(f"non-root node {v} has clk {clk[v]}")
                 if (head[u] if prv[v] == NIL else nxt[prv[v]]) != v:
                     raise AssertionError(f"sibling links of {v} are stale")
                 if aclk[v] > clk[u]:
@@ -444,10 +457,6 @@ class TreeClock:
                 last_aclk = aclk[v]
                 stack.append(v)
                 v = nxt[v]
-        reached = sum(seen)
-        if reached != self.nodes:
-            raise AssertionError(
-                f"{reached} nodes reachable but {self.nodes} counted")
         for t in range(self.k):
             if not seen[t]:
                 if clk[t] != 0:

@@ -394,7 +394,8 @@ class TestExitCodes:
 
     def test_debug_checks_run_under_optimize(self, tmp_path):
         # the debug checks are explicit raises: python -O keeps them, so
-        # a tree clock whose node count is off by one is caught there too
+        # a root-only tree clock that stores a second key is caught there
+        # too, when a lock's deep copy takes that key
         trace = gen_trace(tmp_path, events=40)
         script = (
             "from clocktrace import analyses\n"
@@ -404,7 +405,7 @@ class TestExitCodes:
             "    @classmethod\n"
             "    def owned(cls, tid, size, counter):\n"
             "        clock = super().owned(tid, size, counter)\n"
-            "        clock.nodes += 1\n"
+            "        clock.clk[(tid + 1) % size] = 0\n"
             "        return clock\n"
             "analyses.TreeClock = Doctored\n"
             f"with open({str(trace)!r}) as fh:\n"
@@ -413,8 +414,8 @@ class TestExitCodes:
         )
         proc = run_optimized(["-c", script])
         assert proc.returncode == 1, proc.stdout + proc.stderr
-        assert "AssertionError: 1 node reachable without links but 2 counted" \
-            in proc.stderr
+        assert "AssertionError: sparse clock rooted at " in proc.stderr
+        assert "stores keys" in proc.stderr
         # and analyze --debug runs under -O
         proc = run_optimized(["-m", "clocktrace.cli", "analyze", "--po", "hb",
                               "--input", str(trace), "--debug", "--repeat", "1"])

@@ -37,20 +37,18 @@ def build(k, spec):
     aclks, parent, head, nxt, prv = tc.links
 
     def place(node):
-        """Set the node's fields and link its subtree; returns its size."""
+        """Set the node's fields and link its subtree."""
         tid, clk, aclk, kids = node
         tc.clk[tid] = clk
         aclks[tid] = aclk
         head[tid] = kids[0][0] if kids else NIL
-        size = 1
         for i, kid in enumerate(kids):
-            size += place(kid)
+            place(kid)
             parent[kid[0]] = tid
             prv[kid[0]] = kids[i - 1][0] if i else NIL
             nxt[kid[0]] = kids[i + 1][0] if i + 1 < len(kids) else NIL
-        return size
 
-    tc.nodes = place(spec)
+    place(spec)
     return tc
 
 
@@ -146,7 +144,7 @@ class TestBasics:
 
     def test_empty_aux_holds_no_link_arrays(self):
         l = TreeClock.aux(4, WorkCounter())
-        assert l.nodes == 0
+        assert list(walk_nodes(l)) == []
         assert l.links is None
         assert [l.clk[t] for t in range(4)] == [0, 0, 0, 0]
         assert repr(l) == "TreeClock(root=-1, [0, 0, 0, 0])"
@@ -202,7 +200,8 @@ class TestBasics:
 
 class TestInvariants:
     """check_integrity asserts the layout the fast paths rely on: absent
-    threads read clk 0 and hold no links, and nodes counts the tree."""
+    threads read clk 0 and hold no links, and non-root nodes read more
+    than 0, so the tree is the root plus the nonzero entries."""
 
     def test_absent_entries_are_zero_on_every_clock(self):
         trace = random_trace(17, events=150, threads=5, locks=3, variables=3)
@@ -212,9 +211,11 @@ class TestInvariants:
                 + list(engine.write_clocks.values()) + list(engine.read_clocks.values())
             for clock in clocks:
                 present = set(walk_nodes(clock))
-                assert clock.nodes == len(present)
+                # the tree is exactly the root and the nonzero entries
+                assert present == {t for t in range(clock.k) if clock.clk[t] > 0} \
+                    | ({clock.root} if clock.root != NIL else set())
                 if clock.links is None:
-                    assert clock.nodes <= 1
+                    assert len(present) <= 1
                 for t in range(clock.k):
                     if t not in present:
                         assert clock.clk[t] == 0
@@ -231,19 +232,16 @@ class TestInvariants:
         with pytest.raises(AssertionError, match="absent thread 4"):
             a.check_integrity()
 
-    def test_wrong_node_count_is_caught(self):
-        a = build(4, TREE_A)
-        a.nodes += 1
-        with pytest.raises(AssertionError, match="counted"):
-            a.check_integrity()
-        l = TreeClock.aux(3, WorkCounter())
-        l.nodes = 1
-        with pytest.raises(AssertionError, match="empty clock"):
-            l.check_integrity()
-        o = TreeClock.owned(0, 3, WorkCounter())
-        o.nodes = 2
-        with pytest.raises(AssertionError, match="counted"):
-            o.check_integrity()
+    def test_non_root_node_at_clk_0_is_caught(self):
+        # the root may read 0, a linked child may not: its node would not
+        # be told apart from an absent thread's entry
+        build(2, (1, 0, NIL, [(0, 1, 0, [])])).check_integrity()
+        for leaf in (2, 0):  # a child of the root, and one deeper
+            a = build(4, TREE_A)
+            a.clk[leaf] = 0
+            with pytest.raises(AssertionError,
+                               match=f"non-root node {leaf} has clk 0"):
+                a.check_integrity()
 
     def test_sparse_form_iff_no_link_arrays(self):
         """clk is an Entries mapping exactly when links is None, and then
@@ -280,7 +278,7 @@ class TestLinkArrays:
         c = WorkCounter(debug=True)
         a = TreeClock.owned(0, 4, c)
         assert a.links is None
-        assert a.nodes == 1
+        assert list(walk_nodes(a)) == [0]
         assert a.dump() == "tid=0 clk=0 aclk=⊥\n"
         a.check_integrity()
         a.increment()
@@ -310,7 +308,7 @@ class TestLinkArrays:
         b.increment()
         a.join(b)
         assert [len(array) for array in a.links] == [4] * 5
-        assert a.nodes == 2
+        assert list(walk_nodes(a)) == [0, 1]
         assert a.dump() == "tid=0 clk=1 aclk=⊥\n  tid=1 clk=1 aclk=1\n"
         a.check_integrity()
         # a deep copy from a root-only source drops them again
@@ -318,7 +316,7 @@ class TestLinkArrays:
         d.increment()
         assert a.copy_check_monotone(d) == "deep"
         assert a.links is None
-        assert a.nodes == 1
+        assert list(walk_nodes(a)) == [2]
         assert a.flatten() == (0, 0, 1, 0)
 
     def test_empty_clocks_store_no_entry(self):
@@ -376,8 +374,8 @@ class TestLinkArrays:
         monkeypatch.setattr(analyses, "TreeClock", Kept)
         run_analysis(trace, po, "tree", debug=True)
         dense = [clock for clock in built if type(clock.clk) is list]
-        assert len(dense) == sum(clock.nodes >= 2 for clock in built)
-        assert all(clock.nodes >= 2 for clock in dense)
+        assert dense == [clock for clock in built
+                         if len(list(walk_nodes(clock))) >= 2]
         for clock in built:
             if type(clock.clk) is not list:
                 keys = [] if clock.root == NIL else [clock.root]
@@ -748,6 +746,24 @@ class TestJoin:
         assert target.dump() == shape
         target.check_integrity()
 
+    def test_debug_reports_a_state_change_at_a_held_root_time(self):
+        # outside the contract: t0 joins twice at root time 0, which every
+        # clock holds, so a1 reads t0's children as already known and the
+        # copy prunes them, leaving a1's old root unreachable. The engine
+        # never does this (it increments first); debug reports it
+        c = WorkCounter(debug=True)
+        t0, t1, t2 = (TreeClock.owned(t, 3, c) for t in range(3))
+        a0, a1 = TreeClock.aux(3, c), TreeClock.aux(3, c)
+        t1.increment()
+        t2.increment()
+        a1.copy_check_monotone(t1)
+        t0.join(a1)
+        a0.copy_check_monotone(t2)
+        t2.join(a0)
+        t0.join(a0)
+        with pytest.raises(AssertionError, match="absent thread 1 has clk 1"):
+            a1.copy_check_monotone(t0)
+
 
 class TestMonotoneCopy:
     def test_onto_empty_becomes_deep_copy(self):
@@ -895,6 +911,51 @@ class TestCopyCheckMonotone:
         assert l.root == 1
         l.check_integrity()
 
+    @pytest.mark.parametrize("po", [HB, SHB, MAZ])
+    def test_root_only_source_implies_root_only_target(self, po, monkeypatch):
+        # the root-only fast path tests the source alone: on the monotone
+        # path, a root-only source can only be reached by a root-only
+        # target with the same root. Checked on every monotone copy
+        sources = []
+
+        class Checked(TreeClock):
+            __slots__ = ()
+
+            def copy_check_monotone(self, src):
+                target = (self.links, self.root)
+                status = super().copy_check_monotone(src)
+                if status == "monotone":
+                    sources.append(src.links is None)
+                    if src.links is None:
+                        assert target == (None, src.root)
+                return status
+
+        monkeypatch.setattr(analyses, "TreeClock", Checked)
+        for make in STORAGE_TRACES.values():
+            run_analysis(make(), po, "tree", debug=True)
+        assert set(sources) == {True, False}  # both paths reached
+
+    def test_deep_copy_counts_every_node_of_both_trees(self):
+        # the sizes are derived from the entries: the root plus the
+        # nonzero entries, so a target rooted at clk 0 still counts its
+        # root, and a sparse source its one key
+        c = WorkCounter(debug=True)
+        dst = build(3, (1, 0, NIL, [(0, 1, 0, [])]))
+        dst.counter = c
+        src = TreeClock.owned(2, 3, c)
+        src.increment()
+        assert dst.copy_check_monotone(src) == "deep"
+        assert (c.impl_work, c.vt_work) == (1 + 2 * 1 + 2, 1 + 2)
+        # and back to a dense tree, from a source that never saw thread 2
+        back, t1 = TreeClock.owned(0, 3, c), TreeClock.owned(1, 3, c)
+        back.increment()
+        t1.increment()
+        back.join(t1)
+        w0, vt0 = c.impl_work, c.vt_work
+        assert dst.copy_check_monotone(back) == "deep"
+        assert (c.impl_work, c.vt_work) == (w0 + 2 * 2 + 1, vt0 + 3)
+        assert dst.dump() == back.dump()
+
     def test_unstarted_target_reports_deep(self):
         # an owned clock never incremented holds its root at time 0, which
         # no source can fall behind; the copy must still replace that root
@@ -905,7 +966,7 @@ class TestCopyCheckMonotone:
         assert dst.copy_check_monotone(b) == "deep"
         assert dst.flatten() == (0, 1, 0)
         assert dst.root == 1
-        assert dst.nodes == 1
+        assert list(walk_nodes(dst)) == [1]
         dst.check_integrity()
 
 
