@@ -139,9 +139,10 @@ def _read_trace(path):
 
 
 def _timed_runs(trace, po, kind, repeat, debug=False, count_unordered=True):
-    """Run `repeat` (>= 1) times; return (last run, median elapsed ms). The
-    median is taken as statistics.median takes it (the mean of the middle
-    two for an even count) without that module's import cost."""
+    """Run `repeat` (>= 1) times; return (last run, median elapsed ms,
+    every run's elapsed ms in ascending order). The median is taken as
+    statistics.median takes it (the mean of the middle two for an even
+    count) without that module's import cost."""
     elapsed = []
     for _ in range(repeat):
         run = run_analysis(trace, po, kind, debug=debug,
@@ -149,7 +150,8 @@ def _timed_runs(trace, po, kind, repeat, debug=False, count_unordered=True):
         elapsed.append(run.elapsed)
     elapsed.sort()
     m = len(elapsed) // 2
-    return run, (elapsed[m] + elapsed[~m]) / 2 * 1000.0
+    return (run, (elapsed[m] + elapsed[~m]) / 2 * 1000.0,
+            [e * 1000.0 for e in elapsed])
 
 
 def _append_csv(path, results):
@@ -215,7 +217,7 @@ def _cmd_analyze(args):
     name = "-" if args.input == "-" else os.path.basename(args.input)
     runs, results = [], []
     for kind in kinds:
-        run, ms = _timed_runs(trace, args.po, kind, args.repeat, args.debug)
+        run, ms, _ = _timed_runs(trace, args.po, kind, args.repeat, args.debug)
         verify_bounds(run)
         runs.append(run)
         results.append((name, run, ms))
@@ -309,34 +311,41 @@ def _cmd_bench(args):
     for spec in specs:  # refuse a bad cell before any cell runs
         spec.validate()
 
-    results = []
+    results, times = [], []
     for spec in specs:
         trace = generate(spec)
         name = f"{spec.pattern}-k{spec.threads}"
         if spec.pattern == "star":
             name += f"-{args.star_style}"
         for kind in ("tree", "vector"):
-            run, ms = _timed_runs(trace, args.po, kind, args.repeat,
-                                  count_unordered=False)
+            run, ms, elapsed = _timed_runs(trace, args.po, kind, args.repeat,
+                                           count_unordered=False)
             verify_bounds(run)
             results.append((name, run, ms))
+            times.append(elapsed)
 
     _append_csv(args.csv, results)
     for name, run, ms in results:
         print(f"{name}: {_summary_line(run, ms)}")
-    _print_speedups(results)
+    _print_speedups(results, times)
     return 0
 
 
-def _print_speedups(results):
+def _print_speedups(results, times):
     """Print the vector/tree wall-time and impl_work ratios of each
-    trace cell, which locate the crossover; no threshold. results holds
-    each cell's tree row just before its vector row."""
-    for (name, tree, tree_ms), (_, vector, vector_ms) in zip(results[::2], results[1::2]):
+    trace cell, which locate the crossover; no threshold. Then print the
+    fastest and slowest repeat of each kind, so a time ratio can be read
+    against its spread. results holds each cell's tree row just before
+    its vector row, and times each row's repeat times in ascending order."""
+    for (name, tree, tree_ms), (_, vector, vector_ms), tree_t, vector_t in zip(
+            results[::2], results[1::2], times[::2], times[1::2]):
         if tree_ms > 0:
             print(f"speedup {name} {tree.po}: vector/tree wall time = "
                   f"{vector_ms / tree_ms:.2f}x, "
                   f"impl_work = {vector.impl_work / tree.impl_work:.2f}x")
+        print(f"spread {name} {tree.po}: tree {tree_t[0]:.3f}–{tree_t[-1]:.3f} ms, "
+              f"vector {vector_t[0]:.3f}–{vector_t[-1]:.3f} ms "
+              f"over {len(tree_t)} repeats")
 
 
 def _cmd_selfcheck(args):

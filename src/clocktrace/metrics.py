@@ -12,7 +12,10 @@ Two cost models for the same run:
 - impl_work: how many entries/nodes the clock representation touched,
   including reads that led to no update. For vectors this is exactly
   thread_count * (joins + copies) + increments, since every join and
-  copy scans a full vector. For trees it is the nodes a join or
+  copy reads all k entries: an entrywise one scans them, and one whose
+  clocks differ at most in the acting thread's entry reads them all in
+  the list comparison that finds this, which runs at C speed but is
+  still k reads. For trees it is the nodes a join or
   monotone copy examined in its gather pass plus the nodes it rebuilt,
   1 per early exit or increment, and 2·|source tree| + |target tree|
   per deep copy; the whole point of the tree representation is keeping

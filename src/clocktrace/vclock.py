@@ -2,10 +2,13 @@
 
 A vector time over k threads is a length-k tuple/list of ints ordered
 pointwise; join is the pointwise max. ``VectorClock`` is the mutable clock
-used by the analysis engines: a dense int list. Every clock, of either
-kind, is built with the ``WorkCounter`` of its run, and each increment,
-join and copy tallies into it, so a run can report how many entries its
-operations touched and changed.
+used by the analysis engines: a dense int list. A join or copy whose two
+clocks differ at most in the acting thread's entry (the target's owner
+for a join, the source's owner for a copy) is one C-level list
+comparison plus that one entry; any other join or copy is entrywise.
+Every clock, of either kind, is built with the ``WorkCounter`` of its
+run, and each increment, join and copy tallies into it, so a run can
+report how many entries its operations touched and changed.
 """
 
 from collections import namedtuple
@@ -79,29 +82,54 @@ class VectorClock:
             c.vt_work += 1
 
     def join(self, src):
-        """self <- self max src, entry by entry."""
+        """self <- self max src. When the two agree on every entry but
+        self's owner's, one C-level list comparison finds that and only
+        that entry is updated; any other join runs entry by entry. Both
+        count k to impl_work, since the comparison reads all k entries."""
         mine, theirs = self.clk, src.clk
+        c = self.counter
+        c.joins += 1
+        c.impl_work += len(mine)
+        t = self.owner
+        if t is not None:
+            old, new = mine[t], theirs[t]
+            mine[t] = new
+            if mine == theirs:  # stops at the first entry that differs
+                if new > old:
+                    c.vt_work += 1
+                else:
+                    mine[t] = old
+                return
+            mine[t] = old
         changed = 0
         for i, v in enumerate(theirs):
             if v > mine[i]:
                 mine[i] = v
                 changed += 1
-        c = self.counter
-        c.joins += 1
-        c.impl_work += len(mine)
         c.vt_work += changed
 
     def copy_check_monotone(self, src):
-        """self <- src, diffed and copied at C speed. Vector clocks have no
-        cheaper monotone path, so every copy is this plain copy; the return
-        value mirrors the tree clock API and never reports a deep rebuild."""
-        mine = self.clk
-        changed = sum(map(ne, mine, src.clk))
-        mine[:] = src.clk
+        """self <- src. When the two agree on every entry but src's owner's,
+        one C-level list comparison finds that and only that entry is
+        written; any other copy is diffed and copied entrywise at C speed.
+        Both count k to impl_work. Vector clocks have no cheaper monotone
+        path, so the return value mirrors the tree clock API and never
+        reports a deep rebuild."""
+        mine, theirs = self.clk, src.clk
         c = self.counter
         c.copies += 1
         c.impl_work += len(mine)
-        c.vt_work += changed
+        t = src.owner
+        if t is not None:
+            old = mine[t]
+            mine[t] = theirs[t]
+            if mine == theirs:  # stops at the first entry that differs
+                if old != mine[t]:
+                    c.vt_work += 1
+                return "monotone"
+            mine[t] = old
+        c.vt_work += sum(map(ne, mine, theirs))
+        mine[:] = theirs
         return "monotone"
 
     def flatten(self):

@@ -543,9 +543,11 @@ class TestBench:
         cells = ["single_lock-k3", "single_lock-k5", "single_lock-k40"]
         rows = [c for c in cells for _ in ("tree", "vector")]
         assert [r[0] for r in read_csv_rows(csv_path)[1:]] == rows
+        ratios = ("speedup ", "spread ")
         speedups = [line.split()[1] for line in lines if line.startswith("speedup ")]
-        summaries = [line.split(":")[0] for line in lines if not line.startswith("speedup ")]
-        assert (summaries, speedups) == (rows, cells)
+        spreads = [line.split()[1] for line in lines if line.startswith("spread ")]
+        summaries = [line.split(":")[0] for line in lines if not line.startswith(ratios)]
+        assert (summaries, speedups, spreads) == (rows, cells, cells)
 
     def test_bad_cell_is_refused_before_any_cell_runs(self, tmp_path, capsys,
                                                        monkeypatch):
@@ -685,6 +687,32 @@ class TestPinnedOutput:
         out = re.sub(r"wall time = \d+\.\d{2}x", "wall time = *x", capsys.readouterr().out)
         assert [line for line in out.splitlines() if line.startswith("speedup ")] == want
 
+    def test_bench_spread_follows_each_speedup(self, tmp_path, monkeypatch, capsys):
+        # each cell runs tree then vector, `--repeat` times each
+        fake_s = iter([0.003, 0.001, 0.002, 0.005, 0.004, 0.006] * 2)
+
+        def timed(*a, **kw):
+            run = run_analysis(*a, **kw)
+            run.elapsed = next(fake_s)
+            return run
+
+        monkeypatch.setattr(cli, "run_analysis", timed)
+        rc = cli.main(["bench", "--patterns", "single_lock", "--threads", "3,5",
+                       "--events", "40", "--csv", str(tmp_path / "b.csv"),
+                       "--repeat", "3"])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-4:] == [
+            "speedup single_lock-k3 hb: vector/tree wall time = 2.50x, "
+            "impl_work = 0.89x",
+            "spread single_lock-k3 hb: tree 1.000–3.000 ms, "
+            "vector 4.000–6.000 ms over 3 repeats",
+            "speedup single_lock-k5 hb: vector/tree wall time = 2.50x, "
+            "impl_work = 1.12x",
+            "spread single_lock-k5 hb: tree 1.000–3.000 ms, "
+            "vector 4.000–6.000 ms over 3 repeats",
+        ]
+
 
 class TestRendering:
     def test_csv_row_in_column_order(self, tmp_path):
@@ -716,9 +744,10 @@ def test_timed_runs_median_matches_statistics(monkeypatch, repeat):
     elapsed = [0.3, 0.1, 0.7, 0.2][:repeat]
     runs = iter(SimpleNamespace(elapsed=e) for e in elapsed)
     monkeypatch.setattr(cli, "run_analysis", lambda *a, **kw: next(runs))
-    run, ms = cli._timed_runs(None, HB, "tree", repeat)
+    run, ms, times = cli._timed_runs(None, HB, "tree", repeat)
     assert run.elapsed == elapsed[-1]
     assert ms == statistics.median(elapsed) * 1000.0
+    assert times == sorted(e * 1000.0 for e in elapsed)  # every repeat, kept
 
 
 @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])

@@ -1,5 +1,7 @@
 """Vector clocks: pinned arithmetic, contracts, and work accounting."""
 
+import random
+
 import pytest
 
 # the pinned six-thread vectors that `clocktrace selfcheck` also checks
@@ -112,3 +114,110 @@ def test_epoch_fields():
     e = Epoch(3, 17)
     assert e.tid == 3 and e.clk == 17
     assert e == Epoch(3, 17)
+
+
+# --- one-entry fast path against an entrywise reference -------------------
+
+def _cases(rng, k):
+    """(acting index a, mine, theirs), plain lists covering every way two
+    clocks can differ relative to the acting thread a: equal, at a only
+    (up or down), at a and at index 0 or k-1, and elsewhere only."""
+    a = rng.randrange(k)
+    base = [rng.randrange(1, 9) for _ in range(k)]
+
+    def moved(idx, up):
+        out = base[:]
+        for j in idx:
+            out[j] += rng.randrange(1, 5) if up else -rng.randrange(1, base[j] + 1)
+        return out
+
+    yield a, base, base[:]
+    for up in (True, False):
+        yield a, base, moved([a], up)
+        for j in sorted({0, k - 1} - {a}):
+            yield a, base, moved([a, j], up)
+        others = [j for j in range(k) if j != a]
+        if others:
+            picked = rng.sample(others, rng.randrange(1, len(others) + 1))
+            yield a, base, moved(picked, up)
+
+
+def _check(op, dst, src, want, want_vt):
+    c = dst.counter
+    before = (c.vt_work, c.impl_work, c.joins, c.copies)
+    result = op(dst, src)
+    assert dst.clk == want
+    assert (c.vt_work - before[0], c.impl_work - before[1]) == (want_vt, len(want))
+    if op is VectorClock.join:
+        assert (c.joins - before[2], c.copies - before[3]) == (1, 0)
+        assert result is None
+    else:
+        assert (c.joins - before[2], c.copies - before[3]) == (0, 1)
+        assert result == "monotone"
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 64])
+@pytest.mark.parametrize("seed", range(5))
+def test_join_and_copy_match_entrywise_reference(k, seed):
+    rng = random.Random(seed * 1000 + k)
+    c = WorkCounter()
+
+    def clock(values, owner):
+        vc = VectorClock(k, c, owner=owner)
+        vc.clk[:] = values
+        return vc
+
+    def other_owner(a):
+        return rng.choice([None] + [j for j in range(k) if j != a])
+
+    for a, mine, theirs in _cases(rng, k):
+        # join: the acting thread is the target's owner; an aux target
+        # (no owner) always takes the entrywise path
+        want = [max(x, y) for x, y in zip(mine, theirs)]
+        vt = sum(y > x for x, y in zip(mine, theirs))
+        for owner in (a, None):
+            _check(VectorClock.join, clock(mine, owner),
+                   clock(theirs, other_owner(a)), want, vt)
+        # copy: the acting thread is the source's owner; an aux source too
+        vt = sum(x != y for x, y in zip(mine, theirs))
+        for owner in (a, None):
+            _check(VectorClock.copy_check_monotone, clock(mine, other_owner(a)),
+                   clock(theirs, owner), theirs, vt)
+        # self-join and self-copy change nothing but still count k
+        for owner in (a, None):
+            me = clock(mine, owner)
+            _check(VectorClock.join, me, me, mine, 0)
+            _check(VectorClock.copy_check_monotone, me, me, mine, 0)
+
+
+class _Tripwire(Exception):
+    pass
+
+
+class _NoIterList(list):
+    """A clk list that refuses entrywise iteration."""
+
+    def __iter__(self):
+        raise _Tripwire
+
+
+def _tripwire_clock(values, owner, c):
+    vc = VectorClock(len(values), c, owner=owner)
+    vc.clk = _NoIterList(values)
+    return vc
+
+
+def test_one_entry_join_and_copy_do_not_iterate():
+    c = WorkCounter()
+    t = _tripwire_clock([3, 5, 2, 7], 2, c)
+    lock = _tripwire_clock([3, 5, 6, 7], None, c)
+    t.join(lock)  # differs only at the target's owner
+    assert t.clk == [3, 5, 6, 7]  # list equality does not call __iter__
+    t.clk[2] += 1
+    assert lock.copy_check_monotone(t) == "monotone"  # only at the source's owner
+    assert lock.clk == [3, 5, 7, 7]
+    assert (c.joins, c.copies, c.impl_work, c.vt_work) == (1, 1, 8, 2)
+    # a join that differs elsewhere is entrywise, so the tripwire is live
+    lock.clk[0] = 9
+    with pytest.raises(_Tripwire):
+        t.join(lock)
