@@ -30,7 +30,7 @@ from collections import namedtuple
 from functools import partial
 from operator import ne
 
-from .trace import ACQ, REL, READ, WRITE, Record
+from .trace import ACQ, REL, READ, WRITE
 from .vclock import Epoch, VectorClock, WorkCounter
 from .treeclock import TreeClock
 
@@ -48,28 +48,18 @@ RaceReport.__doc__ = """One reported race: its kind ("write-write" | "write-read
 access, and index, the later access's position in the trace."""
 
 
-class AnalysisRun(Record):
-    __slots__ = ("po", "clock_kind", "events", "threads", "locks", "vars",
-                 "races", "counter", "deep_copies", "fresh_copies",
-                 "unordered_pairs", "elapsed")
+class AnalysisRun(namedtuple("AnalysisRun", (
+        "po", "clock_kind", "events", "threads", "locks", "vars", "races",
+        "counter", "deep_copies", "fresh_copies", "unordered_pairs", "elapsed"))):
+    """One finished run, as Engine.record gives it. counter is the run's
+    WorkCounter, and vt_work and impl_work read it. deep_copies (the shb
+    write-write races, each forcing a deep copy into a last-write clock,
+    else 0) and fresh_copies (the variables given a last-write clock by a
+    fresh copy at their first write, 0 under hb) are derived by
+    Engine.record. unordered_pairs is None when not counted; elapsed is
+    the seconds spent processing events, parsing excluded."""
 
-    def __init__(self, po, clock_kind, events, threads, locks, vars, races,
-                 counter, deep_copies, fresh_copies, unordered_pairs, elapsed):
-        self.po = po
-        self.clock_kind = clock_kind
-        self.events = events
-        self.threads = threads
-        self.locks = locks
-        self.vars = vars
-        self.races = races
-        self.counter = counter  # the run's WorkCounter
-        # derived by Engine.record: the shb write-write races, each forcing a
-        # deep copy into a last-write clock (else 0), and the variables given
-        # a last-write clock by a fresh copy at their first write (0 under hb)
-        self.deep_copies = deep_copies
-        self.fresh_copies = fresh_copies
-        self.unordered_pairs = unordered_pairs  # None when not counted
-        self.elapsed = elapsed  # seconds spent processing events (parsing excluded)
+    __slots__ = ()
 
     @property
     def vt_work(self):

@@ -6,12 +6,11 @@ Four commands:
   parses it and checks its lock discipline; run one partial order over
   it with tree clocks, vector clocks, or both, print a summary line per
   run, optionally append a CSV row per run, and list races. With both
-  clocks, or with --oracle (small inputs only), one untimed pass then
-  replays the trace through one engine per clock kind in lockstep and
-  compares every event's timestamp across the kinds and with the
-  brute-force oracle; races and vt_work are compared once the runs are
-  done, vt_work across the kinds and, with --oracle, with the oracle's
-  recount (metrics.vtwork).
+  clocks, or with --oracle (small inputs only), metrics.cross_check
+  then replays the trace untimed through one engine per clock kind in
+  lockstep and compares every event's timestamp, the race reports and
+  vt_work across the kinds and, with --oracle, with the brute-force
+  oracle; the first problem it finds is printed as a divergence.
 - gen: write a synthetic trace from the deterministic generator.
   GenSpec.validate is the one check of pattern and star-style names.
 - bench: run a (pattern x thread-count x clock) matrix, append all rows
@@ -40,9 +39,9 @@ import gc
 import os
 import sys
 
-from .analyses import CLOCK_KINDS, ORDERS, Engine, race_event_indices, run_analysis
-from .metrics import verify_bounds, vtwork
-from .oracle import ORACLE_MAX_EVENTS, oracle_races, oracle_timestamps
+from .analyses import CLOCK_KINDS, ORDERS, run_analysis
+from .metrics import cross_check, verify_bounds
+from .oracle import ORACLE_MAX_EVENTS
 from .trace import TraceParseError, parse_trace, serialize_trace
 
 CSV_COLUMNS = (
@@ -131,9 +130,9 @@ def _read_trace(path):
     first line that is not UTF-8 (file and stdin are decoded alike, see
     clocktrace.trace), is malformed or breaks lock discipline."""
     stdin = path == "-"
-    if stdin and not hasattr(sys.stdin, "buffer"):  # text only, e.g. io.StringIO
-        return parse_trace(sys.stdin)
-    with open(sys.stdin.fileno() if stdin else path, encoding="utf-8",
+    # stdin is read from file descriptor 0, whatever sys.stdin is (None
+    # when the descriptor is closed, which open reports as an OSError)
+    with open(0 if stdin else path, encoding="utf-8",
               errors="surrogateescape", closefd=not stdin) as fh:
         return parse_trace(fh)
 
@@ -184,24 +183,6 @@ def _summary_line(run, ms):
     )
 
 
-def _compare_timestamps(trace, po, kinds, want):
-    """Replay the trace untimed through one engine per clock kind in
-    lockstep, keeping nothing per event. Returns (kinds differ, oracle
-    differs): whether any event's timestamps differ between the kinds,
-    and whether the first kind's differ from want, the oracle's list
-    (None to skip that check)."""
-    engines = [Engine(po, trace.thread_count, kind, count_unordered=False)
-               for kind in kinds]
-    kinds_differ = oracle_differs = False
-    for i, ev in enumerate(trace.events):
-        stamps = [engine.process(ev).flatten() for engine in engines]
-        if stamps[-1] != stamps[0]:
-            kinds_differ = True
-        if want is not None and stamps[0] != want[i]:
-            oracle_differs = True
-    return kinds_differ, oracle_differs
-
-
 def _cmd_analyze(args):
     trace = _read_trace(args.input)
     if not trace.events:  # e.g. the empty output of a failed upstream gen
@@ -235,35 +216,17 @@ def _cmd_analyze(args):
 
     if not compare:
         return 0
-    want = oracle_timestamps(trace, args.po) if args.oracle else None
-    kinds_differ, oracle_differs = _compare_timestamps(trace, args.po, kinds, want)
-
+    _, kind_problems, oracle_problems = cross_check(trace, args.po, kinds,
+                                                    args.oracle)
+    if kind_problems:
+        print(f"divergence: {kind_problems[0]}", file=sys.stderr)
+        return 1
     if args.clock == "both":
-        a, b = runs
-        if kinds_differ:
-            print("divergence: tree and vector timestamps differ", file=sys.stderr)
-            return 1
-        if a.races != b.races:
-            print("divergence: tree and vector race reports differ", file=sys.stderr)
-            return 1
-        if a.vt_work != b.vt_work:
-            print(f"divergence: vt_work differs (tree={a.vt_work}, vector={b.vt_work})",
-                  file=sys.stderr)
-            return 1
         print("clocks agree: timestamps, races, and entries changed identical")
-
+    if oracle_problems:
+        print(f"divergence: {oracle_problems[0]}", file=sys.stderr)
+        return 1
     if args.oracle:
-        if oracle_differs:
-            print("divergence: engine timestamps differ from oracle", file=sys.stderr)
-            return 1
-        if race_event_indices(trace, runs[0].races) != oracle_races(trace, args.po):
-            print("divergence: engine races differ from oracle", file=sys.stderr)
-            return 1
-        want_work = vtwork(trace, args.po)
-        if runs[0].vt_work != want_work:
-            print(f"divergence: engine vt_work differs from oracle "
-                  f"(engine={runs[0].vt_work}, oracle={want_work})", file=sys.stderr)
-            return 1
         print("oracle agreement: timestamps and races match")
     return 0
 

@@ -21,6 +21,9 @@ Two cost models for the same run:
   per deep copy; the whole point of the tree representation is keeping
   this close to vt_work.
 
+`cross_check` is the one comparison of the clock kinds with each other
+and with the brute-force oracle; `analyze` and `selfcheck` both run it.
+
 `verify_bounds` checks the relations that must hold:
 
 - every run: events <= vt_work, since each event increments one entry;
@@ -41,8 +44,8 @@ per-event total can exceed k as well.
 
 from operator import ne
 
-from .analyses import HB, MAZ, AnalysisRun
-from .oracle import oracle_timestamps
+from .analyses import HB, MAZ, AnalysisRun, Engine, race_event_indices
+from .oracle import oracle_races, oracle_timestamps
 from .trace import READ, REL, WRITE, Trace
 
 
@@ -73,6 +76,52 @@ def vtwork(trace: Trace, po: str) -> int:
             work += sum(map(ne, last.get(key, zeros), stamp))
             last[key] = stamp
     return work
+
+
+def cross_check(trace, po, kinds, oracle, debug=False):
+    """Replay the trace untimed through one Engine per clock kind in
+    lockstep, keeping nothing per event, and compare what they give.
+
+    Returns (runs, kind_problems, oracle_problems): each engine's
+    AnalysisRun, in kinds order, and a message per failed check. The
+    kinds must agree with each other: every event's timestamp, the race
+    reports and vt_work of the first kind against the last. With oracle
+    set, the first kind must also agree with the brute-force oracle:
+    oracle_timestamps, oracle_races and vtwork, so, as the kinds agree,
+    each kind does. debug is passed to the engines."""
+    engines = [Engine(po, trace.thread_count, kind, debug=debug,
+                      count_unordered=False) for kind in kinds]
+    want = oracle_timestamps(trace, po) if oracle else None
+    kinds_differ = oracle_differs = False
+    for i, ev in enumerate(trace.events):
+        stamps = [engine.process(ev).flatten() for engine in engines]
+        if stamps[-1] != stamps[0]:
+            kinds_differ = True
+        if want is not None and stamps[0] != want[i]:
+            oracle_differs = True
+    runs = [engine.record(trace) for engine in engines]
+    a, b = runs[0], runs[-1]
+
+    kind_problems = []
+    if kinds_differ:
+        kind_problems.append(f"{a.clock_kind} and {b.clock_kind} timestamps differ")
+    if a.races != b.races:
+        kind_problems.append(f"{a.clock_kind} and {b.clock_kind} race reports differ")
+    if a.vt_work != b.vt_work:
+        kind_problems.append(f"vt_work differs ({a.clock_kind}={a.vt_work}, "
+                             f"{b.clock_kind}={b.vt_work})")
+
+    oracle_problems = []
+    if oracle:
+        if oracle_differs:
+            oracle_problems.append("engine timestamps differ from oracle")
+        if race_event_indices(trace, a.races) != oracle_races(trace, po):
+            oracle_problems.append("engine races differ from oracle")
+        want_work = vtwork(trace, po)
+        if a.vt_work != want_work:
+            oracle_problems.append(f"engine vt_work differs from oracle "
+                                   f"(engine={a.vt_work}, oracle={want_work})")
+    return runs, kind_problems, oracle_problems
 
 
 def verify_bounds(run: AnalysisRun) -> None:

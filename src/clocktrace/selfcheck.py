@@ -5,16 +5,17 @@ trace walked through event by event with its expected per-event
 timestamps and two expected tree shapes, two small traces spotlighting
 the join prunings (the final acquire must touch fewer nodes than a flat
 vector scan), a star-relay round showing which clocks stay sparse,
-pinned vector-clock arithmetic, and a randomized
-mini-sweep cross-checking both engines against the brute-force oracle
-with debug assertions on.
+pinned vector-clock arithmetic, and a randomized mini-sweep that runs
+metrics.cross_check, the comparison behind `analyze --clock both
+--oracle`, with debug assertions on: both clock kinds against each
+other and against the brute-force oracle.
 
 Each check returns a list of failure strings; `run` aggregates them.
 """
 
-from .analyses import HB, ORDERS, Engine, race_event_indices
-from .metrics import verify_bounds, vtwork
-from .oracle import oracle_races, oracle_timestamps
+from .analyses import CLOCK_KINDS, HB, ORDERS, Engine
+from .metrics import cross_check, verify_bounds
+from .oracle import oracle_timestamps
 from .trace import parse_trace
 from .tracegen import random_trace
 from .vclock import vt_leq
@@ -203,24 +204,15 @@ def check_sweep():
     for seed in SWEEP_SEEDS:
         trace = random_trace(seed)
         for po in ORDERS:
-            want_ts = oracle_timestamps(trace, po)
-            want_races = oracle_races(trace, po)
-            want_vt = vtwork(trace, po)
-            for kind in ("tree", "vector"):
-                engine = Engine(po, trace.thread_count, kind, debug=True)
-                stamps = [engine.process(ev).flatten() for ev in trace.events]
-                run = engine.record(trace)
-                where = f"sweep seed={seed} po={po} {kind}"
-                if stamps != want_ts:
-                    fails.append(f"{where}: timestamps diverge from oracle")
-                if race_event_indices(trace, run.races) != want_races:
-                    fails.append(f"{where}: races diverge from oracle")
-                if run.vt_work != want_vt:
-                    fails.append(f"{where}: vt_work {run.vt_work} != snapshot-diff {want_vt}")
+            where = f"sweep seed={seed} po={po}"
+            runs, kind_problems, oracle_problems = cross_check(
+                trace, po, CLOCK_KINDS, oracle=True, debug=True)
+            fails.extend(f"{where}: {p}" for p in kind_problems + oracle_problems)
+            for run in runs:
                 try:
                     verify_bounds(run)
                 except AssertionError as exc:
-                    fails.append(f"{where}: {exc}")
+                    fails.append(f"{where} {run.clock_kind}: {exc}")
     return fails
 
 

@@ -29,11 +29,11 @@ Trace text is UTF-8. Readers decode it with errors="surrogateescape",
 and parse_trace names the first line, comment included, that holds the
 lone surrogate a byte that is not UTF-8 becomes.
 
-Value records (Violation, analyses.RaceReport, vclock.Epoch) are
-namedtuples. Event, Trace and analyses.AnalysisRun are __slots__ classes
-on one base, Record: Event fields read faster from slots, Trace has a
-length, AnalysisRun properties. None is a dataclass, so reading and
-analyzing a trace never imports dataclasses or its inspect.
+Value records (Violation, analyses.RaceReport, analyses.AnalysisRun,
+vclock.Epoch) are namedtuples. Event and Trace are __slots__ classes on
+one base, Record: Event fields read faster from slots, and Trace has a
+length and name lookups. None is a dataclass, so reading and analyzing a
+trace never imports dataclasses or its inspect.
 """
 
 from collections import namedtuple

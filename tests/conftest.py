@@ -1,11 +1,15 @@
-"""Shared test helpers: deterministic random traces of varying shape, and
-per-event views of an engine run."""
+"""Shared test helpers: deterministic random traces of varying shape,
+per-event views of an engine run, and faults injected into the
+cross-check of the clock kinds and the oracle."""
 
+from clocktrace import metrics
 from clocktrace.analyses import Engine
 from clocktrace.tracegen import SplitMix64, random_trace
 from clocktrace.trace import Trace
+from clocktrace.vclock import VectorClock
 
-__all__ = ["random_trace", "corpus_trace", "each_event", "engine_timestamps"]
+__all__ = ["random_trace", "corpus_trace", "each_event", "engine_timestamps",
+           "inject_fault"]
 
 
 def each_event(trace, po, debug=False):
@@ -38,3 +42,42 @@ def corpus_trace(seed, max_events=500, max_threads=8, max_locks=4, max_vars=6):
     return random_trace(
         seed, events=events, threads=threads, locks=locks, variables=variables
     )
+
+
+def inject_fault(monkeypatch, fault, trace, po):
+    """Make metrics.cross_check on (trace, po) see one fault: in the
+    vector engine's "vector timestamps", "vector races" (its last race
+    dropped) or "vector vt_work" (one more), or in the oracle's "oracle
+    timestamps" (the last one raised), "oracle races" (the last dropped)
+    or "oracle vt_work" (one more). Each fault reaches no other check."""
+    work = metrics.vtwork(trace, po)
+    real_ts, real_races = metrics.oracle_timestamps, metrics.oracle_races
+
+    class Doctored(Engine):
+        def record(self, trace, elapsed=0.0):
+            run = super().record(trace, elapsed)
+            if self.clock_kind == "vector" and fault == "vector races":
+                run.races.pop()
+            if self.clock_kind == "vector" and fault == "vector vt_work":
+                run.counter.vt_work += 1
+            return run
+
+    def doctored_ts(trace, po):
+        stamps = real_ts(trace, po)
+        stamps[-1] = tuple(v + 1 for v in stamps[-1])
+        return stamps
+
+    monkeypatch.setattr(metrics, "Engine", Doctored)
+    if fault == "vector timestamps":  # hb engines never flatten themselves
+        real_flatten = VectorClock.flatten
+        monkeypatch.setattr(VectorClock, "flatten",
+                            lambda self: tuple(v + 1 for v in real_flatten(self)))
+    if fault == "oracle timestamps":
+        # vtwork reads the same oracle; keep its recount as it was
+        monkeypatch.setattr(metrics, "oracle_timestamps", doctored_ts)
+        monkeypatch.setattr(metrics, "vtwork", lambda trace, po: work)
+    if fault == "oracle races":
+        monkeypatch.setattr(metrics, "oracle_races",
+                            lambda trace, po: real_races(trace, po)[:-1])
+    if fault == "oracle vt_work":
+        monkeypatch.setattr(metrics, "vtwork", lambda trace, po: work + 1)

@@ -9,8 +9,8 @@ import pytest
 from conftest import engine_timestamps
 from oracles import oracle_forced_deep_copies, oracle_unordered_pairs
 
-from clocktrace import cli
 from clocktrace.analyses import (
+    CLOCK_KINDS,
     HB,
     MAZ,
     ORDERS,
@@ -19,7 +19,7 @@ from clocktrace.analyses import (
     race_event_indices,
     run_analysis,
 )
-from clocktrace.metrics import verify_bounds, vtwork
+from clocktrace.metrics import cross_check, verify_bounds
 from clocktrace.oracle import oracle_races, oracle_timestamps
 from clocktrace.trace import WRITE, Violation, parse_trace, serialize_trace
 from clocktrace.tracegen import GenSpec, generate, random_trace
@@ -273,11 +273,9 @@ def test_analysis_pipeline_leaves_no_cyclic_garbage():
             for po in ORDERS:
                 for kind in ("tree", "vector"):
                     verify_bounds(run_analysis(trace, po, kind))
-                want = oracle_timestamps(trace, po)
-                assert cli._compare_timestamps(
-                    trace, po, ["tree", "vector"], want) == (False, False)
-                oracle_races(trace, po)
-                vtwork(trace, po)
+                _, kind_problems, oracle_problems = cross_check(
+                    trace, po, CLOCK_KINDS, oracle=True)
+                assert kind_problems == oracle_problems == []
         run_analysis(generate(GenSpec("pairwise", 8, 2000, seed=3)), HB, "tree")
         assert gc.collect() == 0
     finally:

@@ -10,17 +10,17 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 from types import SimpleNamespace
-from unittest import mock
 
 import pytest
+from conftest import inject_fault
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clocktrace import cli, tracegen
 from clocktrace.analyses import HB, MAZ, ORDERS, run_analysis
 from clocktrace.cli import CSV_COLUMNS
-from clocktrace.metrics import vtwork
 from clocktrace.trace import Event, Trace, parse_trace, serialize_trace, validate_trace
 from clocktrace.tracegen import random_trace
 from clocktrace.vclock import VectorClock
@@ -148,12 +148,16 @@ class TestAnalyze:
         assert rc == 0
         assert "tree" in capsys.readouterr().out
 
-    def test_stdin_input(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO("t0 w x\nt1 r x\n"))
-        rc = cli.main(["analyze", "--po", "shb", "--input", "-",
-                       "--repeat", "1"])
-        assert rc == 0
-        capsys.readouterr()
+    def test_stdin_input(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "clocktrace.cli", "analyze", "--po", "shb",
+             "--input", "-", "--repeat", "1"],
+            input=b"t0 w x\nt1 r x\n", capture_output=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=SRC),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.decode().endswith(
+            "clocks agree: timestamps, races, and entries changed identical\n")
 
     def test_csv_rows_appended(self, tmp_path):
         trace = gen_trace(tmp_path)
@@ -305,6 +309,18 @@ class TestExitCodes:
         assert proc.stdout == b""
         assert proc.stderr.decode() == "error: -: trace has no events\n"
 
+    def test_closed_stdin_exits_2(self):
+        # with file descriptor 0 closed, Python sets sys.stdin to None
+        proc = subprocess.run(
+            [sys.executable, "-m", "clocktrace.cli", "analyze", "--po", "hb",
+             "--input", "-", "--repeat", "1"],
+            preexec_fn=lambda: os.close(0), capture_output=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=SRC),
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert re.fullmatch(rb"error: [^\n]+\n", proc.stderr), proc.stderr
+
     @pytest.mark.parametrize("data, message", [
         # 0xff in a comment on line 6001, past the first 8 KB read chunk
         (b"t0 w x0\n" * 6000 + b"t1 w x0  # \xff\n" + b"t0 w x0\n" * 1000,
@@ -446,33 +462,11 @@ class TestExitCodes:
     ])
     def test_each_divergence_exits_1(self, tmp_path, capsys, monkeypatch,
                                      clock, fault, message):
-        real_run, real_ts, real_races = (cli.run_analysis, cli.oracle_timestamps,
-                                         cli.oracle_races)
-
-        def doctored_run(trace, po, kind, **kw):
-            run = real_run(trace, po, kind, **kw)
-            if kind == "vector" and fault == "vector races":
-                run.races.pop()
-            if kind == "vector" and fault == "vector vt_work":
-                run.counter.vt_work += 1
-            return run
-
-        def doctored_ts(trace, po):
-            stamps = real_ts(trace, po)
-            stamps[-1] = tuple(v + 1 for v in stamps[-1])
-            return stamps
-
-        monkeypatch.setattr(cli, "run_analysis", doctored_run)
-        if fault == "oracle timestamps":
-            monkeypatch.setattr(cli, "oracle_timestamps", doctored_ts)
-        if fault == "oracle races":
-            monkeypatch.setattr(cli, "oracle_races",
-                                lambda trace, po: real_races(trace, po)[:-1])
-        if fault == "oracle vt_work":
-            monkeypatch.setattr(cli, "vtwork",
-                                lambda trace, po: vtwork(trace, po) + 1)
+        path = racy_trace(tmp_path)
+        # the cross-check's engines and oracle, not the timed runs
+        inject_fault(monkeypatch, fault, parse_trace(path.read_text()), HB)
         rc = cli.main(["analyze", "--po", HB, "--clock", clock, "--oracle",
-                       "--input", str(racy_trace(tmp_path)), "--repeat", "1"])
+                       "--input", str(path), "--repeat", "1"])
         assert rc == 1
         out, err = capsys.readouterr()
         assert err == f"divergence: {message}\n"
@@ -494,11 +488,14 @@ def test_lock_misuse_is_rejected_never_misanalysed(lines, po, clock):
         f"t{t} {op} {'l' if op in ('acq', 'rel') else 'x'}{target}\n"
         for t, op, target in lines
     )
-    with mock.patch("sys.stdin", io.StringIO(text)), \
-            contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
-        rc = cli.main(["analyze", "--po", po, "--clock", clock,
-                       "--input", "-", "--repeat", "1"])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "misuse.trace")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            rc = cli.main(["analyze", "--po", po, "--clock", clock,
+                           "--input", path, "--repeat", "1"])
     # ids as generated, not as parsing would intern them: renaming threads
     # or locks one-to-one changes no violation
     events = [Event(t, op, target) for t, op, target in lines]
@@ -692,9 +689,7 @@ class TestPinnedOutput:
         fake_s = iter([0.003, 0.001, 0.002, 0.005, 0.004, 0.006] * 2)
 
         def timed(*a, **kw):
-            run = run_analysis(*a, **kw)
-            run.elapsed = next(fake_s)
-            return run
+            return run_analysis(*a, **kw)._replace(elapsed=next(fake_s))
 
         monkeypatch.setattr(cli, "run_analysis", timed)
         rc = cli.main(["bench", "--patterns", "single_lock", "--threads", "3,5",

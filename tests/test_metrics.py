@@ -1,12 +1,14 @@
 """Tests for the work metrics: the independent entries-changed recount
-and the oracle's size cap it shares, the bound checks and their
-documented scope, and the hypothetical vector cost."""
+and the oracle's size cap it shares, the cross-check of the clock kinds
+and the oracle, the bound checks and their documented scope, and the
+hypothetical vector cost."""
 
 import pytest
+from conftest import inject_fault
 from oracles import vc_work
 
 from clocktrace.analyses import HB, MAZ, ORDERS, SHB, run_analysis
-from clocktrace.metrics import verify_bounds, vtwork
+from clocktrace.metrics import cross_check, verify_bounds, vtwork
 from clocktrace.oracle import ORACLE_MAX_EVENTS, oracle_races, oracle_timestamps
 from clocktrace.trace import parse_trace
 from clocktrace.tracegen import random_trace
@@ -53,6 +55,42 @@ def test_references_refuse_traces_over_the_oracle_cap(reference):
     trace = parse_trace("t0 w x\n" * (ORACLE_MAX_EVENTS + 1))
     with pytest.raises(ValueError, match="oracle is quadratic"):
         reference(trace, HB)
+
+
+class TestCrossCheck:
+    @pytest.mark.parametrize("kinds", [["tree"], ["vector"], ["tree", "vector"]])
+    @pytest.mark.parametrize("po", ORDERS)
+    def test_consistent_input_has_no_problem(self, po, kinds):
+        for seed in range(3):
+            trace = random_trace(seed + 700, events=120, threads=4, locks=2,
+                                 variables=3)
+            runs, kind_problems, oracle_problems = cross_check(
+                trace, po, kinds, oracle=True, debug=True)
+            assert kind_problems == oracle_problems == []
+            assert [run.clock_kind for run in runs] == kinds
+            want = run_analysis(trace, po, kinds[0])
+            assert runs[0].races == want.races
+            assert runs[0].vt_work == want.vt_work
+
+    @pytest.mark.parametrize("fault, group, message", [
+        ("vector timestamps", "kinds", "tree and vector timestamps differ"),
+        ("vector races", "kinds", "tree and vector race reports differ"),
+        ("vector vt_work", "kinds", "vt_work differs (tree={w}, vector={w1})"),
+        ("oracle timestamps", "oracle", "engine timestamps differ from oracle"),
+        ("oracle races", "oracle", "engine races differ from oracle"),
+        ("oracle vt_work", "oracle",
+         "engine vt_work differs from oracle (engine={w}, oracle={w1})"),
+    ])
+    def test_each_fault_yields_only_its_message(self, monkeypatch, fault,
+                                                group, message):
+        trace = random_trace(41, events=40, threads=3, locks=2, variables=2)
+        work = vtwork(trace, HB)
+        inject_fault(monkeypatch, fault, trace, HB)
+        _, kind_problems, oracle_problems = cross_check(
+            trace, HB, ["tree", "vector"], oracle=True)
+        expected = [message.format(w=work, w1=work + 1)]
+        assert (kind_problems, oracle_problems) == (
+            (expected, []) if group == "kinds" else ([], expected))
 
 
 class TestBounds:

@@ -1,9 +1,12 @@
 """The embedded fixture suite must pass, and its frozen constants must keep
 their documented shape."""
 
-from clocktrace import analyses, selfcheck
+import re
+
+from clocktrace import analyses, cli, selfcheck
 from clocktrace.trace import parse_trace, serialize_trace, validate_trace
 from clocktrace.tracegen import random_trace
+from clocktrace.vclock import VectorClock
 
 
 def test_all_embedded_checks_pass():
@@ -23,6 +26,20 @@ def test_sweep_builds_one_engine_per_cell(monkeypatch):
     monkeypatch.setattr(analyses.Engine, "__init__", counting_init)
     assert selfcheck.check_sweep() == []
     assert len(built) == 6 * len(analyses.ORDERS) * len(analyses.CLOCK_KINDS)
+
+
+def test_sweep_reports_a_divergence(monkeypatch, capsys):
+    # the skew reaches only vector timestamps, which the sweep compares
+    # with the tree's and never with the oracle's
+    real = VectorClock.flatten
+    monkeypatch.setattr(VectorClock, "flatten",
+                        lambda self: tuple(v + 1 for v in real(self)))
+    fails = selfcheck.check_sweep()
+    assert "sweep seed=0 po=hb: tree and vector timestamps differ" in fails
+    assert all(re.fullmatch(r"sweep seed=\d+ po=\w+: tree and vector "
+                            r"timestamps differ", f) for f in fails), fails
+    assert cli.main(["selfcheck"]) == 1
+    assert "selfcheck randomized sweep: FAIL" in capsys.readouterr().out
 
 
 def test_walkthrough_fixture_shape():
