@@ -16,7 +16,13 @@ race checks against per-variable epochs, then updates the bookkeeping:
   the write-write races (and is 0 under hb and maz).
 - "maz": additionally, each write joins the last-write clock and the
   clocks of all intervening readers, ordering all conflicting accesses.
-  The same checks run but, by construction, nothing ever fires.
+  The same checks run but, by construction, nothing ever fires. A
+  reader clock (x, t) is set by a copy from t's clock at each read of x
+  by t, and read by the next write to x, which joins it. Nothing reads
+  it again until t's next read of x copies into it once more, so the
+  write calls drop_tree on it right after the join: a tree clock frees
+  its link set there and keeps its entries (see treeclock), and a
+  vector clock, which has no tree, is left as it is.
 
 Race checks follow the epoch discipline: one (thread, clock) pair per
 variable for the last write, one per reader thread since that write. At
@@ -147,7 +153,9 @@ class Engine:
                 if lw is not None:
                     C.join(lw)
                 for rt in rts:
-                    C.join(self.read_clocks[(x, rt)])
+                    rc = self.read_clocks[(x, rt)]
+                    C.join(rc)
+                    rc.drop_tree()  # only a copy from rt's clock reads it next
                 if multi:
                     net = sum(map(ne, pre, C.flatten()))
                     self.counter.vt_work = vt0 + net

@@ -21,7 +21,9 @@ Four commands:
 Exit codes: 0 success; 1 divergence, race-check mismatch, or assertion
 failure; 2 usage or I/O errors, malformed traces, traces that break lock
 discipline (the first bad line in file order, malformed or misusing a
-lock, is named), and an analyze input with no events. Timing uses a
+lock, is named), and an analyze input with no events; 3 out of memory,
+reported as one line that names the command and, when an engine run was
+in progress, its thread count k and clock kind. Timing uses a
 monotonic clock, covers only the engine (not parsing or the comparison
 pass), and reports the median over --repeat runs (default 3).
 
@@ -38,6 +40,7 @@ import argparse
 import gc
 import os
 import sys
+from contextlib import contextmanager
 
 from .analyses import CLOCK_KINDS, ORDERS, run_analysis
 from .metrics import cross_check, verify_bounds
@@ -63,6 +66,10 @@ def main(argv=None):
     except AssertionError as exc:
         print(f"assertion failed: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        where = f" ({exc})" if str(exc) else ""
+        print(f"error: {args.command}: out of memory{where}", file=sys.stderr)
+        return 3
     finally:
         if enabled:
             gc.enable()
@@ -144,13 +151,24 @@ def _timed_runs(trace, po, kind, repeat, debug=False, count_unordered=True):
     count) without that module's import cost."""
     elapsed = []
     for _ in range(repeat):
-        run = run_analysis(trace, po, kind, debug=debug,
-                           count_unordered=count_unordered)
+        with _engine_context(trace, kind):
+            run = run_analysis(trace, po, kind, debug=debug,
+                               count_unordered=count_unordered)
         elapsed.append(run.elapsed)
     elapsed.sort()
     m = len(elapsed) // 2
     return (run, (elapsed[m] + elapsed[~m]) / 2 * 1000.0,
             [e * 1000.0 for e in elapsed])
+
+
+@contextmanager
+def _engine_context(trace, kind):
+    """Re-raise a MemoryError from the engine runs inside it with the
+    trace's thread count and the clock kind, which main() reports."""
+    try:
+        yield
+    except MemoryError:
+        raise MemoryError(f"k={trace.thread_count}, clock={kind}") from None
 
 
 def _append_csv(path, results):
@@ -216,8 +234,9 @@ def _cmd_analyze(args):
 
     if not compare:
         return 0
-    _, kind_problems, oracle_problems = cross_check(trace, args.po, kinds,
-                                                    args.oracle)
+    with _engine_context(trace, "+".join(kinds)):
+        _, kind_problems, oracle_problems = cross_check(trace, args.po, kinds,
+                                                        args.oracle)
     if kind_problems:
         print(f"divergence: {kind_problems[0]}", file=sys.stderr)
         return 1

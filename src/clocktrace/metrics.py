@@ -19,7 +19,12 @@ Two cost models for the same run:
   monotone copy examined in its gather pass plus the nodes it rebuilt,
   1 per early exit or increment, and 2·|source tree| + |target tree|
   per deep copy; the whole point of the tree representation is keeping
-  this close to vt_work.
+  this close to vt_work. A monotone copy into a detached clock (a maz
+  reader clock whose tree was dropped) rebuilds nothing: it copies the
+  entries and shares the source's link set, yet counts the nodes it
+  would have rebuilt, as a deep copy counts arrays it shares rather
+  than copies. impl_work does not yet tell that O(k) list work apart
+  from node work.
 
 `cross_check` is the one comparison of the clock kinds with each other
 and with the brute-force oracle; `analyze` and `selfcheck` both run it.

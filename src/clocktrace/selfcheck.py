@@ -4,8 +4,10 @@ Everything here is self-contained and deterministic: a 16-event lock
 trace walked through event by event with its expected per-event
 timestamps and two expected tree shapes, two small traces spotlighting
 the join prunings (the final acquire must touch fewer nodes than a flat
-vector scan), a star-relay round showing which clocks stay sparse,
-pinned vector-clock arithmetic, and a randomized mini-sweep that runs
+vector scan), a star-relay round showing which clocks stay sparse, a
+maz round showing reader clocks drop their trees once a write has
+joined them and share their thread clock's at the next read, pinned
+vector-clock arithmetic, and a randomized mini-sweep that runs
 metrics.cross_check, the comparison behind `analyze --clock both
 --oracle`, with debug assertions on: both clock kinds against each
 other and against the brute-force oracle.
@@ -13,7 +15,7 @@ other and against the brute-force oracle.
 Each check returns a list of failure strings; `run` aggregates them.
 """
 
-from .analyses import CLOCK_KINDS, HB, ORDERS, Engine
+from .analyses import CLOCK_KINDS, HB, MAZ, ORDERS, Engine
 from .metrics import cross_check, verify_bounds
 from .oracle import oracle_timestamps
 from .trace import parse_trace
@@ -108,6 +110,17 @@ INTUITION_INDIRECT = (
 # the hub's clock alone, which makes it the one dense clock.
 INTUITION_STORAGE = _sync("t1", "l1") + _sync("t2", "l2") + "t0 acq l1\n"
 
+# maz storage showcase: t2 and t3 each learn another thread through l,
+# then read x, which copies their linked clocks into two reader clocks.
+# t1's write joins both readers, and nothing reads their trees after
+# that: both drop them (detached) and keep their entries. t2's next read
+# copies into its reader clock monotonically, and the copy takes t2's
+# link set by sharing it.
+INTUITION_MAZ_STORAGE = (
+    _sync("t1", "l") + _sync("t2", "l") + _sync("t3", "l")
+    + "t2 r x\nt3 r x\nt1 w x\nt2 r x\n"
+)
+
 # Cost of the spotlight event (local increment plus the acquire's join):
 # the tree walk touches 3 nodes, a flat vector always scans all 4.
 INTUITION_TREE_COST = 4
@@ -166,7 +179,7 @@ def check_intuitions():
             fails.append(f"intuition {name}: tree spotlight cost {costs['tree']} != {INTUITION_TREE_COST}")
         if costs["vector"] != INTUITION_VECTOR_COST:
             fails.append(f"intuition {name}: vector spotlight cost {costs['vector']} != {INTUITION_VECTOR_COST}")
-    return fails + check_storage_intuition()
+    return fails + check_storage_intuition() + check_maz_storage_intuition()
 
 
 def check_storage_intuition():
@@ -184,6 +197,30 @@ def check_storage_intuition():
     if dense != [hub]:
         fails.append(f"intuition storage: after the hub acquire {len(dense)} "
                      f"clocks are dense, the hub's among them: {hub in dense}")
+    return fails
+
+
+def check_maz_storage_intuition():
+    fails = []
+    trace = parse_trace(INTUITION_MAZ_STORAGE)
+    engine = Engine(MAZ, trace.thread_count, "tree", debug=True)
+    for ev in trace.events[:-2]:
+        engine.process(ev)
+    readers = list(engine.read_clocks.values())
+    before = [reader.flatten() for reader in readers]
+    engine.process(trace.events[-2])  # the write
+    detached = [reader.links is None and type(reader.clk) is list
+                for reader in readers]
+    if detached != [True, True]:
+        fails.append(f"intuition maz storage: after the write the readers' "
+                     f"detached forms are {detached}")
+    if [reader.flatten() for reader in readers] != before:
+        fails.append("intuition maz storage: the write changed a reader's entries")
+    thread = engine.process(trace.events[-1])  # the re-read
+    if not (readers[0].links is thread.links is not None
+            and readers[0].shared and thread.shared):
+        fails.append("intuition maz storage: the re-read does not share its "
+                     "thread clock's link set")
     return fails
 
 

@@ -36,7 +36,8 @@ number of changed entries is the list's length less those two where
 unchanged, with no per-node test. A join whose source is
 ahead on the target's own root thread is outside the contract: join
 refuses it with one O(1) test of that entry before the target changes,
-so _move checks no contract.
+so _move checks no contract but the detached form's (below), in its
+first-link and root-only-source branches.
 
 Nodes live in dense arrays indexed by thread id, so thread-id lookup is
 O(1). The tree's shape is one link set, the tuple links = (aclk, parent,
@@ -49,7 +50,7 @@ its source read the same links until either side relinks, and _move, the
 only code that relinks in place, first copies the set (copy on write).
 clk is always copied: in an analysis the source of a deep copy is the
 acting thread's clock, whose next increment rewrites it. A clock takes
-one of two storage forms:
+one of three storage forms:
 
 - sparse: clk is an Entries mapping holding the root's entry alone, or
   nothing on an empty clock, and links is None. An empty clock (aux)
@@ -60,17 +61,33 @@ one of two storage forms:
 - dense: clk is a length-k list and links a link set. _move turns a
   sparse clock dense when it first links a second node; a deep copy
   from a sparse source turns a dense clock sparse again.
+- detached: clk is a length-k list, links is None and shared is False.
+  drop_tree leaves a dense clock in this form once nothing will read its
+  tree again: under maz, a reader clock after a write has joined it. It
+  keeps its entries, so reads see it unchanged, but it is never a join
+  target, a join source or a copy source (ClockContractError). A deep
+  copy into it works as into a dense clock. A monotone copy into it runs
+  _move's gather, so it counts exactly the work a rebuild would, then
+  skips the rebuild and takes the source's tree whole: a copy of clk and
+  the shared link set, as a deep copy from a dense source takes them.
+  That is exact when the two clocks are two states of one thread's
+  clock, as a reader clock and its thread's clock are: a thread clock
+  takes only increments and joins, and a join relinks only nodes whose
+  entry rises, so a monotone copy from the later state into the earlier
+  one ends with the later state's tree.
 
 Nodes are only ever added: a thread joins the tree when a join or copy
 first brings it in, and leaves only when a deep copy replaces every
 array. These invariants follow and check_integrity checks them:
 
-- clk[t] == 0 for every thread t outside the tree, in either form, so
+- clk[t] == 0 for every thread t outside the tree, in every form, so
   an entry is read as clk[t] with no membership test (Entries answers
   0 for a missing key); whole-clock reads (flatten, the deep-copy
-  diff) branch on the form;
-- clk is an Entries mapping iff links is None, and then it holds
-  exactly the root's key, or no key on an empty clock;
+  diff) branch on clk's type;
+- clk is an Entries mapping iff the clock is sparse, and then it holds
+  exactly the root's key, or no key on an empty clock; a detached
+  clock holds a non-root node, since a clock turns dense only when it
+  links a second node and a monotone copy loses none;
 - a thread is in the tree iff it is the root or parent[t] != NIL, and a
   thread outside it has no children (head[t] == NIL);
 - every non-root node's clk is positive: _move brings in only nodes
@@ -157,6 +174,16 @@ class TreeClock:
 
     # --- mutation ------------------------------------------------------------
 
+    def drop_tree(self):
+        """Free the link set of a clock whose tree no operation will read
+        again, keeping its entries: the detached form (module docstring).
+        Until a copy into it brings a tree back, it may be read but must
+        not be joined or copied from. A sparse clock has no link set and
+        stays as it is."""
+        if self.links is not None:
+            self.links = None
+            self.shared = False
+
     def increment(self):
         if self.root == NIL:
             raise ClockContractError("increment on an empty tree clock")
@@ -232,6 +259,8 @@ class TreeClock:
             raise ClockContractError(
                 "single-entry monotonicity test missed a non-monotone target")
         if src.links is None:
+            if type(src.clk) is list:
+                raise ClockContractError("copy from a detached tree clock")
             # self <= src and 0 < mine <= src.clk[r], so src's one node is
             # r; and self holds r alone, as a dense clock holds a non-root
             # node at a positive time that src cannot cover. One entry,
@@ -262,20 +291,27 @@ class TreeClock:
         target is wholly superseded, and self's old root is always
         gathered, even with its time unchanged, so the rebuild can reseat
         it). A root-only target turns dense here; a root-only source
-        gathers only z."""
+        gathers only z. A detached target (copy_mode only) runs the
+        gather alone and then takes the source's tree whole."""
         links = self.links
         if links is None:
-            self.clk = self._dense()
-            self.links = links = tuple([NIL] * self.k for _ in range(5))
+            if type(self.clk) is list:  # detached
+                if not copy_mode:
+                    raise ClockContractError("join into a detached tree clock")
+            else:
+                self.clk = self._dense()
+                self.links = links = tuple([NIL] * self.k for _ in range(5))
         elif self.shared:  # copy on write: the first relink takes copies
             self.links = links = tuple(a[:] for a in links)
             self.shared = False
-        aclk, parent, head, nxt, prv = links
         clk, sclk, slinks = self.clk, src.clk, src.links
         root, z = self.root, src.root
         moved = [z]
         visited = 1
-        if slinks is not None:
+        if slinks is None:
+            if type(sclk) is list:
+                raise ClockContractError("join from a detached tree clock")
+        else:
             saclk, sparent, shead, snxt, _ = slinks
             keep = root if copy_mode else NIL  # gathered even when not ahead
             for u in moved:
@@ -293,6 +329,15 @@ class TreeClock:
         changed = len(moved)  # each is ahead, but maybe z and keep
         if copy_mode:
             changed -= (clk[z] == sclk[z]) + (z != root and clk[root] == sclk[root])
+        c = self.counter
+        c.impl_work += visited + len(moved)  # examined + rebuilt
+        c.vt_work += changed
+        if links is None:  # detached: end with the source's tree
+            self._take_tree(src)
+            if c.debug:
+                self.check_integrity()
+            return
+        aclk, parent, head, nxt, prv = links
         for u in moved[:0:-1]:
             p = parent[u]
             if p != NIL:
@@ -335,9 +380,6 @@ class TreeClock:
             if after != NIL:
                 prv[after] = z
             parent[z] = root
-        c = self.counter
-        c.impl_work += visited + len(moved)  # examined + rebuilt
-        c.vt_work += changed
         if c.debug:
             self.check_integrity()
 
@@ -350,6 +392,8 @@ class TreeClock:
         were copied: 2·|source tree| + |target tree|."""
         c = self.counter
         old, new = self.clk, src.clk
+        if src.links is None and type(new) is list:
+            raise ClockContractError("copy from a detached tree clock")
         old_nonzero, old_size = _census(old, self.root)
         new_nonzero, new_size = _census(new, src.root)
         c.impl_work += 2 * new_size + old_size
@@ -365,16 +409,21 @@ class TreeClock:
             for t, v in few.items():
                 changed += (many[t] != v) - (many[t] != 0)
             c.vt_work += changed
-        self.links = src.links
-        if src.links is None:
-            self.clk = Entries(new)
-            self.shared = False
-        else:
-            self.clk = new[:]
-            self.shared = src.shared = True
-        self.root = src.root
+        self._take_tree(src)
         if c.debug:
             self.check_integrity()
+
+    def _take_tree(self, src):
+        """Become src's tree: a copy of its entries and, from a dense
+        source, its link set, shared until either side relinks."""
+        self.links = src.links
+        if src.links is None:
+            self.clk = Entries(src.clk)
+            self.shared = False
+        else:
+            self.clk = src.clk[:]
+            self.shared = src.shared = True
+        self.root = src.root
 
     # --- diagnostics -------------------------------------------------------
 
@@ -383,6 +432,8 @@ class TreeClock:
         if self.root == NIL:
             return "(empty)\n"
         if self.links is None:
+            if type(self.clk) is list:
+                return f"(detached) root={self.root} clk={self.clk}\n"
             return f"tid={self.root} clk={self.clk[self.root]} aclk=⊥\n"
         aclk, _, head, nxt, _ = self.links
         lines = []
@@ -404,9 +455,12 @@ class TreeClock:
         """Verify the structural invariants; raises AssertionError if broken.
         The checks are explicit raises, so they hold under python -O.
 
-        Checked: the clock is sparse (clk an Entries mapping) exactly when
-        links is None, and then stores the root's key alone (no key when
-        empty); otherwise parent/sibling links are mutually consistent,
+        Checked: a clock with an Entries clk is sparse, holds no link
+        arrays and stores the root's key alone (no key when empty); any
+        other clk is a k-list. A k-list without link arrays is the
+        detached form: it has a root, is not marked shared, has no
+        negative entry and holds a non-root node (module docstring).
+        A dense clock's parent/sibling links are mutually consistent,
         sibling aclk values never increase front to back, every non-root
         node's aclk is at most its parent's clk and its clk is positive,
         and every thread outside the tree has clk 0, no parent and no
@@ -424,10 +478,16 @@ class TreeClock:
             return
         if type(clk) is not list or len(clk) != self.k:
             raise AssertionError(f"dense clk is not a {self.k}-list")
-        if links is None:
-            raise AssertionError("dense clock lacks link arrays")
         if root == NIL:
             raise AssertionError("empty clock is dense")
+        if links is None:
+            if self.shared:
+                raise AssertionError("detached clock is marked shared")
+            if min(clk) < 0:
+                raise AssertionError("detached clock has a negative entry")
+            if _census(clk, root)[1] < 2:
+                raise AssertionError("dense clock lacks link arrays")
+            return
         aclk, parent, head, nxt, prv = links
         if parent[root] != NIL:
             raise AssertionError("root has a parent")

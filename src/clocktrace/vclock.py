@@ -132,6 +132,9 @@ class VectorClock:
         mine[:] = theirs
         return "monotone"
 
+    def drop_tree(self):
+        """A vector has no tree to drop (see TreeClock.drop_tree)."""
+
     def flatten(self):
         return tuple(self.clk)
 

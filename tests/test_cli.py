@@ -7,6 +7,7 @@ import gc
 import io
 import os
 import re
+import resource
 import statistics
 import subprocess
 import sys
@@ -320,6 +321,47 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stdout == b""
         assert re.fullmatch(rb"error: [^\n]+\n", proc.stderr), proc.stderr
+
+    @pytest.mark.parametrize("where, message", [
+        ("engine", "error: analyze: out of memory (k=2, clock=tree)\n"),
+        ("cross-check", "error: analyze: out of memory (k=2, clock=tree+vector)\n"),
+        ("parse", "error: analyze: out of memory\n"),
+    ])
+    def test_memory_error_exits_3(self, tmp_path, capsys, monkeypatch,
+                                  where, message):
+        path = tmp_path / "t.trace"
+        path.write_text("t0 w x\nt1 w x\n")
+
+        def fail(*args, **kwargs):
+            raise MemoryError
+
+        target = {"engine": "run_analysis", "cross-check": "cross_check",
+                  "parse": "parse_trace"}[where]
+        monkeypatch.setattr(cli, target, fail)
+        assert cli.main(["analyze", "--po", "hb", "--input", str(path),
+                         "--repeat", "1"]) == 3
+        out, err = capsys.readouterr()
+        assert err == message
+        assert out.count("\n") == (2 if where == "cross-check" else 0)
+
+    def test_address_space_limit_exits_3(self, tmp_path):
+        # 6000 threads: the vector engine's clocks need 6000 lists of 6000
+        # entries, about 288 MB, far past the child's 128 MB address space
+        path = tmp_path / "wide.trace"
+        path.write_text("".join(f"t{i} w x\n" for i in range(6000)))
+        limit = 128 << 20
+        proc = subprocess.run(
+            [sys.executable, "-m", "clocktrace.cli", "analyze", "--po", "hb",
+             "--clock", "vector", "--input", str(path), "--repeat", "1"],
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                  (limit, limit)),
+            capture_output=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=SRC),
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == b""
+        assert proc.stderr == (b"error: analyze: out of memory "
+                               b"(k=6000, clock=vector)\n")
 
     @pytest.mark.parametrize("data, message", [
         # 0xff in a comment on line 6001, past the first 8 KB read chunk

@@ -6,6 +6,7 @@ import re
 from clocktrace import analyses, cli, selfcheck
 from clocktrace.trace import parse_trace, serialize_trace, validate_trace
 from clocktrace.tracegen import random_trace
+from clocktrace.treeclock import TreeClock
 from clocktrace.vclock import VectorClock
 
 
@@ -67,3 +68,16 @@ def test_random_trace_is_legal_and_deterministic():
     assert validate_trace(a) == []
     assert len(a.events) == 100
     assert a.thread_count == 4
+
+
+def test_maz_storage_fixture_sees_kept_trees(monkeypatch):
+    # with trees never dropped, the readers stay dense and the re-read
+    # rebuilds its reader clock's own link set
+    assert selfcheck.check_maz_storage_intuition() == []
+    monkeypatch.setattr(TreeClock, "drop_tree", lambda self: None)
+    assert selfcheck.check_maz_storage_intuition() == [
+        "intuition maz storage: after the write the readers' detached "
+        "forms are [False, False]",
+        "intuition maz storage: the re-read does not share its thread "
+        "clock's link set",
+    ]

@@ -204,12 +204,18 @@ class TestInvariants:
     than 0, so the tree is the root plus the nonzero entries."""
 
     def test_absent_entries_are_zero_on_every_clock(self):
+        # a detached maz reader clock holds no tree to walk; check_integrity
+        # (debug) checks its entries
         trace = random_trace(17, events=150, threads=5, locks=3, variables=3)
+        detached = {po: 0 for po in (HB, SHB, MAZ)}
 
         def check(i, ev, engine):
             clocks = list(engine.thread_clocks) + list(engine.lock_clocks.values()) \
                 + list(engine.write_clocks.values()) + list(engine.read_clocks.values())
             for clock in clocks:
+                if clock.links is None and type(clock.clk) is list:
+                    detached[engine.po] += 1
+                    continue
                 present = set(walk_nodes(clock))
                 # the tree is exactly the root and the nonzero entries
                 assert present == {t for t in range(clock.k) if clock.clk[t] > 0} \
@@ -224,6 +230,7 @@ class TestInvariants:
         for po in (HB, SHB, MAZ):
             for i, ev, engine in each_event(trace, po, debug=True):
                 check(i, ev, engine)
+        assert detached[HB] == detached[SHB] == 0 < detached[MAZ]
 
     def test_nonzero_absent_entry_is_caught(self):
         a = build(5, TREE_A)
@@ -360,7 +367,9 @@ class TestLinkArrays:
     ])
     def test_only_linked_clocks_are_dense(self, name, po, monkeypatch):
         # every clock the engine builds, kept by a subclass it builds
-        # instead: a clock holds a k-list exactly when it holds two nodes
+        # instead: a clock holds a link set exactly when it holds two
+        # nodes, and a k-list when it holds a link set or is detached,
+        # which only a maz reader clock is, with a second node kept
         built = []
 
         class Kept(TreeClock):
@@ -373,20 +382,26 @@ class TestLinkArrays:
         trace = STORAGE_TRACES[name]()
         monkeypatch.setattr(analyses, "TreeClock", Kept)
         run_analysis(trace, po, "tree", debug=True)
-        dense = [clock for clock in built if type(clock.clk) is list]
-        assert dense == [clock for clock in built
-                         if len(list(walk_nodes(clock))) >= 2]
+        linked = [clock for clock in built if clock.links is not None]
+        assert linked == [clock for clock in built
+                          if len(list(walk_nodes(clock))) >= 2]
+        detached = [clock for clock in built if clock.links is None
+                    and type(clock.clk) is list]
         for clock in built:
             if type(clock.clk) is not list:
                 keys = [] if clock.root == NIL else [clock.root]
                 assert list(clock.clk) == keys
-        assert 0 < len(dense) < len(built)
+        for clock in detached:
+            assert any(clock.clk[t] for t in range(clock.k) if t != clock.root)
+        assert bool(detached) == (po == MAZ)
+        assert 0 < len(linked) < len(built)
 
     def test_deep_copies_share_links_on_a_seeded_rw_trace(self, monkeypatch):
         # the benchmark's r/w generator under maz, where most copies are
         # deep copies of a dense thread clock: the copies share that
-        # clock's link set, 578 sets among 1238 dense clocks (1238 with a
-        # private set each)
+        # clock's link set, 520 sets among 1010 dense clocks (1010 with a
+        # private set each). 228 reader clocks a write has joined since
+        # their last copy hold no set at all (detached)
         monkeypatch.syspath_prepend(os.path.join(ROOT, "benchmark"))
         from rwgen import RWSpec, generate_rw
 
@@ -398,8 +413,9 @@ class TestLinkArrays:
                   + list(engine.write_clocks.values())
                   + list(engine.read_clocks.values()))
         dense = [clock for clock in clocks if clock.links is not None]
-        assert len(dense) == 1238
-        assert len({id(clock.links) for clock in dense}) == 578
+        assert len(dense) == 1010
+        assert len({id(clock.links) for clock in dense}) == 520
+        assert sum(type(clock.clk) is list for clock in clocks) == 1010 + 228
         holders = {}
         for clock in dense:
             for array in clock.links:
@@ -524,6 +540,191 @@ class TestLinkArrays:
         assert relinked == {"thread", "aux"}
 
 
+class TestDetached:
+    """drop_tree leaves the detached form: entries kept, no link set. It
+    is never a join target, a join source or a copy source; a monotone
+    copy into it counts what a rebuild would and takes the source's
+    tree; a deep copy into it works as into a dense clock."""
+
+    @staticmethod
+    def reader(c, drop=True):
+        """Threads 0 and 1's clocks, 0's dense after a join with 1, and an
+        aux clock deep-copied from 0's and then detached, as a maz reader
+        clock is after the next write joins it (kept whole if not drop)."""
+        a, b = TreeClock.owned(0, 3, c), TreeClock.owned(1, 3, c)
+        a.increment()
+        b.increment()
+        a.join(b)
+        r = TreeClock.aux(3, c)
+        assert r.copy_check_monotone(a) == "deep"
+        assert r.links is a.links
+        if drop:
+            r.drop_tree()
+        return a, b, r
+
+    def test_drop_tree_keeps_the_entries(self):
+        c = WorkCounter(debug=True)
+        a, _, r = self.reader(c)
+        assert (r.links, r.shared, r.root) == (None, False, 0)
+        assert r.clk == [1, 1, 0] and r.flatten() == a.flatten()
+        assert r.dump() == "(detached) root=0 clk=[1, 1, 0]\n"
+        r.check_integrity()
+        assert a.links is not None  # the thread clock keeps its tree
+        # a sparse clock has no tree to drop, nor has a vector clock
+        o = TreeClock.owned(2, 3, c)
+        o.drop_tree()
+        assert type(o.clk) is Entries and o.dump() == "tid=2 clk=0 aclk=⊥\n"
+        v = VectorClock.owned(0, 3, c)
+        v.increment()
+        v.drop_tree()
+        assert v.flatten() == (1, 0, 0)
+
+    def test_monotone_copy_shares_the_source_tree(self):
+        c, twin_c = WorkCounter(debug=True), WorkCounter(debug=True)
+        a, b, r = self.reader(c)
+        ta, tb, tr = self.reader(twin_c, drop=False)
+        for x, y in ((a, b), (ta, tb)):
+            x.increment()
+            y.increment()
+            x.join(y)
+        assert r.copy_check_monotone(a) == "monotone"
+        assert tr.copy_check_monotone(ta) == "monotone"
+        assert r.links is a.links and r.shared and a.shared
+        assert r.clk is not a.clk and r.clk == a.clk
+        assert r.dump() == tr.dump() == a.dump()
+        assert (c.vt_work, c.impl_work, c.copies) == (
+            twin_c.vt_work, twin_c.impl_work, twin_c.copies)
+        a.increment()  # the thread clock relinks its own copy of the set
+        b.increment()
+        a.join(b)
+        assert r.links is not a.links and r.flatten() == (2, 2, 0)
+        r.check_integrity()
+
+    def test_source_fallen_behind_takes_the_deep_path(self):
+        c = WorkCounter(debug=True)
+        _, b, r = self.reader(c)
+        d = TreeClock.owned(2, 3, c)
+        d.increment()
+        b.increment()
+        d.join(b)  # d is dense and knows nothing of r's root thread
+        vt0 = c.vt_work
+        assert r.copy_check_monotone(d) == "deep"
+        assert r.links is d.links and r.flatten() == d.flatten() == (0, 2, 1)
+        assert c.vt_work == vt0 + 3
+        _, _, r = self.reader(c)
+        assert r.copy_check_monotone(b) == "deep"  # a root-only source
+        assert type(r.clk) is Entries and r.flatten() == (0, 2, 0)
+
+    def test_join_into_a_detached_clock_raises(self):
+        c = WorkCounter(debug=True)
+        _, b, r = self.reader(c)
+        b.increment()  # b is ahead on its own thread only
+        with pytest.raises(ClockContractError, match="join into a detached"):
+            r.join(b)
+        assert r.flatten() == (1, 1, 0) and r.links is None
+
+    def test_join_from_a_detached_clock_raises(self):
+        c = WorkCounter(debug=True)
+        _, _, r = self.reader(c)
+        t = TreeClock.owned(2, 3, c)
+        t.increment()
+        with pytest.raises(ClockContractError, match="join from a detached"):
+            t.join(r)
+        assert t.flatten() == (0, 0, 1)
+
+    @pytest.mark.parametrize("target", ["monotone", "deep"])
+    def test_copy_from_a_detached_clock_raises(self, target):
+        c = WorkCounter(debug=True)
+        _, _, r = self.reader(c)
+        if target == "monotone":  # below r on r's root entry
+            t = TreeClock.owned(0, 3, c)
+            t.increment()
+        else:
+            t = TreeClock.aux(3, c)
+        with pytest.raises(ClockContractError, match="copy from a detached"):
+            t.copy_check_monotone(r)
+        assert t.flatten() == ((1, 0, 0) if target == "monotone" else (0, 0, 0))
+
+    def test_check_integrity_knows_the_form(self):
+        c = WorkCounter()
+        _, _, r = self.reader(c)
+        r.shared = True
+        with pytest.raises(AssertionError, match="detached clock is marked shared"):
+            r.check_integrity()
+        _, _, r = self.reader(c)
+        r.clk[2] = -1
+        with pytest.raises(AssertionError, match="negative entry"):
+            r.check_integrity()
+        _, _, r = self.reader(c)
+        r.clk[1] = 0  # the root alone: a k-list with no second node
+        with pytest.raises(AssertionError, match="lacks link arrays"):
+            r.check_integrity()
+        _, _, r = self.reader(c)
+        r.clk.append(0)
+        with pytest.raises(AssertionError, match="not a 3-list"):
+            r.check_integrity()
+
+    @pytest.mark.parametrize("po,seed", [(po, seed) for po in (HB, SHB, MAZ)
+                                         for seed in range(6)] + [(MAZ, "rw")])
+    def test_dropping_trees_changes_no_kept_tree(self, po, seed, monkeypatch):
+        """The engine in lockstep with one whose drop_tree does nothing:
+        after every event every clock that holds a tree has the same
+        dump() in both, every clock the same flatten(), and all five
+        counters are equal."""
+
+        class Kept(TreeClock):
+            __slots__ = ()
+
+            def drop_tree(self):
+                pass
+
+        if seed == "rw":
+            monkeypatch.syspath_prepend(os.path.join(ROOT, "benchmark"))
+            from rwgen import RWSpec, generate_rw
+
+            trace = generate_rw(RWSpec(threads=12, events=1200, variables=40,
+                                       locks=4), 0)
+        else:
+            trace = random_trace(seed, events=300, threads=6, locks=3,
+                                 variables=4)
+        drop = analyses.Engine(po, trace.thread_count, "tree", debug=True)
+        with monkeypatch.context() as m:
+            m.setattr(analyses, "TreeClock", Kept)
+            keep = analyses.Engine(po, trace.thread_count, "tree", debug=True)
+
+        def clocks(engine):
+            yield from engine.thread_clocks
+            for table in (engine.lock_clocks, engine.write_clocks,
+                          engine.read_clocks):
+                for key in sorted(table):
+                    yield table[key]
+
+        def counts(engine):
+            cnt = engine.counter
+            return (cnt.vt_work, cnt.impl_work, cnt.joins, cnt.copies,
+                    cnt.increments)
+
+        detached = revived = 0
+        for ev in trace.events:
+            was = {id(x) for x in drop.read_clocks.values()
+                   if x.links is None and type(x.clk) is list}
+            drop.process(ev)
+            keep.process(ev)
+            for x, y in zip(clocks(drop), clocks(keep)):
+                assert x.flatten() == y.flatten()
+                if x.links is None and type(x.clk) is list:
+                    detached += 1
+                else:
+                    assert x.dump() == y.dump()
+                    revived += x.links is not None and id(x) in was
+            assert counts(drop) == counts(keep)
+        assert drop.races == keep.races
+        if po == MAZ:
+            assert detached and revived
+        else:
+            assert detached == 0
+
+
 STORAGE_TRACES = {
     "star-relay": lambda: generate(
         GenSpec("star", 256, 8000, seed=3, star_style="relay")),
@@ -550,7 +751,7 @@ SHAPE_DIGESTS = {
     ("single-lock", MAZ): "68f10d8aafbba414",
     ("random", HB): "fde050ec5eac4168",
     ("random", SHB): "aa6a4bc6bbff9c1e",
-    ("random", MAZ): "1fa4a90fc5cbc108",
+    ("random", MAZ): "e8a483146b86e166",
 }
 
 
@@ -558,7 +759,9 @@ SHAPE_DIGESTS = {
 def test_tree_shapes_are_pinned(name, po):
     """Differential tests compare flattened values only; sibling order is
     invisible to them yet decides later pruning and impl_work. Pin the
-    full shape of every thread, lock, write and reader clock."""
+    full shape of every thread, lock, write and reader clock; a maz
+    reader clock that a write has joined since its last copy holds no
+    tree (detached), and its dump pins its entries."""
     h = hashlib.sha256()
 
     def digest(i, ev, engine):
