@@ -16,7 +16,8 @@ race checks against per-variable epochs, then updates the bookkeeping:
   the write-write races (and is 0 under hb and maz).
 - "maz": additionally, each write joins the last-write clock and the
   clocks of all intervening readers, ordering all conflicting accesses.
-  The same checks run but, by construction, nothing ever fires. A
+  The same checks run but, by construction, nothing ever fires, and no
+  unordered pair is counted, because none can be unordered. A
   reader clock (x, t) is set by a copy from t's clock at each read of x
   by t, and read by the next write to x, which joins it. Nothing reads
   it again until t's next read of x copies into it once more, so the
@@ -32,6 +33,7 @@ name the earlier access first ("write-read" = earlier write, later read).
 """
 
 import time
+from bisect import bisect_right
 from collections import namedtuple
 from functools import partial
 from operator import ne
@@ -46,6 +48,16 @@ MAZ = "maz"
 ORDERS = (HB, SHB, MAZ)
 
 CLOCK_KINDS = ("tree", "vector")
+
+# A variable's access log is scanned flat up to this many entries, then
+# kept per thread (Engine._count_unordered). Short logs stay flat: kept
+# per thread from the first access, which costs a dict and two lists per
+# (variable, thread), the seeded r/w trace under shb (k=64, at most 80
+# accesses per variable) lost 10-11% of its events/s and gained 6% peak
+# RSS. Longer logs count faster per thread: at k=64, 30 variables of
+# about 500 accesses took 145-175 ms at 256, 255-350 ms at 512 and
+# 310-490 ms flat.
+FLAT_LOG_LIMIT = 256
 
 
 RaceReport = namedtuple("RaceReport", ("kind", "var", "earlier", "later", "index"))
@@ -62,8 +74,11 @@ class AnalysisRun(namedtuple("AnalysisRun", (
     write-write races, each forcing a deep copy into a last-write clock,
     else 0) and fresh_copies (the variables given a last-write clock by a
     fresh copy at their first write, 0 under hb) are derived by
-    Engine.record. unordered_pairs is None when not counted; elapsed is
-    the seconds spent processing events, parsing excluded."""
+    Engine.record. unordered_pairs counts the conflicting access pairs
+    (same variable, at least one a write) that the order leaves
+    unordered: 0 under maz, which keeps no access log because it orders
+    every such pair, and None when not counted. elapsed is the seconds
+    spent processing events, parsing excluded."""
 
     __slots__ = ()
 
@@ -79,7 +94,12 @@ class AnalysisRun(namedtuple("AnalysisRun", (
 class Engine:
     """One analysis in progress. Feed events in trace order via process(),
     which returns the acting thread's clock: its flatten() is the event's
-    timestamp."""
+    timestamp.
+
+    With count_unordered set, the engine counts unordered conflicting
+    pairs as it goes (see _count_unordered) in unordered_pairs. Under
+    maz that count is 0 without an access log; with count_unordered
+    off it is None."""
 
     def __init__(self, po, thread_count, clock_kind="tree", *, debug=False,
                  count_unordered=True):
@@ -103,7 +123,9 @@ class Engine:
         self.read_epochs = {}  # var -> {tid: clk since last write}, first-read order
         self.races = []
         self.unordered_pairs = 0 if count_unordered else None
-        self._access_log = {} if count_unordered else None
+        # var -> its accesses so far (see _count_unordered); under maz no
+        # pair is unordered, so nothing is logged
+        self._access_log = {} if count_unordered and po != MAZ else None
         self.index = 0
 
     def process(self, ev):
@@ -214,15 +236,51 @@ class Engine:
         )
 
     def _count_unordered(self, ev, C):
-        # a prior access (t2, c2) is ordered before this event iff this
-        # event's timestamp covers t2 through c2 (its joins are all done)
-        log = self._access_log.setdefault(ev.target, [])
+        """Add the prior accesses to ev's variable that conflict with ev
+        and that ev's timestamp C leaves unordered, then log ev.
+
+        A prior access (t2, c2) is unordered with ev iff C.clk[t2] < c2
+        (C's joins are all done). A log is a flat list of (tid, local
+        time, is write), scanned whole, until it passes FLAT_LOG_LIMIT
+        entries, a limit set by measurement. It then becomes a dict from
+        tid to two ascending lists of local times, of all that thread's
+        accesses and of its writes: a read counts against writes, a
+        write against every access, one bisect per thread."""
+        log = self._access_log.get(ev.target)
+        if log is None:
+            log = self._access_log[ev.target] = []
         wr = ev.op == WRITE
         clk = C.clk
-        for t2, c2, w2 in log:
-            if (w2 or wr) and clk[t2] < c2:
-                self.unordered_pairs += 1
-        log.append((ev.tid, clk[ev.tid], wr))
+        entry = (ev.tid, clk[ev.tid], wr)
+        if type(log) is list:
+            for t2, c2, w2 in log:
+                if (w2 or wr) and clk[t2] < c2:
+                    self.unordered_pairs += 1
+            log.append(entry)
+            if len(log) > FLAT_LOG_LIMIT:
+                self._access_log[ev.target] = by_thread = {}
+                for e in log:
+                    _log_by_thread(by_thread, e)
+        else:
+            n = 0
+            which = 0 if wr else 1
+            for t2, lists in log.items():
+                times = lists[which]
+                if times and times[-1] > clk[t2]:
+                    n += len(times) - bisect_right(times, clk[t2])
+            self.unordered_pairs += n
+            _log_by_thread(log, entry)
+
+
+def _log_by_thread(log, entry):
+    """Append an access (tid, local time, is write) to a per-thread log."""
+    t, c, wr = entry
+    lists = log.get(t)
+    if lists is None:
+        lists = log[t] = ([], [])
+    lists[0].append(c)
+    if wr:
+        lists[1].append(c)
 
 
 def run_analysis(trace, po, clock_kind="tree", *, debug=False,

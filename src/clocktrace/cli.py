@@ -10,7 +10,8 @@ Four commands:
   then replays the trace untimed through one engine per clock kind in
   lockstep and compares every event's timestamp, the race reports and
   vt_work across the kinds and, with --oracle, with the brute-force
-  oracle; the first problem it finds is printed as a divergence.
+  oracle. The timed runs' unordered-pair counts must agree as well; the
+  first problem found is printed as a divergence.
 - gen: write a synthetic trace from the deterministic generator.
   GenSpec.validate is the one check of pattern and star-style names.
 - bench: run a (pattern x thread-count x clock) matrix, append all rows
@@ -237,6 +238,10 @@ def _cmd_analyze(args):
     with _engine_context(trace, "+".join(kinds)):
         _, kind_problems, oracle_problems = cross_check(trace, args.po, kinds,
                                                         args.oracle)
+    a, b = runs[0], runs[-1]  # cross_check counts no pairs; the timed runs did
+    if a.unordered_pairs != b.unordered_pairs:
+        kind_problems.append(f"unordered pairs differ ({a.clock_kind}="
+                             f"{a.unordered_pairs}, {b.clock_kind}={b.unordered_pairs})")
     if kind_problems:
         print(f"divergence: {kind_problems[0]}", file=sys.stderr)
         return 1

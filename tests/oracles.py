@@ -1,7 +1,7 @@
 """Reference checks that only tests use: the vector-clock price of a run,
-the pruning soundness conditions of a tree clock, and the brute-force counts
+the pruning soundness conditions of a tree clock, the brute-force counts
 of unordered conflicting pairs and of writes that force a deep last-write
-copy."""
+copy, and a flat-scan count of unordered pairs from given timestamps."""
 
 from clocktrace.analyses import SHB
 from clocktrace.oracle import oracle_order
@@ -79,6 +79,25 @@ def oracle_unordered_pairs(trace, po):
                 if (jw or wr) and not leq(j, i):
                     count += 1
             prior.append((i, wr))
+    return count
+
+
+def flat_unordered_pairs(trace, stamps):
+    """Count of unordered conflicting access pairs, given each event's
+    timestamp: every access scans its variable's whole log of prior
+    accesses (tid, local time, is write), and a prior one is unordered
+    iff the access's timestamp is below its local time in its thread.
+    Quadratic per variable, but not capped like the oracle."""
+    logs = {}
+    count = 0
+    for ev, stamp in zip(trace.events, stamps):
+        if ev.op == READ or ev.op == WRITE:
+            log = logs.setdefault(ev.target, [])
+            wr = ev.op == WRITE
+            for t2, c2, w2 in log:
+                if (w2 or wr) and stamp[t2] < c2:
+                    count += 1
+            log.append((ev.tid, stamp[ev.tid], wr))
     return count
 
 

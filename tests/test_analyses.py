@@ -6,11 +6,16 @@ import gc
 import weakref
 
 import pytest
-from conftest import engine_timestamps
-from oracles import oracle_forced_deep_copies, oracle_unordered_pairs
+from conftest import corpus_trace, engine_timestamps
+from oracles import (
+    flat_unordered_pairs,
+    oracle_forced_deep_copies,
+    oracle_unordered_pairs,
+)
 
 from clocktrace.analyses import (
     CLOCK_KINDS,
+    FLAT_LOG_LIMIT,
     HB,
     MAZ,
     ORDERS,
@@ -53,7 +58,8 @@ def test_order_strength_nests(seed):
         weak_keys = {(r.var, r.index) for r in runs[weak].races}
         strong_keys = {(r.var, r.index) for r in runs[strong].races}
         assert strong_keys <= weak_keys
-    # the strongest order relates every conflicting pair by construction
+    # the strongest order relates every conflicting pair by construction,
+    # so its engine counts none (the oracle test below checks the theorem)
     assert runs[MAZ].unordered_pairs == 0
     assert runs[MAZ].races == []
 
@@ -182,6 +188,77 @@ def test_unordered_pairs_can_be_skipped():
     trace = random_trace(78, events=60)
     run = run_analysis(trace, HB, "tree", count_unordered=False)
     assert run.unordered_pairs is None
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_maz_leaves_no_conflicting_pair_unordered(seed):
+    """The theorem the maz engine's count of 0 rests on, checked on the
+    oracle alone: every write follows the last write and each reader
+    since it, and every read follows the last write."""
+    trace = corpus_trace(seed + 4000, max_threads=10, max_locks=3, max_vars=5)
+    lock_free = random_trace(seed, events=300, threads=2 + seed % 7, locks=0,
+                             variables=1 + seed % 4)
+    for t in (trace, lock_free):
+        assert oracle_unordered_pairs(t, MAZ) == 0
+
+
+@pytest.mark.parametrize("kind", CLOCK_KINDS)
+def test_maz_engine_keeps_no_access_log(kind):
+    trace = random_trace(17, events=400, threads=4, locks=0, variables=2)
+    engine = Engine(MAZ, trace.thread_count, kind)
+    for ev in trace.events:
+        engine.process(ev)
+    assert engine._access_log is None
+    assert engine.record(trace).unordered_pairs == 0
+    skipped = run_analysis(trace, MAZ, kind, count_unordered=False)
+    assert skipped.unordered_pairs is None
+
+
+def counted(trace, po, kind):
+    """The engine's pair count and the log form of each variable."""
+    engine = Engine(po, trace.thread_count, kind)
+    for ev in trace.events:
+        engine.process(ev)
+    forms = {type(log) for log in engine._access_log.values()}
+    return engine.unordered_pairs, forms
+
+
+@pytest.mark.parametrize("threads", [8, 64])
+def test_short_logs_stay_flat(threads):
+    """Logs of at most FLAT_LOG_LIMIT accesses are scanned flat, the
+    cheaper form for them, and count exactly as the oracle does."""
+    trace = random_trace(threads, events=1500, threads=threads, locks=2,
+                         variables=8)
+    for po in (HB, SHB):
+        expected = oracle_unordered_pairs(trace, po)
+        for kind in CLOCK_KINDS:
+            assert counted(trace, po, kind) == (expected, {list})
+
+
+@pytest.mark.parametrize("threads", [2, 4, 8])
+@pytest.mark.parametrize("events, variables", [(2000, 1), (3000, 3)])
+def test_long_logs_count_like_the_oracle(threads, events, variables):
+    """Logs that outgrow the flat scan count exactly as the oracle does,
+    both while flat and once kept per thread."""
+    trace = random_trace(threads * 10 + variables, events=events,
+                         threads=threads, locks=2, variables=variables)
+    for po in (HB, SHB):
+        expected = oracle_unordered_pairs(trace, po)
+        for kind in CLOCK_KINDS:
+            assert counted(trace, po, kind) == (expected, {dict})
+
+
+def test_very_long_logs_count_like_a_flat_scan():
+    """About 20k accesses to 32 variables, each log past the flat
+    limit and the trace past the oracle's cap: the count equals a flat
+    scan over the timestamps."""
+    trace = random_trace(2027, events=33000, threads=8, locks=2, variables=32)
+    accesses = sum(ev.op in ("r", "w") for ev in trace.events)
+    assert accesses > 32 * 2 * FLAT_LOG_LIMIT
+    for po in (HB, SHB):
+        expected = flat_unordered_pairs(trace, engine_timestamps(trace, po, "vector"))
+        for kind in CLOCK_KINDS:
+            assert counted(trace, po, kind) == (expected, {dict})
 
 
 def test_empty_trace():

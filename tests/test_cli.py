@@ -493,6 +493,23 @@ class TestExitCodes:
         assert err == "divergence: tree and vector timestamps differ\n"
         assert "clocks agree" not in out
 
+    def test_pair_count_divergence_exits_1(self, tmp_path, capsys, monkeypatch):
+        # the cross-check counts no pairs, so only the timed runs can differ
+        def skewed(trace, po, kind, **kw):
+            run = run_analysis(trace, po, kind, **kw)
+            if kind == "vector":
+                run = run._replace(unordered_pairs=run.unordered_pairs + 1)
+            return run
+
+        monkeypatch.setattr(cli, "run_analysis", skewed)
+        rc = cli.main(["analyze", "--po", HB, "--input", str(racy_trace(tmp_path)),
+                       "--repeat", "1"])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert err == "divergence: unordered pairs differ (tree=193, vector=194)\n"
+        assert "pairs_unordered=194" in out
+        assert "clocks agree" not in out
+
     @pytest.mark.parametrize("clock,fault,message", [
         ("both", "vector races", "tree and vector race reports differ"),
         ("both", "vector vt_work", "vt_work differs (tree=41, vector=42)"),
