@@ -149,9 +149,11 @@ def _timed_runs(trace, po, kind, repeat, debug=False, count_unordered=True):
     """Run `repeat` (>= 1) times; return (last run, median elapsed ms,
     every run's elapsed ms in ascending order). The median is taken as
     statistics.median takes it (the mean of the middle two for an even
-    count) without that module's import cost."""
+    count) without that module's import cost. Each repeat starts after
+    the previous run, race list included, has been released."""
     elapsed = []
     for _ in range(repeat):
+        run = None
         with _engine_context(trace, kind):
             run = run_analysis(trace, po, kind, debug=debug,
                                count_unordered=count_unordered)
@@ -172,9 +174,17 @@ def _engine_context(trace, kind):
         raise MemoryError(f"k={trace.thread_count}, clock={kind}") from None
 
 
-def _append_csv(path, results):
-    """Append one CSV_COLUMNS row per (trace name, run, ms) result; an
-    uncounted pair count is written as an empty field."""
+def _csv_row(name, run, ms):
+    """The CSV_COLUMNS row of one run of trace `name`; an uncounted pair
+    count is written as an empty field."""
+    pairs = "" if run.unordered_pairs is None else run.unordered_pairs
+    return (name, run.po, run.clock_kind, run.events, run.threads,
+            run.locks, run.vars, f"{ms:.3f}", len(run.races), pairs,
+            run.vt_work, run.impl_work, run.deep_copies)
+
+
+def _append_csv(path, rows):
+    """Append rows (see _csv_row), with a header if the file is new."""
     import csv
 
     new_file = not os.path.exists(path) or os.path.getsize(path) == 0
@@ -182,13 +192,7 @@ def _append_csv(path, results):
         writer = csv.writer(fh)
         if new_file:
             writer.writerow(CSV_COLUMNS)
-        for name, run, ms in results:
-            pairs = "" if run.unordered_pairs is None else run.unordered_pairs
-            writer.writerow((
-                name, run.po, run.clock_kind, run.events, run.threads,
-                run.locks, run.vars, f"{ms:.3f}", len(run.races), pairs,
-                run.vt_work, run.impl_work, run.deep_copies,
-            ))
+        writer.writerows(rows)
 
 
 def _summary_line(run, ms):
@@ -215,33 +219,39 @@ def _cmd_analyze(args):
         return 2
 
     name = "-" if args.input == "-" else os.path.basename(args.input)
-    runs, results = [], []
+    # a run's race list can be hundreds of MB: keep only the printed one,
+    # the first kind's, and each run's counts; release every run before
+    # the next kind's runs and the cross-check start
+    rows, pairs, races = [], [], None
     for kind in kinds:
         run, ms, _ = _timed_runs(trace, args.po, kind, args.repeat, args.debug)
         verify_bounds(run)
-        runs.append(run)
-        results.append((name, run, ms))
+        rows.append(_csv_row(name, run, ms))
+        pairs.append((kind, run.unordered_pairs))
         print(_summary_line(run, ms))
+        if args.races and races is None:
+            races = run.races
+        run = None
 
     if args.races:
-        for r in runs[0].races:
+        for r in races:
             print(f"race {r.kind} var={trace.var_name(r.var)} "
                   f"earlier={trace.thread_name(r.earlier.tid)}@{r.earlier.clk} "
                   f"later={trace.thread_name(r.later.tid)}@{r.later.clk} "
                   f"event={r.index}")
+        races = None
 
     if args.csv:
-        _append_csv(args.csv, results)
+        _append_csv(args.csv, rows)
 
     if not compare:
         return 0
     with _engine_context(trace, "+".join(kinds)):
         _, kind_problems, oracle_problems = cross_check(trace, args.po, kinds,
                                                         args.oracle)
-    a, b = runs[0], runs[-1]  # cross_check counts no pairs; the timed runs did
-    if a.unordered_pairs != b.unordered_pairs:
-        kind_problems.append(f"unordered pairs differ ({a.clock_kind}="
-                             f"{a.unordered_pairs}, {b.clock_kind}={b.unordered_pairs})")
+    (a_kind, a), (b_kind, b) = pairs[0], pairs[-1]
+    if a != b:  # cross_check counts no pairs; the timed runs did
+        kind_problems.append(f"unordered pairs differ ({a_kind}={a}, {b_kind}={b})")
     if kind_problems:
         print(f"divergence: {kind_problems[0]}", file=sys.stderr)
         return 1
@@ -311,7 +321,7 @@ def _cmd_bench(args):
             results.append((name, run, ms))
             times.append(elapsed)
 
-    _append_csv(args.csv, results)
+    _append_csv(args.csv, [_csv_row(*result) for result in results])
     for name, run, ms in results:
         print(f"{name}: {_summary_line(run, ms)}")
     _print_speedups(results, times)

@@ -41,16 +41,31 @@ first-link and root-only-source branches.
 
 Nodes live in dense arrays indexed by thread id, so thread-id lookup is
 O(1). The tree's shape is one link set, the tuple links = (aclk, parent,
-head, nxt, prv) of length-k lists: head[u] is u's first (most recently
-attached) child, nxt[u] and prv[u] its next younger and previous sibling.
-NIL (-1) is the one sentinel: an empty link, and the root's aclk, which
-is never compared (dump shows the root's as ⊥). A structural copy from a
-dense clock copies one list, clk, and shares the link set: the copy and
-its source read the same links until either side relinks, and _move, the
-only code that relinks in place, first copies the set (copy on write).
-clk is always copied: in an analysis the source of a deep copy is the
-acting thread's clock, whose next increment rewrites it. A clock takes
-one of three storage forms:
+nxt, prv) of four lists, 5k+2 slots in all, whose one link sentinel is k:
+
+- aclk and parent are k long. parent[u] is u's parent, k for the root
+  and for a thread outside the tree; aclk[u] is NIL (-1) there, which is
+  never compared (dump shows the root's as ⊥).
+- nxt is 2k+1 long and holds every list's forward links: nxt[u], below
+  k, is u's next (older) sibling; nxt[k + 1 + p] is p's first (most
+  recently attached) child; k ends every list.
+- prv is k+1 long: prv[u] is the nxt slot that holds u, its previous
+  sibling or its parent's first-child slot, and k for the root and a
+  thread outside the tree.
+
+Slot k of nxt and of prv is scratch: no list reads it. So unlinking u is
+nxt[prv[u]] = nxt[u] and prv[nxt[u]] = prv[u], with no test, and on the
+root or an absent node it writes only the scratch slots; linking u at
+the front of p's list writes its four links with no test either. Every
+index is non-negative, which keeps CPython's specialized list subscripts
+on their fast path.
+
+A structural copy from a dense clock copies one list, clk, and shares
+the link set: the copy and its source read the same links until either
+side relinks, and _move, the only code that relinks in place, first
+copies the set (copy on write). clk is always copied: in an analysis
+the source of a deep copy is the acting thread's clock, whose next
+increment rewrites it. A clock takes one of three storage forms:
 
 - sparse: clk is an Entries mapping holding the root's entry alone, or
   nothing on an empty clock, and links is None. An empty clock (aux)
@@ -88,8 +103,9 @@ array. These invariants follow and check_integrity checks them:
   exactly the root's key, or no key on an empty clock; a detached
   clock holds a non-root node, since a clock turns dense only when it
   links a second node and a monotone copy loses none;
-- a thread is in the tree iff it is the root or parent[t] != NIL, and a
-  thread outside it has no children (head[t] == NIL);
+- a thread is in the tree iff it is the root or parent[t] != k, and a
+  thread outside it has no children and no siblings (nxt[k + 1 + t],
+  nxt[t] and prv[t] are k), nor has the root siblings;
 - every non-root node's clk is positive: _move brings in only nodes
   strictly ahead, and keeps self's old root in a copy only at a
   positive time; a deep copy takes its source's tree. So the tree is
@@ -283,103 +299,102 @@ class TreeClock:
         monotone path of copy_check_monotone. The gather appends to moved
         while it iterates over it, so moved holds the nodes ahead breadth
         first from z, each parent's gathered children together, newest
-        first. The rebuild walks moved backwards, so it links siblings
-        oldest first, each at the front of its source parent's list, and
-        they end up newest first, as in the source (the module docstring
-        says why a child may be linked before its parent). z comes last:
-        the newest child of self's root (join) or the root (copy_mode: the
+        first; it counts the examined nodes it skips, so visited is
+        len(moved) + skipped. The rebuild walks moved backwards, so it
+        links siblings oldest first, each at the front of its source
+        parent's list, and they end up newest first, as in the source (the
+        module docstring says why a child may be linked before its parent).
+        Each relink is branch-free: it unlinks the node through its prv
+        slot, which for a node new to self is the scratch slot k, and links
+        it after its parent's first-child slot in nxt. z comes last: the
+        newest child of self's root (join) or the root (copy_mode: the
         target is wholly superseded, and self's old root is always
         gathered, even with its time unchanged, so the rebuild can reseat
         it). A root-only target turns dense here; a root-only source
         gathers only z. A detached target (copy_mode only) runs the
         gather alone and then takes the source's tree whole."""
         links = self.links
+        k = self.k
         if links is None:
             if type(self.clk) is list:  # detached
                 if not copy_mode:
                     raise ClockContractError("join into a detached tree clock")
             else:
                 self.clk = self._dense()
-                self.links = links = tuple([NIL] * self.k for _ in range(5))
+                self.links = links = ([NIL] * k, [k] * k, [k] * (2 * k + 1),
+                                      [k] * (k + 1))
         elif self.shared:  # copy on write: the first relink takes copies
-            self.links = links = tuple(a[:] for a in links)
+            aclk, parent, nxt, prv = links
+            self.links = links = (aclk[:], parent[:], nxt[:], prv[:])
             self.shared = False
         clk, sclk, slinks = self.clk, src.clk, src.links
         root, z = self.root, src.root
+        first = k + 1  # nxt[first + p] is p's first child
         moved = [z]
-        visited = 1
+        skipped = 0
         if slinks is None:
             if type(sclk) is list:
                 raise ClockContractError("join from a detached tree clock")
         else:
-            saclk, sparent, shead, snxt, _ = slinks
+            saclk, sparent, snxt, _ = slinks
             keep = root if copy_mode else NIL  # gathered even when not ahead
             for u in moved:
                 cu = clk[u]  # self's time for u before this operation
-                v = shead[u]
-                while v != NIL:
-                    visited += 1
+                v = snxt[first + u]
+                while v != k:
                     if sclk[v] > clk[v] or v == keep:
                         moved.append(v)
+                    else:
+                        skipped += 1
                     # later siblings were attached no later than v; if self
                     # already knows u's thread past v's attachment, they are stale
                     if saclk[v] <= cu:
                         break
                     v = snxt[v]
-        changed = len(moved)  # each is ahead, but maybe z and keep
+        n = len(moved)
+        changed = n  # each is ahead, but maybe z and keep
         if copy_mode:
             changed -= (clk[z] == sclk[z]) + (z != root and clk[root] == sclk[root])
         c = self.counter
-        c.impl_work += visited + len(moved)  # examined + rebuilt
+        c.impl_work += 2 * n + skipped  # examined (n + skipped) + rebuilt
         c.vt_work += changed
         if links is None:  # detached: end with the source's tree
             self._take_tree(src)
             if c.debug:
                 self.check_integrity()
             return
-        aclk, parent, head, nxt, prv = links
+        aclk, parent, nxt, prv = links
         for u in moved[:0:-1]:
-            p = parent[u]
-            if p != NIL:
-                before, after = prv[u], nxt[u]
-                if before != NIL:
-                    nxt[before] = after
-                else:
-                    head[p] = after
-                if after != NIL:
-                    prv[after] = before
+            before, after = prv[u], nxt[u]
+            nxt[before] = after
+            prv[after] = before
             clk[u] = sclk[u]
             p = sparent[u]
             aclk[u] = saclk[u]
-            after = head[p]
-            head[p] = u
-            prv[u] = NIL
-            nxt[u] = after
-            if after != NIL:
-                prv[after] = u
             parent[u] = p
-        p = parent[z]  # z last, once
-        if p != NIL:
-            before, after = prv[z], nxt[z]
-            if before != NIL:
-                nxt[before] = after
-            else:
-                head[p] = after
-            if after != NIL:
-                prv[after] = before
+            p += first
+            after = nxt[p]
+            nxt[p] = u
+            prv[u] = p
+            nxt[u] = after
+            prv[after] = u
+        before, after = prv[z], nxt[z]  # z last, once
+        nxt[before] = after
+        prv[after] = before
         clk[z] = sclk[z]
         if copy_mode:
-            aclk[z] = parent[z] = prv[z] = nxt[z] = NIL
+            aclk[z] = NIL
+            parent[z] = prv[z] = nxt[z] = k
             self.root = z
         else:
             aclk[z] = clk[root]
-            after = head[root]
-            head[root] = z
-            prv[z] = NIL
-            nxt[z] = after
-            if after != NIL:
-                prv[after] = z
             parent[z] = root
+            p = first + root
+            after = nxt[p]
+            nxt[p] = z
+            prv[z] = p
+            nxt[z] = after
+            prv[after] = z
         if c.debug:
             self.check_integrity()
 
@@ -428,14 +443,16 @@ class TreeClock:
     # --- diagnostics -------------------------------------------------------
 
     def dump(self):
-        """Tree as indented text, one node per line, children in list order."""
+        """Tree as indented text, one node per line, children in list
+        order: from u's first-child slot nxt[k + 1 + u] along nxt to k."""
         if self.root == NIL:
             return "(empty)\n"
         if self.links is None:
             if type(self.clk) is list:
                 return f"(detached) root={self.root} clk={self.clk}\n"
             return f"tid={self.root} clk={self.clk[self.root]} aclk=⊥\n"
-        aclk, _, head, nxt, _ = self.links
+        aclk, _, nxt, _ = self.links
+        k = self.k
         lines = []
         stack = [(self.root, 0)]
         while stack:
@@ -443,8 +460,8 @@ class TreeClock:
             a = "⊥" if u == self.root else str(aclk[u])
             lines.append(f"{'  ' * depth}tid={u} clk={self.clk[u]} aclk={a}")
             kids = []
-            v = head[u]
-            while v != NIL:
+            v = nxt[k + 1 + u]
+            while v != k:
                 kids.append(v)
                 v = nxt[v]
             for v in reversed(kids):
@@ -460,14 +477,19 @@ class TreeClock:
         other clk is a k-list. A k-list without link arrays is the
         detached form: it has a root, is not marked shared, has no
         negative entry and holds a non-root node (module docstring).
-        A dense clock's parent/sibling links are mutually consistent,
+        A dense clock's link set has lists of k, k, 2k+1 and k+1 slots;
+        the scratch slot nxt[k] holds k, and no linked node's prv is the
+        scratch slot, so no list runs through it; each first-child slot
+        and each node's prv name each other, and so do each node's nxt
+        and its next sibling's prv; parent links agree with the lists;
         sibling aclk values never increase front to back, every non-root
-        node's aclk is at most its parent's clk and its clk is positive,
-        and every thread outside the tree has clk 0, no parent and no
-        children. The last two make the tree the root plus the nonzero
-        entries, which _census relies on.
+        node's aclk is at most its parent's clk and its clk is positive;
+        and the root and every thread outside the tree have no parent
+        and no siblings, and an absent thread has clk 0 and no children.
+        The last two make the tree the root plus the nonzero entries,
+        which _census relies on.
         """
-        clk, root, links = self.clk, self.root, self.links
+        clk, root, links, k = self.clk, self.root, self.links, self.k
         if type(clk) is Entries:
             if links is not None:
                 raise AssertionError("sparse clock holds link arrays")
@@ -476,8 +498,8 @@ class TreeClock:
                 raise AssertionError(
                     f"sparse clock rooted at {root} stores keys {list(clk)}")
             return
-        if type(clk) is not list or len(clk) != self.k:
-            raise AssertionError(f"dense clk is not a {self.k}-list")
+        if type(clk) is not list or len(clk) != k:
+            raise AssertionError(f"dense clk is not a {k}-list")
         if root == NIL:
             raise AssertionError("empty clock is dense")
         if links is None:
@@ -488,25 +510,39 @@ class TreeClock:
             if _census(clk, root)[1] < 2:
                 raise AssertionError("dense clock lacks link arrays")
             return
-        aclk, parent, head, nxt, prv = links
-        if parent[root] != NIL:
-            raise AssertionError("root has a parent")
-        seen = [False] * self.k
+        aclk, parent, nxt, prv = links
+        if [len(a) for a in links] != [k, k, 2 * k + 1, k + 1]:
+            raise AssertionError(
+                f"link set is not {k}, {k}, {2 * k + 1} and {k + 1} slots long")
+        if nxt[k] != k:
+            raise AssertionError(f"scratch slot nxt[{k}] links to {nxt[k]}")
+        if (parent[root], nxt[root], prv[root]) != (k, k, k):
+            raise AssertionError("root has a parent or siblings")
+        seen = [False] * k
         stack = [root]
         while stack:
             u = stack.pop()
             if seen[u]:
                 raise AssertionError(f"node {u} reached twice")
             seen[u] = True
-            v = head[u]
+            at = k + 1 + u  # the nxt slot that holds v
+            v = nxt[at]
             last_aclk = None
-            while v != NIL:
+            while v != k:
+                if not 0 <= v < k:
+                    raise AssertionError(f"child list of {u} holds {v}, not a thread")
+                if prv[v] == k:
+                    raise AssertionError(
+                        f"child list of {u} runs through the scratch slot at {v}")
+                if prv[v] != at:
+                    if at > k:
+                        raise AssertionError(f"first-child slot of {u} is stale")
+                    raise AssertionError(
+                        f"prv of {v} is {prv[v]}, but nxt[{at}] holds {v}")
                 if parent[v] != u:
                     raise AssertionError(f"parent link of {v} is stale")
                 if clk[v] <= 0:
                     raise AssertionError(f"non-root node {v} has clk {clk[v]}")
-                if (head[u] if prv[v] == NIL else nxt[prv[v]]) != v:
-                    raise AssertionError(f"sibling links of {v} are stale")
                 if aclk[v] > clk[u]:
                     raise AssertionError(
                         f"child {v} attached later ({aclk[v]}) than its "
@@ -516,15 +552,18 @@ class TreeClock:
                         f"sibling list of {u} not ordered by attachment time")
                 last_aclk = aclk[v]
                 stack.append(v)
+                at = v
                 v = nxt[v]
-        for t in range(self.k):
+        for t in range(k):
             if not seen[t]:
                 if clk[t] != 0:
                     raise AssertionError(f"absent thread {t} has clk {clk[t]}")
-                if parent[t] != NIL:
+                if parent[t] != k:
                     raise AssertionError(f"absent thread {t} has a parent")
-                if head[t] != NIL:
+                if nxt[k + 1 + t] != k:
                     raise AssertionError(f"absent thread {t} has children")
+                if (nxt[t], prv[t]) != (k, k):
+                    raise AssertionError(f"absent thread {t} has siblings")
 
     def __repr__(self):
         return f"TreeClock(root={self.root}, {list(self.flatten())!r})"

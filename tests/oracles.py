@@ -6,7 +6,6 @@ copy, and a flat-scan count of unordered pairs from given timestamps."""
 from clocktrace.analyses import SHB
 from clocktrace.oracle import oracle_order
 from clocktrace.trace import READ, WRITE
-from clocktrace.treeclock import NIL
 
 
 def vc_work(run):
@@ -27,7 +26,8 @@ def pruning_violations(a, b):
     """
     if a.links is None:  # empty or root-only: no edges, nothing to prune
         return []
-    aclk, _, head, nxt, _ = a.links
+    aclk, _, nxt, _ = a.links
+    k = a.k
     out = []
     # bottom-up flag: does the subtree under u contain something b misses?
     order = []
@@ -35,22 +35,22 @@ def pruning_violations(a, b):
     while stack:
         u = stack.pop()
         order.append(u)
-        v = head[u]
-        while v != NIL:
+        v = nxt[k + 1 + u]
+        while v != k:
             stack.append(v)
             v = nxt[v]
     stale = [False] * a.k  # "subtree of u holds a node b does not know"
     for u in reversed(order):
         miss = a.clk[u] > b.clk[u]
-        v = head[u]
-        while not miss and v != NIL:
+        v = nxt[k + 1 + u]
+        while not miss and v != k:
             miss = stale[v]
             v = nxt[v]
         stale[u] = miss
     for u in order:
         known = a.clk[u] <= b.clk[u]
-        v = head[u]
-        while v != NIL:
+        v = nxt[k + 1 + u]
+        while v != k:
             if known and stale[v]:
                 out.append(
                     f"direct: node {u} is known to the other clock but its "

@@ -12,6 +12,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import weakref
 from types import SimpleNamespace
 
 import pytest
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 from clocktrace import cli, tracegen
 from clocktrace.analyses import HB, MAZ, ORDERS, run_analysis
 from clocktrace.cli import CSV_COLUMNS
+from clocktrace.metrics import cross_check
 from clocktrace.trace import Event, Trace, parse_trace, serialize_trace, validate_trace
 from clocktrace.tracegen import random_trace
 from clocktrace.vclock import VectorClock
@@ -510,6 +512,43 @@ class TestExitCodes:
         assert "pairs_unordered=194" in out
         assert "clocks agree" not in out
 
+    @pytest.mark.parametrize("races", [False, True])
+    def test_each_run_is_released_before_the_next(self, tmp_path, capsys,
+                                                  monkeypatch, races):
+        # a race list can be hundreds of MB: each repeat starts with the
+        # previous run's list dead, the one printed (the first kind's last
+        # run's, with --races) lives only until it is printed, and none
+        # lives through the cross-check
+        refs = []
+
+        class Races(list):  # a list subclass can be weakly referenced
+            __slots__ = ("__weakref__",)
+
+        def live():
+            return [i for i, ref in enumerate(refs) if ref() is not None]
+
+        def tracked(trace, po, kind, **kw):
+            assert live() == ([2] if races and kind == "vector" else [])
+            run = run_analysis(trace, po, kind, **kw)
+            run = run._replace(races=Races(run.races))
+            refs.append(weakref.ref(run.races))
+            return run
+
+        def checked(*args, **kw):
+            assert live() == []
+            return cross_check(*args, **kw)
+
+        monkeypatch.setattr(cli, "run_analysis", tracked)
+        monkeypatch.setattr(cli, "cross_check", checked)
+        argv = ["analyze", "--po", HB, "--input", str(racy_trace(tmp_path)),
+                "--repeat", "3"]
+        assert cli.main(argv + ["--races"] * races) == 0
+        assert len(refs) == 6 and live() == []
+        out = capsys.readouterr().out
+        found = int(re.search(r" races=(\d+) ", out).group(1))
+        assert found > 0
+        assert out.count("\nrace ") == (found if races else 0)
+
     @pytest.mark.parametrize("clock,fault,message", [
         ("both", "vector races", "tree and vector race reports differ"),
         ("both", "vector vt_work", "vt_work differs (tree=41, vector=42)"),
@@ -773,7 +812,7 @@ class TestRendering:
         trace = random_trace(3, events=60, threads=4, locks=2, variables=2)
         run = run_analysis(trace, MAZ, "vector")
         path = tmp_path / "rows.csv"
-        cli._append_csv(path, [("sample", run, 12.3456)])
+        cli._append_csv(path, [cli._csv_row("sample", run, 12.3456)])
         header, row = read_csv_rows(path)
         assert header == list(CSV_COLUMNS) == [
             "trace", "po", "clock", "events", "threads", "locks", "vars",
@@ -787,7 +826,7 @@ class TestRendering:
     def test_uncounted_pairs_render_empty(self, tmp_path):
         run = run_analysis(parse_trace("t0 w x\n"), HB, "tree", count_unordered=False)
         path = tmp_path / "rows.csv"
-        cli._append_csv(path, [("t", run, 0.5)])
+        cli._append_csv(path, [cli._csv_row("t", run, 0.5)])
         got = dict(zip(CSV_COLUMNS, read_csv_rows(path)[1]))
         assert got["pairs_unordered"] == ""
         assert " pairs_unordered=- " in cli._summary_line(run, 0.5)

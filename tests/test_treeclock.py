@@ -33,20 +33,23 @@ def build(k, spec):
     children given in display (most recently attached first) order."""
     tc = TreeClock.owned(spec[0], k, WorkCounter())
     tc.clk = [0] * k
-    tc.links = tuple([NIL] * k for _ in range(5))
-    aclks, parent, head, nxt, prv = tc.links
+    tc.links = ([NIL] * k, [k] * k, [k] * (2 * k + 1), [k] * (k + 1))
+    aclks, parent, nxt, prv = tc.links
 
     def place(node):
-        """Set the node's fields and link its subtree."""
+        """Set the node's fields and link its subtree: the first child
+        hangs from tid's first-child slot k + 1 + tid, each later one
+        from its previous sibling."""
         tid, clk, aclk, kids = node
         tc.clk[tid] = clk
         aclks[tid] = aclk
-        head[tid] = kids[0][0] if kids else NIL
-        for i, kid in enumerate(kids):
+        at = k + 1 + tid
+        for kid in kids:
             place(kid)
             parent[kid[0]] = tid
-            prv[kid[0]] = kids[i - 1][0] if i else NIL
-            nxt[kid[0]] = kids[i + 1][0] if i + 1 < len(kids) else NIL
+            nxt[at] = kid[0]
+            prv[kid[0]] = at
+            at = kid[0]
 
     place(spec)
     return tc
@@ -232,6 +235,25 @@ class TestInvariants:
                 check(i, ev, engine)
         assert detached[HB] == detached[SHB] == 0 < detached[MAZ]
 
+    @pytest.mark.parametrize("array,slot,value,message", [
+        # 1's unlink would write the scratch slot, not its sibling 2's nxt
+        ("prv", 1, 4, "child list of 3 runs through the scratch slot at 1"),
+        ("nxt", 4, 0, r"scratch slot nxt\[4\] links to 0"),
+        # 3's first-child slot, 4 + 1 + 3, skips its first child 2
+        ("nxt", 8, 1, "first-child slot of 3 is stale"),
+        # 1 follows 2, but its prv names 3's first-child slot
+        ("prv", 1, 8, r"prv of 1 is 8, but nxt\[2\] holds 1"),
+        # the root 3 claims a previous sibling
+        ("prv", 3, 0, "root has a parent or siblings"),
+    ], ids=["prv-in-scratch", "nxt-scratch-linked", "stale-first-child",
+            "prv-disagrees", "root-with-prv"])
+    def test_broken_link_set_is_caught(self, array, slot, value, message):
+        a = build(4, TREE_A)  # k = 4: slot 4 of nxt and prv is scratch
+        _, _, nxt, prv = a.links
+        {"nxt": nxt, "prv": prv}[array][slot] = value
+        with pytest.raises(AssertionError, match=message):
+            a.check_integrity()
+
     def test_nonzero_absent_entry_is_caught(self):
         a = build(5, TREE_A)
         a.check_integrity()
@@ -263,7 +285,7 @@ class TestInvariants:
         with pytest.raises(AssertionError, match="stores keys"):
             e.check_integrity()
         o = TreeClock.owned(0, 3, c)
-        o.links = tuple([NIL] * 3 for _ in range(5))
+        o.links = ([NIL] * 3, [3] * 3, [3] * 7, [3] * 4)
         with pytest.raises(AssertionError, match="holds link arrays"):
             o.check_integrity()
         o = TreeClock.owned(0, 3, c)
@@ -277,9 +299,9 @@ class TestInvariants:
 
 
 class TestLinkArrays:
-    """A clock allocates its clk list and its link set of five k-lists
-    only when it first links a second node; until then it stores its one
-    entry."""
+    """A clock allocates its clk list and its link set, four lists of
+    5k+2 slots in all, only when it first links a second node; until
+    then it stores its one entry."""
 
     def test_root_only_clocks_and_their_copies_hold_none(self):
         c = WorkCounter(debug=True)
@@ -314,7 +336,7 @@ class TestLinkArrays:
         assert a.links is None
         b.increment()
         a.join(b)
-        assert [len(array) for array in a.links] == [4] * 5
+        assert [len(array) for array in a.links] == [4, 4, 9, 5]
         assert list(walk_nodes(a)) == [0, 1]
         assert a.dump() == "tid=0 clk=1 aclk=⊥\n  tid=1 clk=1 aclk=1\n"
         a.check_integrity()
@@ -863,6 +885,95 @@ def test_each_operation_counts_exactly_the_entries_it_changes(seed):
         assert case in seen
 
 
+# A parent with three children, and one with an only child: the join
+# sources below move child 2, 1 or 0 (first, middle, last) or the only
+# child under thread 5, which the target lacks, so each join also relinks
+# an absent node (z) through the scratch slot
+THREE_KIDS = (4, 5, NIL, [(3, 4, 1, [(2, 1, 3, []), (1, 1, 2, []), (0, 1, 1, [])])])
+ONLY_KID = (4, 5, NIL, [(3, 4, 1, [(2, 1, 1, [])])])
+
+RELINKS = {
+    "first": (THREE_KIDS, (5, 1, NIL, [(2, 2, 1, [])]),
+              "tid=4 clk=5 aclk=⊥\n"
+              "  tid=5 clk=1 aclk=5\n"
+              "    tid=2 clk=2 aclk=1\n"
+              "  tid=3 clk=4 aclk=1\n"
+              "    tid=1 clk=1 aclk=2\n"
+              "    tid=0 clk=1 aclk=1\n"),
+    "middle": (THREE_KIDS, (5, 1, NIL, [(1, 2, 1, [])]),
+               "tid=4 clk=5 aclk=⊥\n"
+               "  tid=5 clk=1 aclk=5\n"
+               "    tid=1 clk=2 aclk=1\n"
+               "  tid=3 clk=4 aclk=1\n"
+               "    tid=2 clk=1 aclk=3\n"
+               "    tid=0 clk=1 aclk=1\n"),
+    "last": (THREE_KIDS, (5, 1, NIL, [(0, 2, 1, [])]),
+             "tid=4 clk=5 aclk=⊥\n"
+             "  tid=5 clk=1 aclk=5\n"
+             "    tid=0 clk=2 aclk=1\n"
+             "  tid=3 clk=4 aclk=1\n"
+             "    tid=2 clk=1 aclk=3\n"
+             "    tid=1 clk=1 aclk=2\n"),
+    "only": (ONLY_KID, (5, 1, NIL, [(2, 2, 1, [])]),
+             "tid=4 clk=5 aclk=⊥\n"
+             "  tid=5 clk=1 aclk=5\n"
+             "    tid=2 clk=2 aclk=1\n"
+             "  tid=3 clk=4 aclk=1\n"),
+    # both source nodes are absent from the target
+    "absent": (ONLY_KID, (5, 2, NIL, [(0, 1, 2, [])]),
+               "tid=4 clk=5 aclk=⊥\n"
+               "  tid=5 clk=2 aclk=5\n"
+               "    tid=0 clk=1 aclk=2\n"
+               "  tid=3 clk=4 aclk=1\n"
+               "    tid=2 clk=1 aclk=1\n"),
+    # both of z's children move: 2 (from under 3) is linked first, then
+    # 0 in front of it, whose back link must now name 0
+    "siblings": (ONLY_KID, (5, 2, NIL, [(0, 1, 2, []), (2, 2, 1, [])]),
+                 "tid=4 clk=5 aclk=⊥\n"
+                 "  tid=5 clk=2 aclk=5\n"
+                 "    tid=0 clk=1 aclk=2\n"
+                 "    tid=2 clk=2 aclk=1\n"
+                 "  tid=3 clk=4 aclk=1\n"),
+}
+
+
+class TestRelink:
+    """_move unlinks each moved node through its prv slot with no test:
+    a first child through its parent's first-child slot, a later one
+    through its previous sibling, and a root or an absent node through
+    the scratch slot."""
+
+    @pytest.mark.parametrize("case", sorted(RELINKS))
+    def test_join_relinks_one_child(self, case):
+        target, source, expected = RELINKS[case]
+        dst, src = build(6, target), build(6, source)
+        src.counter = dst.counter
+        n = src.dump().count("\n")  # every source node, each one ahead
+        dst.join(src)
+        dst.check_integrity()  # first: dump() would not end on a cycle
+        assert dst.dump() == expected
+        # n nodes examined and rebuilt
+        assert (dst.counter.impl_work, dst.counter.vt_work) == (2 * n, n)
+
+    def test_copy_relinks_the_old_root(self):
+        # the source's root 3 is the target's first child, and the target's
+        # root 4 hangs under it in the source, unchanged: 4 is gathered
+        # anyway and relinked from the root's place (the scratch slot),
+        # keeping its other child 1, which the gather skips
+        dst = build(5, (4, 5, NIL, [(3, 2, 3, []), (1, 1, 2, [])]))
+        src = build(5, (3, 4, NIL, [(4, 5, 3, [(1, 1, 2, [])])]))
+        src.counter = dst.counter
+        assert dst.copy_check_monotone(src) == "monotone"
+        dst.check_integrity()
+        assert dst.dump() == (
+            "tid=3 clk=4 aclk=⊥\n"
+            "  tid=4 clk=5 aclk=3\n"
+            "    tid=1 clk=1 aclk=2\n"
+        )
+        # 3 and 4 rebuilt, 1 skipped; only 3's entry changed
+        assert (dst.counter.impl_work, dst.counter.vt_work) == (2 * 2 + 1, 1)
+
+
 class TestJoin:
     def _lock_snapshot(self, k, counter):
         """An owned clock at time 1 published through an aux clock."""
@@ -1326,12 +1437,13 @@ def walk_edges(tc):
     a clock without a link set has none."""
     if tc.links is None:
         return
-    aclk, _, head, nxt, _ = tc.links
+    aclk, _, nxt, _ = tc.links
+    k = tc.k
     stack = [tc.root]
     while stack:
         u = stack.pop()
-        v = head[u]
-        while v != NIL:
+        v = nxt[k + 1 + u]
+        while v != k:
             yield u, v, tc.clk[v], aclk[v]
             stack.append(v)
             v = nxt[v]
