@@ -1,21 +1,21 @@
 """Embedded fixture suite behind the `selfcheck` CLI command.
 
 Everything here is self-contained and deterministic: a 16-event lock
-trace walked through event by event with its expected per-event
-timestamps and two expected tree shapes, two small traces spotlighting
-the join prunings (the final acquire must touch fewer nodes than a flat
-vector scan), a star-relay round showing which clocks stay sparse, a
-maz round showing reader clocks drop their trees once a write has
-joined them and share their thread clock's at the next read, pinned
-vector-clock arithmetic, and a randomized mini-sweep that runs
+trace with its expected per-event timestamps and two expected tree
+shapes, two small traces spotlighting the join prunings (the final
+acquire must touch fewer nodes than a flat vector scan), pinned
+vector-clock arithmetic, and a randomized mini-sweep. Every fixture
+trace, and every sweep trace under every order, goes through
 metrics.cross_check, the comparison behind `analyze --clock both
---oracle`, with debug assertions on: both clock kinds against each
-other and against the brute-force oracle.
+--oracle --debug`: both clock kinds against each other and against the
+brute-force oracle, with debug checks on, and each run through
+verify_bounds. What a fixture adds is only what cross_check cannot
+know: the pinned timestamps, tree shapes and spotlight costs.
 
 Each check returns a list of failure strings; `run` aggregates them.
 """
 
-from .analyses import CLOCK_KINDS, HB, MAZ, ORDERS, Engine
+from .analyses import CLOCK_KINDS, HB, ORDERS, Engine
 from .metrics import cross_check, verify_bounds
 from .oracle import oracle_timestamps
 from .trace import parse_trace
@@ -104,23 +104,6 @@ INTUITION_INDIRECT = (
     + "t4 acq l2\n"
 )
 
-# Storage showcase, a star relay: each client acq/rels its own lock and
-# the hub (t0) acquires one of them last. Before that acquire every clock
-# is root-only and stores one entry; the acquire links a second node into
-# the hub's clock alone, which makes it the one dense clock.
-INTUITION_STORAGE = _sync("t1", "l1") + _sync("t2", "l2") + "t0 acq l1\n"
-
-# maz storage showcase: t2 and t3 each learn another thread through l,
-# then read x, which copies their linked clocks into two reader clocks.
-# t1's write joins both readers, and nothing reads their trees after
-# that: both drop them (detached) and keep their entries. t2's next read
-# copies into its reader clock monotonically, and the copy takes t2's
-# link set by sharing it.
-INTUITION_MAZ_STORAGE = (
-    _sync("t1", "l") + _sync("t2", "l") + _sync("t3", "l")
-    + "t2 r x\nt3 r x\nt1 w x\nt2 r x\n"
-)
-
 # Cost of the spotlight event (local increment plus the acquire's join):
 # the tree walk touches 3 nodes, a flat vector always scans all 4.
 INTUITION_TREE_COST = 4
@@ -136,28 +119,30 @@ VECTOR_OTHER = (28, 5, 9, 45, 17, 26)
 SWEEP_SEEDS = range(6)
 
 
+def _cross_check(where, trace, po=HB):
+    """Failures of one cross_check of trace under po, as `analyze --clock
+    both --oracle --debug` runs it, and of verify_bounds on its runs."""
+    runs, kind_problems, oracle_problems = cross_check(
+        trace, po, CLOCK_KINDS, oracle=True, debug=True)
+    fails = [f"{where}: {p}" for p in kind_problems + oracle_problems]
+    for run in runs:
+        try:
+            verify_bounds(run)
+        except AssertionError as exc:
+            fails.append(f"{where} {run.clock_kind}: {exc}")
+    return fails
+
+
 def check_walkthrough():
-    fails = []
     trace = parse_trace(WALKTHROUGH_TRACE)
-    dumps = {}
-    for kind in ("tree", "vector"):
-        engine = Engine(HB, trace.thread_count, kind, debug=True)
-        stamps = []
-        for i, ev in enumerate(trace.events):
-            clock = engine.process(ev)
-            stamps.append(clock.flatten())
-            if kind == "tree" and i in (7, 14):
-                dumps[i] = clock.dump()
-        if stamps != WALKTHROUGH_TIMESTAMPS:
-            fails.append(f"walkthrough {kind}: timestamps diverge: {stamps}")
-        if engine.races:
-            fails.append(f"walkthrough {kind}: unexpected races {engine.races}")
-    if dumps.get(7) != WALKTHROUGH_DUMP_E8:
-        fails.append(f"walkthrough: tree after event 8:\n{dumps.get(7)}")
-    if dumps.get(14) != WALKTHROUGH_DUMP_E15:
-        fails.append(f"walkthrough: tree after event 15:\n{dumps.get(14)}")
+    fails = _cross_check("walkthrough", trace)
     if oracle_timestamps(trace, HB) != WALKTHROUGH_TIMESTAMPS:
         fails.append("walkthrough: oracle disagrees with pinned timestamps")
+    engine = Engine(HB, trace.thread_count, "tree")
+    dumps = [engine.process(ev).dump() for ev in trace.events]
+    for i, want in ((7, WALKTHROUGH_DUMP_E8), (14, WALKTHROUGH_DUMP_E15)):
+        if dumps[i] != want:
+            fails.append(f"walkthrough: tree after event {i + 1}:\n{dumps[i]}")
     return fails
 
 
@@ -165,62 +150,17 @@ def check_intuitions():
     fails = []
     for name, text in (("direct", INTUITION_DIRECT), ("indirect", INTUITION_INDIRECT)):
         trace = parse_trace(text)
-        costs = {}
-        for kind in ("tree", "vector"):
-            engine = Engine(HB, trace.thread_count, kind, debug=True)
-            stamps, marks = [], []
-            for ev in trace.events:
-                stamps.append(engine.process(ev).flatten())
-                marks.append(engine.counter.impl_work)
-            costs[kind] = marks[-1] - marks[-2]
-            if stamps != oracle_timestamps(trace, HB):
-                fails.append(f"intuition {name} {kind}: timestamps diverge")
-        if costs["tree"] != INTUITION_TREE_COST:
-            fails.append(f"intuition {name}: tree spotlight cost {costs['tree']} != {INTUITION_TREE_COST}")
-        if costs["vector"] != INTUITION_VECTOR_COST:
-            fails.append(f"intuition {name}: vector spotlight cost {costs['vector']} != {INTUITION_VECTOR_COST}")
-    return fails + check_storage_intuition() + check_maz_storage_intuition()
-
-
-def check_storage_intuition():
-    fails = []
-    trace = parse_trace(INTUITION_STORAGE)
-    engine = Engine(HB, trace.thread_count, "tree", debug=True)
-    for ev in trace.events[:-1]:
-        engine.process(ev)
-    clocks = engine.thread_clocks + list(engine.lock_clocks.values())
-    stored = [len(clock.clk) for clock in clocks]
-    if stored != [1] * len(clocks):
-        fails.append(f"intuition storage: relay round stores {stored} entries")
-    hub = engine.process(trace.events[-1])
-    dense = [clock for clock in clocks if type(clock.clk) is list]
-    if dense != [hub]:
-        fails.append(f"intuition storage: after the hub acquire {len(dense)} "
-                     f"clocks are dense, the hub's among them: {hub in dense}")
-    return fails
-
-
-def check_maz_storage_intuition():
-    fails = []
-    trace = parse_trace(INTUITION_MAZ_STORAGE)
-    engine = Engine(MAZ, trace.thread_count, "tree", debug=True)
-    for ev in trace.events[:-2]:
-        engine.process(ev)
-    readers = list(engine.read_clocks.values())
-    before = [reader.flatten() for reader in readers]
-    engine.process(trace.events[-2])  # the write
-    detached = [reader.links is None and type(reader.clk) is list
-                for reader in readers]
-    if detached != [True, True]:
-        fails.append(f"intuition maz storage: after the write the readers' "
-                     f"detached forms are {detached}")
-    if [reader.flatten() for reader in readers] != before:
-        fails.append("intuition maz storage: the write changed a reader's entries")
-    thread = engine.process(trace.events[-1])  # the re-read
-    if not (readers[0].links is thread.links is not None
-            and readers[0].shared and thread.shared):
-        fails.append("intuition maz storage: the re-read does not share its "
-                     "thread clock's link set")
+        fails += _cross_check(f"intuition {name}", trace)
+        for kind, want in (("tree", INTUITION_TREE_COST),
+                           ("vector", INTUITION_VECTOR_COST)):
+            engine = Engine(HB, trace.thread_count, kind)
+            for ev in trace.events[:-1]:
+                engine.process(ev)
+            before = engine.counter.impl_work
+            engine.process(trace.events[-1])
+            cost = engine.counter.impl_work - before
+            if cost != want:
+                fails.append(f"intuition {name}: {kind} spotlight cost {cost} != {want}")
     return fails
 
 
@@ -241,15 +181,7 @@ def check_sweep():
     for seed in SWEEP_SEEDS:
         trace = random_trace(seed)
         for po in ORDERS:
-            where = f"sweep seed={seed} po={po}"
-            runs, kind_problems, oracle_problems = cross_check(
-                trace, po, CLOCK_KINDS, oracle=True, debug=True)
-            fails.extend(f"{where}: {p}" for p in kind_problems + oracle_problems)
-            for run in runs:
-                try:
-                    verify_bounds(run)
-                except AssertionError as exc:
-                    fails.append(f"{where} {run.clock_kind}: {exc}")
+            fails += _cross_check(f"sweep seed={seed} po={po}", trace, po)
     return fails
 
 

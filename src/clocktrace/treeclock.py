@@ -444,7 +444,8 @@ class TreeClock:
 
     def dump(self):
         """Tree as indented text, one node per line, children in list
-        order: from u's first-child slot nxt[k + 1 + u] along nxt to k."""
+        order: from u's first-child slot nxt[k + 1 + u] along nxt to k.
+        A node reached twice (a cyclic link set) raises AssertionError."""
         if self.root == NIL:
             return "(empty)\n"
         if self.links is None:
@@ -454,6 +455,7 @@ class TreeClock:
         aclk, _, nxt, _ = self.links
         k = self.k
         lines = []
+        seen = {self.root}
         stack = [(self.root, 0)]
         while stack:
             u, depth = stack.pop()
@@ -462,6 +464,9 @@ class TreeClock:
             kids = []
             v = nxt[k + 1 + u]
             while v != k:
+                if v in seen:
+                    raise AssertionError(f"node {v} reached twice")
+                seen.add(v)
                 kids.append(v)
                 v = nxt[v]
             for v in reversed(kids):

@@ -13,6 +13,7 @@ from oracles import (
     oracle_unordered_pairs,
 )
 
+from clocktrace import analyses
 from clocktrace.analyses import (
     CLOCK_KINDS,
     FLAT_LOG_LIMIT,
@@ -28,6 +29,7 @@ from clocktrace.metrics import cross_check, verify_bounds
 from clocktrace.oracle import oracle_races, oracle_timestamps
 from clocktrace.trace import WRITE, Violation, parse_trace, serialize_trace
 from clocktrace.tracegen import GenSpec, generate, random_trace
+from clocktrace.treeclock import TreeClock
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -295,6 +297,33 @@ def test_debug_mode_is_clean_on_legal_traces(po):
         trace = random_trace(seed + 11, events=100)
         run_analysis(trace, po, "tree", debug=True)
         run_analysis(trace, po, "vector", debug=True)
+
+
+def test_debug_reports_a_copy_off_the_predicted_path(monkeypatch):
+    # a tree clock that reports the other path than the one it took: the
+    # release's copy into the new lock clock is deep, reported monotone
+    class Misreported(TreeClock):
+        __slots__ = ()
+
+        def copy_check_monotone(self, src):
+            status = super().copy_check_monotone(src)
+            return "monotone" if status == "deep" else "deep"
+
+    monkeypatch.setattr(analyses, "TreeClock", Misreported)
+    trace = parse_trace("t0 acq l\nt0 rel l\n")
+    run_analysis(trace, HB, "tree")  # unchecked without debug
+    with pytest.raises(AssertionError, match="event 1: monotone copy where "
+                                             "the engine predicts deep"):
+        run_analysis(trace, HB, "tree", debug=True)
+
+
+@pytest.mark.parametrize("po,kind,message", [
+    ("po", "tree", "unknown partial order 'po'"),
+    (HB, "flat", "unknown clock kind 'flat'"),
+], ids=["order", "clock-kind"])
+def test_unknown_order_or_clock_kind_is_refused(po, kind, message):
+    with pytest.raises(ValueError, match=message):
+        Engine(po, 2, kind)
 
 
 def test_runs_are_deterministic():

@@ -658,13 +658,18 @@ class TestBench:
         assert not csv_path.exists()
 
     @pytest.mark.parametrize("flag", ["--patterns", "--threads"])
-    @pytest.mark.parametrize("value", ["", " , "])
+    @pytest.mark.parametrize("value", ["", " , ", "a,b"])
     def test_empty_grid_exits_2(self, tmp_path, capsys, flag, value):
-        # an empty axis measures nothing; say so instead of writing a header
+        # an empty axis measures nothing, and neither does one of unknown
+        # patterns or non-numeric thread counts; say so instead of
+        # writing a header
         csv_path = tmp_path / "bench.csv"
         rc = cli.main(["bench", flag, value, "--csv", str(csv_path), "--repeat", "1"])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        if flag == "--threads":
+            assert err == f"error: bad thread grid {value!r}\n"
         assert not csv_path.exists()
 
 

@@ -157,6 +157,10 @@ class TestBounds:
         run.counter.vt_work -= 1  # within n*k, but one-thread counts are exact
         with pytest.raises(AssertionError):
             verify_bounds(run)
+        run = run_analysis(parse_trace(""), HB, "tree")
+        run.counter.vt_work = 1  # work without a single event
+        with pytest.raises(AssertionError, match="empty trace with vt_work=1"):
+            verify_bounds(run)
 
     def test_empty_run_passes_with_zero_work(self):
         run = run_analysis(parse_trace(""), HB, "tree")

@@ -3,15 +3,23 @@ their documented shape."""
 
 import re
 
+import pytest
+
 from clocktrace import analyses, cli, selfcheck
 from clocktrace.trace import parse_trace, serialize_trace, validate_trace
 from clocktrace.tracegen import random_trace
-from clocktrace.treeclock import TreeClock
 from clocktrace.vclock import VectorClock
 
 
 def test_all_embedded_checks_pass():
-    assert selfcheck.run(report=None) == []
+    lines = []
+    assert selfcheck.run(report=lines.append) == []
+    assert lines == [
+        "selfcheck walkthrough: ok",
+        "selfcheck intuitions: ok",
+        "selfcheck vector arithmetic: ok",
+        "selfcheck randomized sweep: ok",
+    ]
 
 
 def test_sweep_builds_one_engine_per_cell(monkeypatch):
@@ -68,16 +76,7 @@ def test_random_trace_is_legal_and_deterministic():
     assert validate_trace(a) == []
     assert len(a.events) == 100
     assert a.thread_count == 4
+    # with no event asked for, a missing check returns instead of looping
+    with pytest.raises(ValueError, match="need at least one lock or variable"):
+        random_trace(3, events=0, locks=0, variables=0)
 
-
-def test_maz_storage_fixture_sees_kept_trees(monkeypatch):
-    # with trees never dropped, the readers stay dense and the re-read
-    # rebuilds its reader clock's own link set
-    assert selfcheck.check_maz_storage_intuition() == []
-    monkeypatch.setattr(TreeClock, "drop_tree", lambda self: None)
-    assert selfcheck.check_maz_storage_intuition() == [
-        "intuition maz storage: after the write the readers' detached "
-        "forms are [False, False]",
-        "intuition maz storage: the re-read does not share its thread "
-        "clock's link set",
-    ]

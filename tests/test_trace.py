@@ -184,6 +184,8 @@ def test_file_stream_and_text_agree(tmp_path, text, lineno):
 def test_unsupported_ops_are_named():
     with pytest.raises(TraceParseError, match="unsupported operation 'fork'"):
         parse_trace("t0 fork t1\n")
+    with pytest.raises(TraceParseError, match="unsupported operation 'fork'"):
+        parse_trace("t0 fork\n")  # its target left out
 
 
 def test_serialize_round_trip():

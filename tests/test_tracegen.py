@@ -46,9 +46,12 @@ class TestSplitMix64:
 
     def test_below_takes_the_full_64_bit_range(self):
         # a larger bound is refused; tests/test_cli.py checks that in a
-        # subprocess, since a draw that never returns would hang this one
+        # subprocess, since a draw that never returns would hang this one.
+        # A bound of 0 is refused before any draw
         rng = SplitMix64(5)
         assert 0 <= rng.below(1 << 64) < 1 << 64
+        with pytest.raises(ValueError, match=r"bound must be in 1\.\.2\*\*64, got 0"):
+            rng.below(0)
 
 
 def spec(pattern, threads=4, events=12, seed=5, **kw):

@@ -9,6 +9,9 @@ checker itself.
 
 import hashlib
 import os
+import resource
+import subprocess
+import sys
 from operator import ne
 
 import pytest
@@ -19,7 +22,7 @@ from conftest import each_event
 
 from clocktrace import analyses
 from clocktrace.analyses import HB, MAZ, SHB, run_analysis
-from clocktrace.trace import ACQ
+from clocktrace.trace import ACQ, parse_trace
 from clocktrace.tracegen import GenSpec, SplitMix64, generate, random_trace
 from clocktrace.treeclock import NIL, Entries, TreeClock
 from clocktrace.vclock import ClockContractError, VectorClock, WorkCounter, vt_leq
@@ -190,6 +193,15 @@ class TestBasics:
         with pytest.raises(ClockContractError):
             TreeClock.aux(3, WorkCounter()).increment()
 
+    def test_join_into_empty_raises(self):
+        c = WorkCounter()
+        a = TreeClock.owned(0, 3, c)
+        a.increment()
+        e = TreeClock.aux(3, c)
+        with pytest.raises(ClockContractError, match="uninitialized"):
+            e.join(a)
+        assert e.flatten() == (0, 0, 0)
+
     def test_increment(self):
         c = WorkCounter()
         t = TreeClock.owned(1, 3, c)
@@ -237,22 +249,59 @@ class TestInvariants:
 
     @pytest.mark.parametrize("array,slot,value,message", [
         # 1's unlink would write the scratch slot, not its sibling 2's nxt
-        ("prv", 1, 4, "child list of 3 runs through the scratch slot at 1"),
-        ("nxt", 4, 0, r"scratch slot nxt\[4\] links to 0"),
-        # 3's first-child slot, 4 + 1 + 3, skips its first child 2
-        ("nxt", 8, 1, "first-child slot of 3 is stale"),
+        ("prv", 1, 5, "child list of 3 runs through the scratch slot at 1"),
+        ("nxt", 5, 0, r"scratch slot nxt\[5\] links to 0"),
+        # 3's first-child slot, 5 + 1 + 3, skips its first child 2
+        ("nxt", 9, 1, "first-child slot of 3 is stale"),
         # 1 follows 2, but its prv names 3's first-child slot
-        ("prv", 1, 8, r"prv of 1 is 8, but nxt\[2\] holds 1"),
+        ("prv", 1, 9, r"prv of 1 is 9, but nxt\[2\] holds 1"),
         # the root 3 claims a previous sibling
         ("prv", 3, 0, "root has a parent or siblings"),
+        ("nxt", 9, 7, "child list of 3 holds 7, not a thread"),
+        ("parent", 2, 1, "parent link of 2 is stale"),
+        ("clk", 3, 1, r"child 2 attached later \(2\) than its parent's time \(1\)"),
+        # 2, attached at 0, is listed ahead of 1, attached at 1
+        ("aclk", 2, 0, "sibling list of 3 not ordered"),
+        ("parent", 4, 3, "absent thread 4 has a parent"),
+        ("nxt", 10, 0, "absent thread 4 has children"),
+        ("nxt", 4, 0, "absent thread 4 has siblings"),
+        ("prv", 4, 1, "absent thread 4 has siblings"),
     ], ids=["prv-in-scratch", "nxt-scratch-linked", "stale-first-child",
-            "prv-disagrees", "root-with-prv"])
+            "prv-disagrees", "root-with-prv", "child-not-a-thread",
+            "stale-parent", "attached-after-parent", "siblings-unordered",
+            "absent-with-parent", "absent-with-children", "absent-with-next",
+            "absent-with-prv"])
     def test_broken_link_set_is_caught(self, array, slot, value, message):
-        a = build(4, TREE_A)  # k = 4: slot 4 of nxt and prv is scratch
-        _, _, nxt, prv = a.links
-        {"nxt": nxt, "prv": prv}[array][slot] = value
+        a = build(5, TREE_A)  # k = 5: slot 5 of nxt and prv is scratch, 4 absent
+        arrays = dict(zip(("aclk", "parent", "nxt", "prv"), a.links), clk=a.clk)
+        arrays[array][slot] = value
         with pytest.raises(AssertionError, match=message):
             a.check_integrity()
+
+    @pytest.mark.parametrize("slot,value,node", [(4, 0, 0), (1, 1, 1)],
+                             ids=["cross-level", "sibling"])
+    def test_dump_stops_on_a_cyclic_link_set(self, slot, value, node):
+        # root 0 and child 1 at k = 2: 1's first-child slot nxt[4] holding
+        # 0 makes each the other's child; 1's next-sibling slot nxt[1]
+        # holding 1 makes 1 its own sibling. A dump that followed either
+        # cycle would grow until memory ran out, so it runs in a child
+        # process capped at 400 MB of address space
+        script = (
+            "from clocktrace.treeclock import TreeClock\n"
+            "from clocktrace.vclock import WorkCounter\n"
+            "c = WorkCounter()\n"
+            "a, b = TreeClock.owned(0, 2, c), TreeClock.owned(1, 2, c)\n"
+            "a.increment(); b.increment(); a.join(b)\n"
+            f"a.links[2][{slot}] = {value}\n"
+            "a.dump()\n")
+        limit = 400 << 20
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            timeout=60, env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                  (limit, limit)))
+        assert proc.returncode == 1
+        assert proc.stderr.endswith(f"AssertionError: node {node} reached twice\n")
 
     def test_nonzero_absent_entry_is_caught(self):
         a = build(5, TREE_A)
@@ -295,6 +344,14 @@ class TestInvariants:
         a = build(4, TREE_A)
         a.clk = Entries(enumerate(a.clk))  # linked, but stored sparse
         with pytest.raises(AssertionError, match="holds link arrays"):
+            a.check_integrity()
+        e = TreeClock.aux(3, c)
+        e.clk = [0] * 3
+        with pytest.raises(AssertionError, match="empty clock is dense"):
+            e.check_integrity()
+        a = build(4, TREE_A)
+        a.links[3].append(4)  # prv one slot too long
+        with pytest.raises(AssertionError, match="not 4, 4, 9 and 5 slots long"):
             a.check_integrity()
 
 
@@ -385,7 +442,9 @@ class TestLinkArrays:
 
     @pytest.mark.parametrize("name,po", [
         ("star-relay", HB),
+        ("relay-round", HB),
         ("random", MAZ),  # write and reader clocks too
+        ("maz-readers", MAZ),
     ])
     def test_only_linked_clocks_are_dense(self, name, po, monkeypatch):
         # every clock the engine builds, kept by a subclass it builds
@@ -750,6 +809,16 @@ class TestDetached:
 STORAGE_TRACES = {
     "star-relay": lambda: generate(
         GenSpec("star", 256, 8000, seed=3, star_style="relay")),
+    # each client acq/rels its own lock, and the hub t0 acquires one of
+    # them: that acquire links a second node into the hub's clock alone
+    "relay-round": lambda: parse_trace(
+        "t1 acq l1\nt1 rel l1\nt2 acq l2\nt2 rel l2\nt0 acq l1\n"),
+    # t2 and t3 learn t1 through l and read x into two reader clocks;
+    # t1's write joins both and drops their trees, and t2's re-read
+    # copies its clock into its reader clock monotonically
+    "maz-readers": lambda: parse_trace(
+        "".join(f"{t} acq l\n{t} rel l\n" for t in ("t1", "t2", "t3"))
+        + "t2 r x\nt3 r x\nt1 w x\nt2 r x\n"),
     "random": lambda: random_trace(9, events=300, threads=24, locks=3,
                                    variables=6),
 }
@@ -1077,6 +1146,20 @@ class TestJoin:
         t0.join(a0)
         with pytest.raises(AssertionError, match="absent thread 1 has clk 1"):
             a1.copy_check_monotone(t0)
+
+    def test_debug_reports_a_non_monotone_target_the_entry_test_passed(self):
+        # outside the contract: two clocks rooted at thread 0 at root time
+        # 1, one of which has also learned thread 1. The single-entry test
+        # reads 1 <= 1 and picks the monotone path; debug compares every
+        # entry and refuses
+        c = WorkCounter(debug=True)
+        a, b, s = (TreeClock.owned(t, 2, c) for t in (0, 1, 0))
+        for x in (a, b, s):
+            x.increment()
+        a.join(b)
+        with pytest.raises(ClockContractError, match="single-entry "
+                           "monotonicity test missed a non-monotone target"):
+            a.copy_check_monotone(s)
 
 
 class TestMonotoneCopy:
