@@ -5,18 +5,18 @@ Four commands:
 - analyze: read a trace file, or stdin, in one streamed pass that
   parses it and checks its lock discipline; run one partial order over
   it with tree clocks, vector clocks, or both, print a summary line per
-  run, optionally append a CSV row per run, and list races. With both
-  clocks, or with --oracle (small inputs only), metrics.cross_check
-  then replays the trace untimed through one engine per clock kind in
-  lockstep and compares every event's timestamp, the race reports and
-  vt_work across the kinds and, with --oracle, with the brute-force
-  oracle. The timed runs' unordered-pair counts must agree as well; the
-  first problem found is printed as a divergence.
+  run, optionally append each run's record to a JSON-lines file, and
+  list races. With both clocks, or with --oracle (small inputs only),
+  metrics.cross_check then replays the trace untimed through one engine
+  per clock kind in lockstep and compares every event's timestamp, the
+  race reports and vt_work across the kinds and, with --oracle, with
+  the brute-force oracle. The timed runs' unordered-pair counts must
+  agree as well; the first problem found is printed as a divergence.
 - gen: write a synthetic trace from the deterministic generator.
   GenSpec.validate is the one check of pattern and star-style names.
-- bench: run a (pattern x thread-count x clock) matrix, append all rows
-  to a CSV, and print each cell's vector/tree wall-time and impl_work
-  ratios.
+- bench: run a (pattern x thread-count x clock) matrix, print and
+  optionally append each run's record as analyze does, then print each
+  cell's vector/tree wall-time and impl_work ratios.
 - selfcheck: run the embedded fixture suite.
 
 Exit codes: 0 success; 1 divergence, race-check mismatch, or assertion
@@ -47,12 +47,6 @@ from .analyses import CLOCK_KINDS, ORDERS, run_analysis
 from .metrics import cross_check, verify_bounds
 from .oracle import ORACLE_MAX_EVENTS
 from .trace import TraceParseError, parse_trace, serialize_trace
-
-CSV_COLUMNS = (
-    "trace", "po", "clock", "events", "threads", "locks", "vars", "time_ms",
-    "races", "pairs_unordered", "vt_work", "impl_work", "deep_copies",
-)
-
 
 def main(argv=None):
     parser = _build_parser()
@@ -87,7 +81,7 @@ def _build_parser():
     p.add_argument("--po", choices=ORDERS, required=True)
     p.add_argument("--clock", choices=CLOCK_KINDS + ("both",), default="both")
     p.add_argument("--input", required=True, help="trace file, or - for stdin")
-    p.add_argument("--csv", help="append one CSV row per run to this file")
+    p.add_argument("--json", help="append one JSON record per run to this file")
     p.add_argument("--races", action="store_true", help="print each race report")
     p.add_argument("--oracle", action="store_true",
                    help=f"cross-check against the brute-force oracle (<= {ORACLE_MAX_EVENTS} events)")
@@ -116,7 +110,7 @@ def _build_parser():
     p.add_argument("--po", choices=ORDERS, default="hb")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--star-style", default="paired", help="star interleaving (star only)")
-    p.add_argument("--csv", default="bench.csv", help="output CSV (default bench.csv)")
+    p.add_argument("--json", help="append one JSON record per run to this file")
     p.add_argument("--repeat", type=_positive_int, default=3, metavar="N")
     p.set_defaults(func=_cmd_bench)
 
@@ -174,36 +168,37 @@ def _engine_context(trace, kind):
         raise MemoryError(f"k={trace.thread_count}, clock={kind}") from None
 
 
-def _csv_row(name, run, ms):
-    """The CSV_COLUMNS row of one run of trace `name`; an uncounted pair
-    count is written as an empty field."""
-    pairs = "" if run.unordered_pairs is None else run.unordered_pairs
-    return (name, run.po, run.clock_kind, run.events, run.threads,
-            run.locks, run.vars, f"{ms:.3f}", len(run.races), pairs,
-            run.vt_work, run.impl_work, run.deep_copies)
+def _record(name, run, ms):
+    """The record of one run of trace `name`, with its median time `ms`,
+    which every output of the run reads; README's command-line section
+    tables its keys. pairs_unordered is None when no pairs were counted."""
+    return {"trace": name, "po": run.po, "clock": run.clock_kind,
+            "events": run.events, "threads": run.threads, "locks": run.locks,
+            "vars": run.vars, "races": len(run.races),
+            "pairs_unordered": run.unordered_pairs, "vt_work": run.vt_work,
+            "impl_work": run.impl_work, "deep_copies": run.deep_copies,
+            "time_ms": ms}
 
 
-def _append_csv(path, rows):
-    """Append rows (see _csv_row), with a header if the file is new."""
-    import csv
-
-    new_file = not os.path.exists(path) or os.path.getsize(path) == 0
-    with open(path, "a", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        if new_file:
-            writer.writerow(CSV_COLUMNS)
-        writer.writerows(rows)
+def _summary_line(record):
+    """Every key of a record but trace as key=value: None as -, time_ms
+    to 3 decimals."""
+    shown = dict(record, time_ms=f"{record['time_ms']:.3f}")
+    del shown["trace"]
+    return " ".join(f"{key}={'-' if v is None else v}" for key, v in shown.items())
 
 
-def _summary_line(run, ms):
-    pairs = "-" if run.unordered_pairs is None else run.unordered_pairs
-    return (
-        f"po={run.po} clock={run.clock_kind} events={run.events} "
-        f"threads={run.threads} locks={run.locks} vars={run.vars} "
-        f"races={len(run.races)} pairs_unordered={pairs} "
-        f"vt_work={run.vt_work} impl_work={run.impl_work} "
-        f"deep_copies={run.deep_copies} time_ms={ms:.3f}"
-    )
+@contextmanager
+def _json_lines(path):
+    """Yield a function that appends a record to `path` as one line of
+    JSON, or does nothing when `path` is None. Entry opens the file, so
+    a bad path fails before any run."""
+    if path is None:
+        yield lambda record: None
+    else:
+        import json
+        with open(path, "a", encoding="utf-8") as fh:
+            yield lambda record: fh.write(json.dumps(record) + "\n")
 
 
 def _cmd_analyze(args):
@@ -220,18 +215,19 @@ def _cmd_analyze(args):
 
     name = "-" if args.input == "-" else os.path.basename(args.input)
     # a run's race list can be hundreds of MB: keep only the printed one,
-    # the first kind's, and each run's counts; release every run before
+    # the first kind's, and each run's record; release every run before
     # the next kind's runs and the cross-check start
-    rows, pairs, races = [], [], None
-    for kind in kinds:
-        run, ms, _ = _timed_runs(trace, args.po, kind, args.repeat, args.debug)
-        verify_bounds(run)
-        rows.append(_csv_row(name, run, ms))
-        pairs.append((kind, run.unordered_pairs))
-        print(_summary_line(run, ms))
-        if args.races and races is None:
-            races = run.races
-        run = None
+    records, races = [], None
+    with _json_lines(args.json) as write:
+        for kind in kinds:
+            run, ms, _ = _timed_runs(trace, args.po, kind, args.repeat, args.debug)
+            verify_bounds(run)
+            records.append(_record(name, run, ms))
+            print(_summary_line(records[-1]))
+            write(records[-1])
+            if args.races and races is None:
+                races = run.races
+            run = None
 
     if args.races:
         for r in races:
@@ -241,17 +237,15 @@ def _cmd_analyze(args):
                   f"event={r.index}")
         races = None
 
-    if args.csv:
-        _append_csv(args.csv, rows)
-
     if not compare:
         return 0
     with _engine_context(trace, "+".join(kinds)):
         _, kind_problems, oracle_problems = cross_check(trace, args.po, kinds,
                                                         args.oracle)
-    (a_kind, a), (b_kind, b) = pairs[0], pairs[-1]
-    if a != b:  # cross_check counts no pairs; the timed runs did
-        kind_problems.append(f"unordered pairs differ ({a_kind}={a}, {b_kind}={b})")
+    a, b = records[0], records[-1]
+    if a["pairs_unordered"] != b["pairs_unordered"]:  # cross_check counts none
+        kind_problems.append(f"unordered pairs differ ({a['clock']}={a['pairs_unordered']}, "
+                             f"{b['clock']}={b['pairs_unordered']})")
     if kind_problems:
         print(f"divergence: {kind_problems[0]}", file=sys.stderr)
         return 1
@@ -308,39 +302,41 @@ def _cmd_bench(args):
     for spec in specs:  # refuse a bad cell before any cell runs
         spec.validate()
 
-    results, times = [], []
-    for spec in specs:
-        trace = generate(spec)
-        name = f"{spec.pattern}-k{spec.threads}"
-        if spec.pattern == "star":
-            name += f"-{args.star_style}"
-        for kind in ("tree", "vector"):
-            run, ms, elapsed = _timed_runs(trace, args.po, kind, args.repeat,
-                                           count_unordered=False)
-            verify_bounds(run)
-            results.append((name, run, ms))
-            times.append(elapsed)
+    records, times = [], []
+    with _json_lines(args.json) as write:
+        for spec in specs:
+            trace = generate(spec)
+            name = f"{spec.pattern}-k{spec.threads}"
+            if spec.pattern == "star":
+                name += f"-{args.star_style}"
+            for kind in ("tree", "vector"):
+                run, ms, elapsed = _timed_runs(trace, args.po, kind, args.repeat,
+                                               count_unordered=False)
+                verify_bounds(run)
+                records.append(_record(name, run, ms))
+                write(records[-1])
+                times.append(elapsed)
 
-    _append_csv(args.csv, [_csv_row(*result) for result in results])
-    for name, run, ms in results:
-        print(f"{name}: {_summary_line(run, ms)}")
-    _print_speedups(results, times)
+    for record in records:
+        print(f"{record['trace']}: {_summary_line(record)}")
+    _print_speedups(records, times)
     return 0
 
 
-def _print_speedups(results, times):
+def _print_speedups(records, times):
     """Print the vector/tree wall-time and impl_work ratios of each
     trace cell, which locate the crossover; no threshold. Then print the
     fastest and slowest repeat of each kind, so a time ratio can be read
-    against its spread. results holds each cell's tree row just before
-    its vector row, and times each row's repeat times in ascending order."""
-    for (name, tree, tree_ms), (_, vector, vector_ms), tree_t, vector_t in zip(
-            results[::2], results[1::2], times[::2], times[1::2]):
-        if tree_ms > 0:
-            print(f"speedup {name} {tree.po}: vector/tree wall time = "
-                  f"{vector_ms / tree_ms:.2f}x, "
-                  f"impl_work = {vector.impl_work / tree.impl_work:.2f}x")
-        print(f"spread {name} {tree.po}: tree {tree_t[0]:.3f}–{tree_t[-1]:.3f} ms, "
+    against its spread. records holds each cell's tree record just before
+    its vector record, and times each run's repeat times in ascending order."""
+    for tree, vector, tree_t, vector_t in zip(
+            records[::2], records[1::2], times[::2], times[1::2]):
+        cell = f"{tree['trace']} {tree['po']}"
+        if tree["time_ms"] > 0:
+            print(f"speedup {cell}: vector/tree wall time = "
+                  f"{vector['time_ms'] / tree['time_ms']:.2f}x, "
+                  f"impl_work = {vector['impl_work'] / tree['impl_work']:.2f}x")
+        print(f"spread {cell}: tree {tree_t[0]:.3f}–{tree_t[-1]:.3f} ms, "
               f"vector {vector_t[0]:.3f}–{vector_t[-1]:.3f} ms "
               f"over {len(tree_t)} repeats")
 

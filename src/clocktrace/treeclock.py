@@ -527,8 +527,7 @@ class TreeClock:
         stack = [root]
         while stack:
             u = stack.pop()
-            if seen[u]:
-                raise AssertionError(f"node {u} reached twice")
+            # pushed at most once: a push needs prv[v] == at, and prv[v] is one slot
             seen[u] = True
             at = k + 1 + u  # the nxt slot that holds v
             v = nxt[at]

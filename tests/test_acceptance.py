@@ -8,6 +8,7 @@ criterion 4: the bound read beyond its provable scope (the weakest order),
 with a pinned counterexample — see the docstrings of those tests.
 """
 
+import json
 import time
 
 import pytest
@@ -254,27 +255,25 @@ def test_criterion_08_star_scaling_keeps_tree_work_flat():
 
 def test_criterion_10_pinned_seed_pipeline_is_deterministic(tmp_path):
     """The same gen command twice yields byte-identical trace files; the
-    same analyze command twice yields identical CSV rows except for the
-    wall-time column."""
-    from clocktrace.cli import CSV_COLUMNS
-
-    tcol = CSV_COLUMNS.index("time_ms")
+    same analyze command twice yields identical records except for the
+    wall time."""
     outputs = []
     for attempt in ("one", "two"):
         # identical command both times: same file names, fresh directory
         workdir = tmp_path / attempt
         workdir.mkdir()
         trace_path = workdir / "star.trace"
-        csv_path = workdir / "runs.csv"
+        json_path = workdir / "runs.jsonl"
         rc = cli_main(["gen", "--pattern", "skewed_locks", "--threads", "6",
                        "--events", "400", "--seed", "4242",
                        "--out", str(trace_path)])
         assert rc == 0
         rc = cli_main(["analyze", "--po", "shb", "--input", str(trace_path),
-                       "--csv", str(csv_path), "--repeat", "1"])
+                       "--json", str(json_path), "--repeat", "1"])
         assert rc == 0
-        rows = [line.split(",") for line in
-                csv_path.read_text().strip().splitlines()]
-        rows = [r[:tcol] + r[tcol + 1:] for r in rows]
-        outputs.append((trace_path.read_bytes(), rows))
+        records = [json.loads(line) for line in json_path.read_text().splitlines()]
+        assert len(records) == 2 and all("time_ms" in r for r in records)
+        for r in records:
+            del r["time_ms"]
+        outputs.append((trace_path.read_bytes(), records))
     assert outputs[0] == outputs[1]

@@ -2,9 +2,9 @@
 through main() so exit codes and output can be asserted directly."""
 
 import contextlib
-import csv
 import gc
 import io
+import json
 import os
 import re
 import resource
@@ -22,24 +22,37 @@ from hypothesis import strategies as st
 
 from clocktrace import cli, tracegen
 from clocktrace.analyses import HB, MAZ, ORDERS, run_analysis
-from clocktrace.cli import CSV_COLUMNS
 from clocktrace.metrics import cross_check
 from clocktrace.trace import Event, Trace, parse_trace, serialize_trace, validate_trace
 from clocktrace.tracegen import random_trace
 from clocktrace.vclock import VectorClock
 
-TIME_COL = CSV_COLUMNS.index("time_ms")
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+RECORD_KEYS = ("trace", "po", "clock", "events", "threads", "locks", "vars",
+               "races", "pairs_unordered", "vt_work", "impl_work", "deep_copies",
+               "time_ms")
 
 
-def read_csv_rows(path):
-    with open(path, newline="") as fh:
-        return list(csv.reader(fh))
+def read_records(path):
+    """The records of a --json file, one JSON object per line, each
+    checked to hold RECORD_KEYS in order."""
+    with open(path, encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    assert all(tuple(r) == RECORD_KEYS for r in records)
+    return records
 
 
-def rows_without_time(path):
-    rows = read_csv_rows(path)
-    return [r[:TIME_COL] + r[TIME_COL + 1 :] for r in rows]
+def records_without_time(path):
+    return [{k: v for k, v in r.items() if k != "time_ms"} for r in read_records(path)]
+
+
+def summary_fields(line):
+    """A summary line's key=value fields as a dict in line order: - as
+    None, whole numbers as ints, the rest (time_ms included) as text."""
+    fields = dict(field.split("=", 1) for field in line.split())
+    for key, v in fields.items():
+        fields[key] = None if v == "-" else int(v) if v.isdigit() else v
+    return fields
 
 
 def gen_trace(tmp_path, name="t.trace", pattern="skewed_locks", threads=4,
@@ -101,7 +114,7 @@ class TestGen:
         # one round of star paired or pairwise is 4 events; fewer would
         # write an empty trace
         out = tmp_path / "out"
-        assert cli.main(argv + ["--out" if argv[0] == "gen" else "--csv",
+        assert cli.main(argv + ["--out" if argv[0] == "gen" else "--json",
                                 str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and not out.exists()
@@ -125,7 +138,7 @@ class TestGen:
                             lambda seed: drawn.append(seed))
         out = tmp_path / "out"
         argv = argv + ["--threads", "3", "--events", "20",
-                       "--out" if argv[0] == "gen" else "--csv", str(out)]
+                       "--out" if argv[0] == "gen" else "--json", str(out)]
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -164,28 +177,39 @@ class TestAnalyze:
 
     def test_csv_rows_appended(self, tmp_path):
         trace = gen_trace(tmp_path)
-        csv_path = tmp_path / "out.csv"
-        rc = cli.main(["analyze", "--po", "hb", "--input", str(trace),
-                       "--csv", str(csv_path), "--repeat", "1"])
-        assert rc == 0
-        rows = read_csv_rows(csv_path)
-        assert rows[0] == list(CSV_COLUMNS)
-        assert len(rows) == 3  # header + tree row + vector row
-        # appending keeps one header only
-        rc = cli.main(["analyze", "--po", "hb", "--input", str(trace),
-                       "--csv", str(csv_path), "--repeat", "1"])
-        assert rc == 0
-        rows = read_csv_rows(csv_path)
-        assert len(rows) == 5
-        assert sum(1 for r in rows if r == list(CSV_COLUMNS)) == 1
+        path = tmp_path / "out.jsonl"
+        for lines in (2, 4):  # a tree and a vector record per invocation
+            rc = cli.main(["analyze", "--po", "hb", "--input", str(trace),
+                           "--json", str(path), "--repeat", "1"])
+            assert rc == 0
+            records = read_records(path)
+            assert len(path.read_text().splitlines()) == len(records) == lines
+        assert [r["clock"] for r in records] == ["tree", "vector"] * 2
 
     def test_csv_rows_deterministic_up_to_time(self, tmp_path):
         trace = gen_trace(tmp_path)
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         for path in (a, b):
             assert cli.main(["analyze", "--po", "shb", "--input", str(trace),
-                             "--csv", str(path), "--repeat", "1"]) == 0
-        assert rows_without_time(a) == rows_without_time(b)
+                             "--json", str(path), "--repeat", "1"]) == 0
+        assert records_without_time(a) == records_without_time(b)
+
+    def test_bad_output_path_is_refused_before_any_run(self, tmp_path, capsys,
+                                                        monkeypatch):
+        trace = gen_trace(tmp_path, events=40)
+        calls = []
+        monkeypatch.setattr(cli, "run_analysis",
+                            lambda *a, **kw: calls.append(a) or run_analysis(*a, **kw))
+        missing = tmp_path / "no-such-dir" / "out.jsonl"
+        for argv in (["analyze", "--po", "hb", "--input", str(trace)],
+                     ["bench", "--patterns", "single_lock", "--threads", "3",
+                      "--events", "20"]):
+            assert cli.main(argv + ["--json", str(missing), "--repeat", "1"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert len(captured.err.splitlines()) == 1
+        assert calls == []
 
     def test_races_are_printed(self, tmp_path, capsys):
         trace = tmp_path / "racy.trace"
@@ -413,7 +437,7 @@ class TestExitCodes:
         for argv in (
             ["analyze", "--po", "hb", "--input", str(trace), "--repeat", "0"],
             ["bench", "--patterns", "single_lock", "--threads", "3", "--events", "20",
-             "--csv", str(tmp_path / "bench.csv"), "--repeat", "-1"],
+             "--json", str(tmp_path / "bench.jsonl"), "--repeat", "-1"],
         ):
             with pytest.raises(SystemExit) as exc:
                 cli.main(argv)
@@ -602,42 +626,48 @@ def test_lock_misuse_is_rejected_never_misanalysed(lines, po, clock):
 
 class TestBench:
     def test_small_matrix_writes_csv(self, tmp_path, capsys):
-        csv_path = tmp_path / "bench.csv"
+        path = tmp_path / "bench.jsonl"
         rc = cli.main([
             "bench", "--patterns", "single_lock,star", "--threads", "3,5",
             "--events", "120", "--po", "hb", "--seed", "3",
-            "--csv", str(csv_path), "--repeat", "1",
+            "--json", str(path), "--repeat", "1",
         ])
         assert rc == 0
-        rows = read_csv_rows(csv_path)
-        assert rows[0] == list(CSV_COLUMNS)
+        records = read_records(path)
         # 2 patterns x 2 thread counts x 2 clock kinds
-        assert len(rows) == 1 + 8
-        names = {r[0] for r in rows[1:]}
+        assert len(records) == 8
+        names = {r["trace"] for r in records}
         assert names == {"single_lock-k3", "single_lock-k5",
                          "star-k3-paired", "star-k5-paired"}
         capsys.readouterr()
 
     def test_default_events_scale_with_threads(self, tmp_path, capsys):
-        csv_path = tmp_path / "bench.csv"
+        path = tmp_path / "bench.jsonl"
         rc = cli.main(["bench", "--patterns", "single_lock", "--threads",
-                       "3", "--csv", str(csv_path), "--repeat", "1"])
+                       "3", "--json", str(path), "--repeat", "1"])
         assert rc == 0
-        rows = read_csv_rows(csv_path)
-        events_col = CSV_COLUMNS.index("events")
-        assert all(r[events_col] == "300" for r in rows[1:])
+        records = read_records(path)
+        assert len(records) == 2 and all(r["events"] == 300 for r in records)
         capsys.readouterr()
+
+    def test_writes_no_file_without_json(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        rc = cli.main(["bench", "--patterns", "single_lock", "--threads", "3",
+                       "--events", "20", "--repeat", "1"])
+        assert rc == 0
+        assert list(tmp_path.iterdir()) == []
+        assert "speedup single_lock-k3 hb: " in capsys.readouterr().out
 
     def test_speedup_lines_follow_grid_order(self, tmp_path, capsys):
         # 40 sorts between 3 and 5 as a string; every output keeps grid order
-        csv_path = tmp_path / "bench.csv"
+        path = tmp_path / "bench.jsonl"
         rc = cli.main(["bench", "--patterns", "single_lock", "--threads", "3,5,40",
-                       "--events", "40", "--csv", str(csv_path), "--repeat", "1"])
+                       "--events", "40", "--json", str(path), "--repeat", "1"])
         assert rc == 0
         lines = capsys.readouterr().out.splitlines()
         cells = ["single_lock-k3", "single_lock-k5", "single_lock-k40"]
         rows = [c for c in cells for _ in ("tree", "vector")]
-        assert [r[0] for r in read_csv_rows(csv_path)[1:]] == rows
+        assert [r["trace"] for r in read_records(path)] == rows
         ratios = ("speedup ", "spread ")
         speedups = [line.split()[1] for line in lines if line.startswith("speedup ")]
         spreads = [line.split()[1] for line in lines if line.startswith("spread ")]
@@ -649,32 +679,33 @@ class TestBench:
         calls = []
         monkeypatch.setattr(cli, "run_analysis",
                             lambda *a, **kw: calls.append(a) or run_analysis(*a, **kw))
-        csv_path = tmp_path / "bench.csv"
+        path = tmp_path / "bench.jsonl"
         rc = cli.main(["bench", "--patterns", "star,single_lock", "--threads", "3,1",
-                       "--events", "20", "--csv", str(csv_path), "--repeat", "2"])
+                       "--events", "20", "--json", str(path), "--repeat", "2"])
         assert rc == 2
         assert capsys.readouterr().err == "error: threads must be >= 2, got 1\n"
         assert calls == []
-        assert not csv_path.exists()
+        assert not path.exists()
 
     @pytest.mark.parametrize("flag", ["--patterns", "--threads"])
     @pytest.mark.parametrize("value", ["", " , ", "a,b"])
     def test_empty_grid_exits_2(self, tmp_path, capsys, flag, value):
         # an empty axis measures nothing, and neither does one of unknown
         # patterns or non-numeric thread counts; say so instead of
-        # writing a header
-        csv_path = tmp_path / "bench.csv"
-        rc = cli.main(["bench", flag, value, "--csv", str(csv_path), "--repeat", "1"])
+        # writing an empty file
+        path = tmp_path / "bench.jsonl"
+        rc = cli.main(["bench", flag, value, "--json", str(path), "--repeat", "1"])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         if flag == "--threads":
             assert err == f"error: bad thread grid {value!r}\n"
-        assert not csv_path.exists()
+        assert not path.exists()
 
 
-# Exact `analyze --clock both --races --oracle --csv` output and CSV rows on
-# a seeded random trace, and exact `bench` rows and ratio lines, times masked.
+# Exact `analyze --clock both --races --oracle --json` output and records on
+# a seeded random trace, and exact `bench` records and ratio lines, times
+# masked.
 # Scripts parse this text, so any change to it must be deliberate.
 PINNED_SUMMARY = {
     "hb": """\
@@ -734,58 +765,80 @@ PINNED_TRAILER = (
     "clocks agree: timestamps, races, and entries changed identical\n"
     "oracle agreement: timestamps and races match\n"
 )
-PINNED_ANALYZE_ROWS = {
-    "hb": [["pin.trace", "hb", "tree", "40", "3", "2", "2", "27", "193", "41", "42", "0"],
-           ["pin.trace", "hb", "vector", "40", "3", "2", "2", "27", "193", "41", "43", "0"]],
-    "shb": [["pin.trace", "shb", "tree", "40", "3", "2", "2", "13", "110", "86", "154", "9"],
-            ["pin.trace", "shb", "vector", "40", "3", "2", "2", "13", "110", "86", "148", "9"]],
-    "maz": [["pin.trace", "maz", "tree", "40", "3", "2", "2", "0", "0", "152", "360", "0"],
-            ["pin.trace", "maz", "vector", "40", "3", "2", "2", "0", "0", "152", "298", "0"]],
+
+
+def pinned_records(*rows):
+    """Records without time_ms, from their values in key order."""
+    return [dict(zip(RECORD_KEYS[:-1], row)) for row in rows]
+
+
+PINNED_ANALYZE_RECORDS = {
+    "hb": pinned_records(("pin.trace", "hb", "tree", 40, 3, 2, 2, 27, 193, 41, 42, 0),
+                         ("pin.trace", "hb", "vector", 40, 3, 2, 2, 27, 193, 41, 43, 0)),
+    "shb": pinned_records(("pin.trace", "shb", "tree", 40, 3, 2, 2, 13, 110, 86, 154, 9),
+                          ("pin.trace", "shb", "vector", 40, 3, 2, 2, 13, 110, 86, 148, 9)),
+    "maz": pinned_records(("pin.trace", "maz", "tree", 40, 3, 2, 2, 0, 0, 152, 360, 0),
+                          ("pin.trace", "maz", "vector", 40, 3, 2, 2, 0, 0, 152, 298, 0)),
 }
-PINNED_BENCH_ROWS = [
-    ["single_lock-k3", "hb", "tree", "120", "3", "1", "0", "0", "", "233", "536", "0"],
-    ["single_lock-k3", "hb", "vector", "120", "3", "1", "0", "0", "", "233", "477", "0"],
-    ["single_lock-k5", "hb", "tree", "120", "5", "1", "0", "0", "", "294", "732", "0"],
-    ["single_lock-k5", "hb", "vector", "120", "5", "1", "0", "0", "", "294", "715", "0"],
-    ["star-k3-paired", "hb", "tree", "120", "3", "2", "0", "0", "", "271", "635", "0"],
-    ["star-k3-paired", "hb", "vector", "120", "3", "2", "0", "0", "", "271", "474", "0"],
-    ["star-k5-paired", "hb", "tree", "120", "5", "4", "0", "0", "", "311", "727", "0"],
-    ["star-k5-paired", "hb", "vector", "120", "5", "4", "0", "0", "", "311", "700", "0"],
-]
+PINNED_BENCH_ARGV = ["bench", "--patterns", "single_lock,star", "--threads", "3,5",
+                     "--events", "120", "--po", "hb", "--seed", "3", "--repeat", "1"]
+PINNED_BENCH_RECORDS = pinned_records(
+    ("single_lock-k3", "hb", "tree", 120, 3, 1, 0, 0, None, 233, 536, 0),
+    ("single_lock-k3", "hb", "vector", 120, 3, 1, 0, 0, None, 233, 477, 0),
+    ("single_lock-k5", "hb", "tree", 120, 5, 1, 0, 0, None, 294, 732, 0),
+    ("single_lock-k5", "hb", "vector", 120, 5, 1, 0, 0, None, 294, 715, 0),
+    ("star-k3-paired", "hb", "tree", 120, 3, 2, 0, 0, None, 271, 635, 0),
+    ("star-k3-paired", "hb", "vector", 120, 3, 2, 0, 0, None, 271, 474, 0),
+    ("star-k5-paired", "hb", "tree", 120, 5, 4, 0, 0, None, 311, 727, 0),
+    ("star-k5-paired", "hb", "vector", 120, 5, 4, 0, 0, None, 311, 700, 0),
+)
 
 
 class TestPinnedOutput:
     @pytest.mark.parametrize("po", ORDERS)
     def test_analyze_output_and_csv(self, tmp_path, capsys, po):
         path = racy_trace(tmp_path)
-        csv_path = tmp_path / "pin.csv"
+        out_path = tmp_path / "pin.jsonl"
         rc = cli.main(["analyze", "--po", po, "--clock", "both", "--races",
-                       "--oracle", "--csv", str(csv_path), "--input", str(path),
+                       "--oracle", "--json", str(out_path), "--input", str(path),
                        "--repeat", "1"])
         assert rc == 0
         out = re.sub(r"time_ms=\d+\.\d{3}", "time_ms=*", capsys.readouterr().out)
         assert out == PINNED_SUMMARY[po] + PINNED_TRAILER
-        header = [c for c in CSV_COLUMNS if c != "time_ms"]
-        assert rows_without_time(csv_path) == [header] + PINNED_ANALYZE_ROWS[po]
+        assert records_without_time(out_path) == PINNED_ANALYZE_RECORDS[po]
 
     def test_bench_csv_and_ratios(self, tmp_path, capsys):
-        csv_path = tmp_path / "bench.csv"
-        rc = cli.main(["bench", "--patterns", "single_lock,star", "--threads", "3,5",
-                       "--events", "120", "--po", "hb", "--seed", "3",
-                       "--csv", str(csv_path), "--repeat", "1"])
+        path = tmp_path / "bench.jsonl"
+        rc = cli.main(PINNED_BENCH_ARGV + ["--json", str(path)])
         assert rc == 0
-        header = [c for c in CSV_COLUMNS if c != "time_ms"]
-        assert rows_without_time(csv_path) == [header] + PINNED_BENCH_ROWS
-        # the work ratio is vector impl_work / tree impl_work of the rows
-        impl = header.index("impl_work")
-        work = {(r[0], r[2]): int(r[impl]) for r in PINNED_BENCH_ROWS}
+        assert records_without_time(path) == PINNED_BENCH_RECORDS
+        # the work ratio is vector impl_work / tree impl_work of the records
+        work = {(r["trace"], r["clock"]): r["impl_work"] for r in PINNED_BENCH_RECORDS}
         want = [f"speedup {name} hb: vector/tree wall time = *x, impl_work = "
                 f"{work[name, 'vector'] / work[name, 'tree']:.2f}x"
-                for name in dict.fromkeys(r[0] for r in PINNED_BENCH_ROWS)]
+                for name in dict.fromkeys(r["trace"] for r in PINNED_BENCH_RECORDS)]
         assert want[0] == ("speedup single_lock-k3 hb: vector/tree wall time = *x, "
                            "impl_work = 0.89x")  # 477 / 536
         out = re.sub(r"wall time = \d+\.\d{2}x", "wall time = *x", capsys.readouterr().out)
         assert [line for line in out.splitlines() if line.startswith("speedup ")] == want
+
+    def test_each_record_is_its_summary_line(self, tmp_path, capsys):
+        # the pinned analyze runs, then the pinned bench grid, into one file
+        trace, path = racy_trace(tmp_path), tmp_path / "all.jsonl"
+        for po in ORDERS:
+            assert cli.main(["analyze", "--po", po, "--races", "--oracle",
+                             "--json", str(path), "--input", str(trace),
+                             "--repeat", "1"]) == 0
+        assert cli.main(PINNED_BENCH_ARGV + ["--json", str(path)]) == 0
+        # analyze prints a bare summary line, bench one prefixed with its cell
+        summaries = re.findall(r"^(?:(\S+): )?(po=.*)$", capsys.readouterr().out, re.M)
+        records = read_records(path)
+        assert len(records) == len(summaries) == 2 * len(ORDERS) + 8
+        for record, (cell, line) in zip(records, summaries):
+            fields = summary_fields(line)
+            assert tuple(fields) == RECORD_KEYS[1:]
+            assert dict(record, time_ms=f"{record['time_ms']:.3f}") == {
+                "trace": cell or "pin.trace", **fields}
 
     def test_bench_spread_follows_each_speedup(self, tmp_path, monkeypatch, capsys):
         # each cell runs tree then vector, `--repeat` times each
@@ -796,7 +849,7 @@ class TestPinnedOutput:
 
         monkeypatch.setattr(cli, "run_analysis", timed)
         rc = cli.main(["bench", "--patterns", "single_lock", "--threads", "3,5",
-                       "--events", "40", "--csv", str(tmp_path / "b.csv"),
+                       "--events", "40", "--json", str(tmp_path / "b.jsonl"),
                        "--repeat", "3"])
         assert rc == 0
         lines = capsys.readouterr().out.splitlines()
@@ -813,28 +866,29 @@ class TestPinnedOutput:
 
 
 class TestRendering:
-    def test_csv_row_in_column_order(self, tmp_path):
+    def test_csv_row_in_column_order(self):
         trace = random_trace(3, events=60, threads=4, locks=2, variables=2)
         run = run_analysis(trace, MAZ, "vector")
-        path = tmp_path / "rows.csv"
-        cli._append_csv(path, [cli._csv_row("sample", run, 12.3456)])
-        header, row = read_csv_rows(path)
-        assert header == list(CSV_COLUMNS) == [
-            "trace", "po", "clock", "events", "threads", "locks", "vars",
-            "time_ms", "races", "pairs_unordered", "vt_work", "impl_work",
-            "deep_copies"]
-        assert row == [str(v) for v in (
+        record = cli._record("sample", run, 12.3456)
+        assert tuple(record) == RECORD_KEYS
+        assert list(record.values()) == [
             "sample", MAZ, "vector", run.events, run.threads, run.locks,
-            run.vars, "12.346", len(run.races), run.unordered_pairs,
-            run.vt_work, run.impl_work, run.deep_copies)]
+            run.vars, len(run.races), run.unordered_pairs, run.vt_work,
+            run.impl_work, run.deep_copies, 12.3456]
+        assert cli._summary_line(record) == (
+            f"po=maz clock=vector events=60 threads=4 locks={run.locks} "
+            f"vars={run.vars} races=0 pairs_unordered=0 vt_work={run.vt_work} "
+            f"impl_work={run.impl_work} deep_copies=0 time_ms=12.346")
 
     def test_uncounted_pairs_render_empty(self, tmp_path):
         run = run_analysis(parse_trace("t0 w x\n"), HB, "tree", count_unordered=False)
-        path = tmp_path / "rows.csv"
-        cli._append_csv(path, [cli._csv_row("t", run, 0.5)])
-        got = dict(zip(CSV_COLUMNS, read_csv_rows(path)[1]))
-        assert got["pairs_unordered"] == ""
-        assert " pairs_unordered=- " in cli._summary_line(run, 0.5)
+        record = cli._record("t", run, 0.5)
+        path = tmp_path / "records.jsonl"
+        with cli._json_lines(str(path)) as write:
+            write(record)
+        assert read_records(path)[0]["pairs_unordered"] is None
+        assert '"pairs_unordered": null' in path.read_text()
+        assert " pairs_unordered=- " in cli._summary_line(record)
 
 
 @pytest.mark.parametrize("repeat", [1, 2, 3, 4])
@@ -874,7 +928,7 @@ class TestGcState:
         assert cli.main(["analyze", "--po", "hb", "--input", str(trace),
                          "--repeat", "2"]) == 0
         assert cli.main(["bench", "--patterns", "single_lock", "--threads", "3",
-                         "--events", "20", "--csv", str(tmp_path / "b.csv"),
+                         "--events", "20", "--json", str(tmp_path / "b.jsonl"),
                          "--repeat", "1"]) == 0
         capsys.readouterr()
         assert seen == [False] * 6
@@ -907,7 +961,7 @@ def test_cli_import_leaves_out_costly_modules():
     proc = subprocess.run(
         [sys.executable, "-S", "-c",
          "import sys, clocktrace.cli; print(sorted(m for m in "
-         "('statistics', 'csv', 'clocktrace.selfcheck', 'clocktrace.tracegen', "
+         "('statistics', 'json', 'clocktrace.selfcheck', 'clocktrace.tracegen', "
          "'dataclasses', 'inspect', 'typing') if m in sys.modules))"],
         env=env, capture_output=True, text=True, timeout=60,
     )
