@@ -40,7 +40,6 @@ from operator import ne
 
 from .trace import ACQ, REL, READ, WRITE
 from .vclock import Epoch, VectorClock, WorkCounter
-from .treeclock import TreeClock
 
 HB = "hb"
 SHB = "shb"
@@ -112,7 +111,7 @@ class Engine:
         self.counter = WorkCounter(debug=debug)
         # read the class from the module globals now (a caller may swap in
         # a subclass); bind it, not self, so the engine holds no cycle
-        cls = TreeClock if clock_kind == "tree" else VectorClock
+        cls = _tree_clock() if clock_kind == "tree" else VectorClock
         self._aux = partial(cls.aux, thread_count, self.counter)
         self.thread_clocks = [cls.owned(t, thread_count, self.counter)
                               for t in range(thread_count)]
@@ -270,6 +269,23 @@ class Engine:
                     n += len(times) - bisect_right(times, clk[t2])
             self.unordered_pairs += n
             _log_by_thread(log, entry)
+
+
+def _tree_clock():
+    """The module's TreeClock, imported on first use, so a vector run
+    never loads treeclock. A caller may set analyses.TreeClock to a
+    subclass; Engine reads the name when it is built."""
+    cls = globals().get("TreeClock")
+    if cls is None:
+        from .treeclock import TreeClock as cls
+        globals()["TreeClock"] = cls
+    return cls
+
+
+def __getattr__(name):
+    if name == "TreeClock":
+        return _tree_clock()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _log_by_thread(log, entry):

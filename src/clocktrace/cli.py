@@ -34,7 +34,8 @@ lists and free nothing. Reported times therefore exclude collection
 pauses. Library calls (run_analysis, Engine, parse_trace) keep the
 caller's GC settings; main() restores them when the command returns.
 
-gen and bench import tracegen when they run, so analyze never loads it.
+gen and bench import tracegen when they run, so analyze never loads it;
+analyses loads treeclock only for a tree run.
 """
 
 import argparse

@@ -16,13 +16,13 @@ Two cost models for the same run:
   clocks differ at most in the acting thread's entry reads them all in
   the list comparison that finds this, which runs at C speed but is
   still k reads. For trees it is the nodes a join or
-  monotone copy examined in its gather pass plus the nodes it rebuilt,
+  monotone copy examined in its gather plus the nodes it relinked,
   1 per early exit or increment, and 2·|source tree| + |target tree|
   per deep copy; the whole point of the tree representation is keeping
   this close to vt_work. A monotone copy into a detached clock (a maz
-  reader clock whose tree was dropped) rebuilds nothing: it copies the
+  reader clock whose tree was dropped) relinks nothing: it copies the
   entries and shares the source's link set, yet counts the nodes it
-  would have rebuilt, as a deep copy counts arrays it shares rather
+  would have relinked, as a deep copy counts arrays it shares rather
   than copies. impl_work does not yet tell that O(k) list work apart
   from node work.
 

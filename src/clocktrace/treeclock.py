@@ -18,34 +18,37 @@ against flat vector clocks throughout the test suite.
 Each clock has one copy operation, which picks its path in O(1): the
 monotone path when the target is below the source, else a deep
 (structural) copy. Join and the monotone copy path share one traversal
-(_move) in two passes. The gather pass walks the source breadth first
-into one list, which it reads while it appends: starting from the source
+(_move), a single forward pass. It walks the source breadth first into
+one list, which it reads while it appends: starting from the source
 root z, it appends each listed node's children that are ahead, newest
 first, so each parent's gathered children sit together in source order.
-The rebuild pass walks that list backwards, down to but not including z,
-and for each node unlinks it from self (or counts it as new), takes the
-source's clk and links it at the front of its source parent's child
-list. Backwards, each parent's children come oldest first, so they end
-up newest first, as in the source, ahead of the children self kept; and
-every node is linked before its parent. That is safe: a relinked node
-keeps its child list, and the source parent of every gathered node but z
-was gathered too, so it is relinked later. z comes last, once, as the
-root (copy) or the newest child of self's root (join). Every gathered
-node is strictly ahead but z and, in a copy, self's old root, so the
-number of changed entries is the list's length less those two where
-unchanged, with no per-node test. A join whose source is
-ahead on the target's own root thread is outside the contract: join
-refuses it with one O(1) test of that entry before the target changes,
-so _move checks no contract but the detached form's (below), in its
-first-link and root-only-source branches.
+It relinks each node the moment it appends it: it unlinks the node from
+self and links it after the last node it linked under the same parent,
+the first right after that parent's first-child slot. So each parent's
+gathered children end up in source order, newest first, ahead of the
+children self kept. The parent it links under is the node it is
+expanding, so no node stores its parent. A node may be linked under one
+that is not yet in its own place: a relinked node keeps its child list,
+and every gathered node but z is relinked when its own parent is
+expanded, which comes before it is expanded itself. z comes last, once,
+as the root (copy) or the newest child of self's root (join). The
+entries are written after the pass, as the gather reads self's entries
+from before the operation. Every gathered node is strictly ahead but z
+and, in a copy, self's old root, so the number of changed entries is
+the list's length less those two where unchanged, with no per-node
+test. A join whose source is ahead on the target's own root thread is
+outside the contract: join refuses it with one O(1) test of that entry
+before the target changes, so _move checks no contract but the
+detached form's (below), in its first-link and root-only-source
+branches.
 
 Nodes live in dense arrays indexed by thread id, so thread-id lookup is
-O(1). The tree's shape is one link set, the tuple links = (aclk, parent,
-nxt, prv) of four lists, 5k+2 slots in all, whose one link sentinel is k:
+O(1). The tree's shape is one link set, the tuple links = (aclk, nxt,
+prv) of three lists, 4k+2 slots in all, whose one link sentinel is k:
 
-- aclk and parent are k long. parent[u] is u's parent, k for the root
-  and for a thread outside the tree; aclk[u] is NIL (-1) there, which is
-  never compared (dump shows the root's as ⊥).
+- aclk is k long. aclk[u] is NIL (-1) for the root and for a thread
+  outside the tree, which is never compared (dump shows the root's as
+  ⊥).
 - nxt is 2k+1 long and holds every list's forward links: nxt[u], below
   k, is u's next (older) sibling; nxt[k + 1 + p] is p's first (most
   recently attached) child; k ends every list.
@@ -55,10 +58,10 @@ nxt, prv) of four lists, 5k+2 slots in all, whose one link sentinel is k:
 
 Slot k of nxt and of prv is scratch: no list reads it. So unlinking u is
 nxt[prv[u]] = nxt[u] and prv[nxt[u]] = prv[u], with no test, and on the
-root or an absent node it writes only the scratch slots; linking u at
-the front of p's list writes its four links with no test either. Every
-index is non-negative, which keeps CPython's specialized list subscripts
-on their fast path.
+root or an absent node it writes only the scratch slots; linking u after
+a slot writes its two links and its neighbours' with no test either.
+Every index is non-negative, which keeps CPython's specialized list
+subscripts on their fast path.
 
 A structural copy from a dense clock copies one list, clk, and shares
 the link set: the copy and its source read the same links until either
@@ -82,8 +85,8 @@ increment rewrites it. A clock takes one of three storage forms:
   keeps its entries, so reads see it unchanged, but it is never a join
   target, a join source or a copy source (ClockContractError). A deep
   copy into it works as into a dense clock. A monotone copy into it runs
-  _move's gather, so it counts exactly the work a rebuild would, then
-  skips the rebuild and takes the source's tree whole: a copy of clk and
+  _move's gather without its relinks, so it counts exactly the work of
+  a relinking copy, then takes the source's tree whole: a copy of clk and
   the shared link set, as a deep copy from a dense source takes them.
   That is exact when the two clocks are two states of one thread's
   clock, as a reader clock and its thread's clock are: a thread clock
@@ -103,7 +106,7 @@ array. These invariants follow and check_integrity checks them:
   exactly the root's key, or no key on an empty clock; a detached
   clock holds a non-root node, since a clock turns dense only when it
   links a second node and a monotone copy loses none;
-- a thread is in the tree iff it is the root or parent[t] != k, and a
+- a thread is in the tree iff it is the root or prv[t] != k, and a
   thread outside it has no children and no siblings (nxt[k + 1 + t],
   nxt[t] and prv[t] are k), nor has the root siblings;
 - every non-root node's clk is positive: _move brings in only nodes
@@ -212,11 +215,11 @@ class TreeClock:
     def join(self, src):
         """self <- self max src.
 
-        One gather pass collects the source nodes that are ahead of self
-        (with the two prunings described in the module docstring); one
-        rebuild pass moves each into place mirroring the source and hangs
-        the source root as the newest child of self's root. The monotone
-        copy path runs the same two passes (see _move). A source that is
+        One pass gathers the source nodes that are ahead of self (with
+        the two prunings described in the module docstring), moving each
+        into place mirroring the source as it finds it, and hangs the
+        source root as the newest child of self's root. The monotone copy
+        path runs the same pass (see _move). A source that is
         strictly ahead on self's *own* root thread, as its root or deeper,
         is outside this operation's contract: one O(1) test of that entry
         refuses it with ClockContractError before self changes.
@@ -281,7 +284,7 @@ class TreeClock:
             # r; and self holds r alone, as a dense clock holds a non-root
             # node at a positive time that src cannot cover. One entry,
             # counted as _move counts it
-            c.impl_work += 2  # examined + rebuilt
+            c.impl_work += 2  # examined + relinked
             if mine != theirs:
                 c.vt_work += 1
                 self.clk[r] = theirs
@@ -300,19 +303,21 @@ class TreeClock:
         while it iterates over it, so moved holds the nodes ahead breadth
         first from z, each parent's gathered children together, newest
         first; it counts the examined nodes it skips, so visited is
-        len(moved) + skipped. The rebuild walks moved backwards, so it
-        links siblings oldest first, each at the front of its source
-        parent's list, and they end up newest first, as in the source (the
-        module docstring says why a child may be linked before its parent).
-        Each relink is branch-free: it unlinks the node through its prv
-        slot, which for a node new to self is the scratch slot k, and links
-        it after its parent's first-child slot in nxt. z comes last: the
-        newest child of self's root (join) or the root (copy_mode: the
-        target is wholly superseded, and self's old root is always
-        gathered, even with its time unchanged, so the rebuild can reseat
-        it). A root-only target turns dense here; a root-only source
-        gathers only z. A detached target (copy_mode only) runs the
-        gather alone and then takes the source's tree whole."""
+        len(moved) + skipped. It relinks each node as it appends it, with
+        no test: it unlinks the node through its prv slot, which for a node
+        new to self is the scratch slot k, and links it after last, which
+        starts at the expanded node's first-child slot in nxt and advances
+        to each node linked, so siblings keep the source's order, ahead of
+        the children self kept (the module docstring says why a node may
+        be linked under one that is not yet in place). Entries are written
+        after the pass, since the gather reads self's entries from before
+        the operation. z comes last: the newest child of self's root (join)
+        or the root (copy_mode: the target is wholly superseded, and self's
+        old root is always gathered, even with its time unchanged, so it is
+        relinked under its source parent). A root-only target turns dense
+        here; a root-only source gathers only z. A detached target
+        (copy_mode only) runs the gather without relinks and then takes
+        the source's tree whole."""
         links = self.links
         k = self.k
         if links is None:
@@ -321,12 +326,14 @@ class TreeClock:
                     raise ClockContractError("join into a detached tree clock")
             else:
                 self.clk = self._dense()
-                self.links = links = ([NIL] * k, [k] * k, [k] * (2 * k + 1),
-                                      [k] * (k + 1))
+                self.links = links = ([NIL] * k, [k] * (2 * k + 1), [k] * (k + 1))
         elif self.shared:  # copy on write: the first relink takes copies
-            aclk, parent, nxt, prv = links
-            self.links = links = (aclk[:], parent[:], nxt[:], prv[:])
+            aclk, nxt, prv = links
+            self.links = links = (aclk[:], nxt[:], prv[:])
             self.shared = False
+        relink = links is not None
+        if relink:
+            aclk, nxt, prv = links
         clk, sclk, slinks = self.clk, src.clk, src.links
         root, z = self.root, src.root
         first = k + 1  # nxt[first + p] is p's first child
@@ -336,14 +343,26 @@ class TreeClock:
             if type(sclk) is list:
                 raise ClockContractError("join from a detached tree clock")
         else:
-            saclk, sparent, snxt, _ = slinks
+            saclk, snxt, _ = slinks
             keep = root if copy_mode else NIL  # gathered even when not ahead
             for u in moved:
                 cu = clk[u]  # self's time for u before this operation
-                v = snxt[first + u]
+                last = first + u
+                v = snxt[last]
                 while v != k:
                     if sclk[v] > clk[v] or v == keep:
                         moved.append(v)
+                        if relink:
+                            before, after = prv[v], nxt[v]
+                            nxt[before] = after
+                            prv[after] = before
+                            aclk[v] = saclk[v]
+                            after = nxt[last]
+                            nxt[last] = v
+                            prv[v] = last
+                            nxt[v] = after
+                            prv[after] = v
+                            last = v
                     else:
                         skipped += 1
                     # later siblings were attached no later than v; if self
@@ -356,39 +375,24 @@ class TreeClock:
         if copy_mode:
             changed -= (clk[z] == sclk[z]) + (z != root and clk[root] == sclk[root])
         c = self.counter
-        c.impl_work += 2 * n + skipped  # examined (n + skipped) + rebuilt
+        c.impl_work += 2 * n + skipped  # examined (n + skipped) + relinked
         c.vt_work += changed
-        if links is None:  # detached: end with the source's tree
+        if not relink:  # detached: end with the source's tree
             self._take_tree(src)
             if c.debug:
                 self.check_integrity()
             return
-        aclk, parent, nxt, prv = links
-        for u in moved[:0:-1]:
-            before, after = prv[u], nxt[u]
-            nxt[before] = after
-            prv[after] = before
+        for u in moved:
             clk[u] = sclk[u]
-            p = sparent[u]
-            aclk[u] = saclk[u]
-            parent[u] = p
-            p += first
-            after = nxt[p]
-            nxt[p] = u
-            prv[u] = p
-            nxt[u] = after
-            prv[after] = u
         before, after = prv[z], nxt[z]  # z last, once
         nxt[before] = after
         prv[after] = before
-        clk[z] = sclk[z]
         if copy_mode:
             aclk[z] = NIL
-            parent[z] = prv[z] = nxt[z] = k
+            prv[z] = nxt[z] = k
             self.root = z
         else:
             aclk[z] = clk[root]
-            parent[z] = root
             p = first + root
             after = nxt[p]
             nxt[p] = z
@@ -452,7 +456,7 @@ class TreeClock:
             if type(self.clk) is list:
                 return f"(detached) root={self.root} clk={self.clk}\n"
             return f"tid={self.root} clk={self.clk[self.root]} aclk=⊥\n"
-        aclk, _, nxt, _ = self.links
+        aclk, nxt, _ = self.links
         k = self.k
         lines = []
         seen = {self.root}
@@ -482,15 +486,15 @@ class TreeClock:
         other clk is a k-list. A k-list without link arrays is the
         detached form: it has a root, is not marked shared, has no
         negative entry and holds a non-root node (module docstring).
-        A dense clock's link set has lists of k, k, 2k+1 and k+1 slots;
-        the scratch slot nxt[k] holds k, and no linked node's prv is the
+        A dense clock's link set has lists of k, 2k+1 and k+1 slots; the
+        scratch slot nxt[k] holds k, and no linked node's prv is the
         scratch slot, so no list runs through it; each first-child slot
         and each node's prv name each other, and so do each node's nxt
-        and its next sibling's prv; parent links agree with the lists;
-        sibling aclk values never increase front to back, every non-root
-        node's aclk is at most its parent's clk and its clk is positive;
-        and the root and every thread outside the tree have no parent
-        and no siblings, and an absent thread has clk 0 and no children.
+        and its next sibling's prv; sibling aclk values never increase
+        front to back, every non-root node's aclk is at most its
+        parent's clk and its clk is positive; and the root and every
+        thread outside the tree have no parent and no siblings (prv and
+        nxt are k), and an absent thread has clk 0 and no children.
         The last two make the tree the root plus the nonzero entries,
         which _census relies on.
         """
@@ -515,13 +519,13 @@ class TreeClock:
             if _census(clk, root)[1] < 2:
                 raise AssertionError("dense clock lacks link arrays")
             return
-        aclk, parent, nxt, prv = links
-        if [len(a) for a in links] != [k, k, 2 * k + 1, k + 1]:
+        aclk, nxt, prv = links
+        if [len(a) for a in links] != [k, 2 * k + 1, k + 1]:
             raise AssertionError(
-                f"link set is not {k}, {k}, {2 * k + 1} and {k + 1} slots long")
+                f"link set is not {k}, {2 * k + 1} and {k + 1} slots long")
         if nxt[k] != k:
             raise AssertionError(f"scratch slot nxt[{k}] links to {nxt[k]}")
-        if (parent[root], nxt[root], prv[root]) != (k, k, k):
+        if (nxt[root], prv[root]) != (k, k):
             raise AssertionError("root has a parent or siblings")
         seen = [False] * k
         stack = [root]
@@ -543,8 +547,6 @@ class TreeClock:
                         raise AssertionError(f"first-child slot of {u} is stale")
                     raise AssertionError(
                         f"prv of {v} is {prv[v]}, but nxt[{at}] holds {v}")
-                if parent[v] != u:
-                    raise AssertionError(f"parent link of {v} is stale")
                 if clk[v] <= 0:
                     raise AssertionError(f"non-root node {v} has clk {clk[v]}")
                 if aclk[v] > clk[u]:
@@ -562,7 +564,7 @@ class TreeClock:
             if not seen[t]:
                 if clk[t] != 0:
                     raise AssertionError(f"absent thread {t} has clk {clk[t]}")
-                if parent[t] != k:
+                if prv[t] > k:
                     raise AssertionError(f"absent thread {t} has a parent")
                 if nxt[k + 1 + t] != k:
                     raise AssertionError(f"absent thread {t} has children")

@@ -1,11 +1,14 @@
 """Reference checks that only tests use: the vector-clock price of a run,
-the pruning soundness conditions of a tree clock, the brute-force counts
-of unordered conflicting pairs and of writes that force a deep last-write
-copy, and a flat-scan count of unordered pairs from given timestamps."""
+the pruning soundness conditions of a tree clock, a tree clock whose join
+and monotone copy take two passes, the brute-force counts of unordered
+conflicting pairs and of writes that force a deep last-write copy, and a
+flat-scan count of unordered pairs from given timestamps."""
 
 from clocktrace.analyses import SHB
 from clocktrace.oracle import oracle_order
 from clocktrace.trace import READ, WRITE
+from clocktrace.treeclock import NIL, TreeClock
+from clocktrace.vclock import ClockContractError
 
 
 def vc_work(run):
@@ -26,7 +29,7 @@ def pruning_violations(a, b):
     """
     if a.links is None:  # empty or root-only: no edges, nothing to prune
         return []
-    aclk, _, nxt, _ = a.links
+    aclk, nxt, _ = a.links
     k = a.k
     out = []
     # bottom-up flag: does the subtree under u contain something b misses?
@@ -63,6 +66,107 @@ def pruning_violations(a, b):
                 )
             v = nxt[v]
     return out
+
+
+class TwoPassTreeClock(TreeClock):
+    """A tree clock whose _move gathers first and relinks after, the
+    reference for TreeClock._move's single pass. The gather is the same;
+    the rebuild walks the gathered list backwards, down to but not
+    including z, and links each node at the front of its source parent's
+    child list, so each parent's children are linked oldest first and
+    end up newest first. It finds each source parent by walking the
+    source's child lists, as the link set stores no parents."""
+
+    __slots__ = ()
+
+    def _move(self, src, copy_mode):
+        links = self.links
+        k = self.k
+        if links is None:
+            if type(self.clk) is list:
+                if not copy_mode:
+                    raise ClockContractError("join into a detached tree clock")
+            else:
+                self.clk = self._dense()
+                self.links = links = ([NIL] * k, [k] * (2 * k + 1), [k] * (k + 1))
+        elif self.shared:
+            self.links = links = tuple(a[:] for a in links)
+            self.shared = False
+        clk, sclk, slinks = self.clk, src.clk, src.links
+        root, z = self.root, src.root
+        first = k + 1
+        moved = [z]
+        skipped = 0
+        if slinks is None:
+            if type(sclk) is list:
+                raise ClockContractError("join from a detached tree clock")
+        else:
+            saclk, snxt, _ = slinks
+            keep = root if copy_mode else NIL
+            for u in moved:
+                cu = clk[u]
+                v = snxt[first + u]
+                while v != k:
+                    if sclk[v] > clk[v] or v == keep:
+                        moved.append(v)
+                    else:
+                        skipped += 1
+                    if saclk[v] <= cu:
+                        break
+                    v = snxt[v]
+        n = len(moved)
+        changed = n
+        if copy_mode:
+            changed -= (clk[z] == sclk[z]) + (z != root and clk[root] == sclk[root])
+        c = self.counter
+        c.impl_work += 2 * n + skipped
+        c.vt_work += changed
+        if links is None:
+            self._take_tree(src)
+            if c.debug:
+                self.check_integrity()
+            return
+        sparent = {}
+        if slinks is not None:
+            stack = [z]
+            while stack:
+                u = stack.pop()
+                v = snxt[first + u]
+                while v != k:
+                    sparent[v] = u
+                    stack.append(v)
+                    v = snxt[v]
+        aclk, nxt, prv = links
+        for u in moved[:0:-1]:
+            before, after = prv[u], nxt[u]
+            nxt[before] = after
+            prv[after] = before
+            clk[u] = sclk[u]
+            aclk[u] = saclk[u]
+            p = first + sparent[u]
+            after = nxt[p]
+            nxt[p] = u
+            prv[u] = p
+            nxt[u] = after
+            prv[after] = u
+        before, after = prv[z], nxt[z]
+        nxt[before] = after
+        prv[after] = before
+        clk[z] = sclk[z]
+        if copy_mode:
+            aclk[z] = NIL
+            prv[z] = nxt[z] = k
+            self.root = z
+        else:
+            aclk[z] = clk[root]
+            p = first + root
+            after = nxt[p]
+            nxt[p] = z
+            prv[z] = p
+            nxt[z] = after
+            prv[after] = z
+        if c.debug:
+            self.check_integrity()
 
 
 def oracle_unordered_pairs(trace, po):

@@ -969,6 +969,23 @@ def test_cli_import_leaves_out_costly_modules():
     assert proc.stdout == "[]\n"
 
 
+@pytest.mark.parametrize("kind,loaded", [("vector", False), ("tree", True)])
+def test_analyze_loads_treeclock_only_for_tree_runs(tmp_path, kind, loaded):
+    trace = tmp_path / "tiny.txt"
+    trace.write_text("t0 acq m\nt0 w x\nt0 rel m\nt1 acq m\nt1 r x\nt1 rel m\n")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, clocktrace.cli as cli\n"
+         f"code = cli.main(['analyze', '--po', 'shb', '--clock', {kind!r}, "
+         f"'--input', {str(trace)!r}, '--repeat', '1'])\n"
+         "print(code, 'clocktrace.treeclock' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"0 {loaded}"
+
+
 def test_package_import_loads_no_submodule():
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(

@@ -26,7 +26,7 @@ from clocktrace.trace import ACQ, parse_trace
 from clocktrace.tracegen import GenSpec, SplitMix64, generate, random_trace
 from clocktrace.treeclock import NIL, Entries, TreeClock
 from clocktrace.vclock import ClockContractError, VectorClock, WorkCounter, vt_leq
-from oracles import pruning_violations
+from oracles import TwoPassTreeClock, pruning_violations
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -36,8 +36,8 @@ def build(k, spec):
     children given in display (most recently attached first) order."""
     tc = TreeClock.owned(spec[0], k, WorkCounter())
     tc.clk = [0] * k
-    tc.links = ([NIL] * k, [k] * k, [k] * (2 * k + 1), [k] * (k + 1))
-    aclks, parent, nxt, prv = tc.links
+    tc.links = ([NIL] * k, [k] * (2 * k + 1), [k] * (k + 1))
+    aclks, nxt, prv = tc.links
 
     def place(node):
         """Set the node's fields and link its subtree: the first child
@@ -49,7 +49,6 @@ def build(k, spec):
         at = k + 1 + tid
         for kid in kids:
             place(kid)
-            parent[kid[0]] = tid
             nxt[at] = kid[0]
             prv[kid[0]] = at
             at = kid[0]
@@ -258,11 +257,14 @@ class TestInvariants:
         # the root 3 claims a previous sibling
         ("prv", 3, 0, "root has a parent or siblings"),
         ("nxt", 9, 7, "child list of 3 holds 7, not a thread"),
-        ("parent", 2, 1, "parent link of 2 is stale"),
+        # 2's first-child slot, 5 + 1 + 2, lists 0, whose prv names the
+        # first-child slot of its parent 1: a second parent
+        ("nxt", 8, 0, "first-child slot of 2 is stale"),
         ("clk", 3, 1, r"child 2 attached later \(2\) than its parent's time \(1\)"),
         # 2, attached at 0, is listed ahead of 1, attached at 1
         ("aclk", 2, 0, "sibling list of 3 not ordered"),
-        ("parent", 4, 3, "absent thread 4 has a parent"),
+        # 4's prv names 3's first-child slot, which does not list it
+        ("prv", 4, 9, "absent thread 4 has a parent"),
         ("nxt", 10, 0, "absent thread 4 has children"),
         ("nxt", 4, 0, "absent thread 4 has siblings"),
         ("prv", 4, 1, "absent thread 4 has siblings"),
@@ -273,7 +275,7 @@ class TestInvariants:
             "absent-with-prv"])
     def test_broken_link_set_is_caught(self, array, slot, value, message):
         a = build(5, TREE_A)  # k = 5: slot 5 of nxt and prv is scratch, 4 absent
-        arrays = dict(zip(("aclk", "parent", "nxt", "prv"), a.links), clk=a.clk)
+        arrays = dict(zip(("aclk", "nxt", "prv"), a.links), clk=a.clk)
         arrays[array][slot] = value
         with pytest.raises(AssertionError, match=message):
             a.check_integrity()
@@ -292,7 +294,7 @@ class TestInvariants:
             "c = WorkCounter()\n"
             "a, b = TreeClock.owned(0, 2, c), TreeClock.owned(1, 2, c)\n"
             "a.increment(); b.increment(); a.join(b)\n"
-            f"a.links[2][{slot}] = {value}\n"
+            f"a.links[1][{slot}] = {value}\n"
             "a.dump()\n")
         limit = 400 << 20
         proc = subprocess.run(
@@ -334,7 +336,7 @@ class TestInvariants:
         with pytest.raises(AssertionError, match="stores keys"):
             e.check_integrity()
         o = TreeClock.owned(0, 3, c)
-        o.links = ([NIL] * 3, [3] * 3, [3] * 7, [3] * 4)
+        o.links = ([NIL] * 3, [3] * 7, [3] * 4)
         with pytest.raises(AssertionError, match="holds link arrays"):
             o.check_integrity()
         o = TreeClock.owned(0, 3, c)
@@ -350,14 +352,14 @@ class TestInvariants:
         with pytest.raises(AssertionError, match="empty clock is dense"):
             e.check_integrity()
         a = build(4, TREE_A)
-        a.links[3].append(4)  # prv one slot too long
-        with pytest.raises(AssertionError, match="not 4, 4, 9 and 5 slots long"):
+        a.links[2].append(4)  # prv one slot too long
+        with pytest.raises(AssertionError, match="not 4, 9 and 5 slots long"):
             a.check_integrity()
 
 
 class TestLinkArrays:
-    """A clock allocates its clk list and its link set, four lists of
-    5k+2 slots in all, only when it first links a second node; until
+    """A clock allocates its clk list and its link set, three lists of
+    4k+2 slots in all, only when it first links a second node; until
     then it stores its one entry."""
 
     def test_root_only_clocks_and_their_copies_hold_none(self):
@@ -393,7 +395,7 @@ class TestLinkArrays:
         assert a.links is None
         b.increment()
         a.join(b)
-        assert [len(array) for array in a.links] == [4, 4, 9, 5]
+        assert [len(array) for array in a.links] == [4, 9, 5]
         assert list(walk_nodes(a)) == [0, 1]
         assert a.dump() == "tid=0 clk=1 aclk=⊥\n  tid=1 clk=1 aclk=1\n"
         a.check_integrity()
@@ -804,6 +806,55 @@ class TestDetached:
             assert detached and revived
         else:
             assert detached == 0
+
+
+LOCKSTEP_TRACES = {
+    "random-k8": lambda: random_trace(4, events=800, threads=8, locks=3,
+                                      variables=4),
+    "random-k64": lambda: random_trace(6, events=2500, threads=64, locks=6,
+                                       variables=10),
+    "star-paired-k96": lambda: generate(
+        GenSpec("star", 96, 2400, seed=2, star_style="paired")),
+    "pairwise-k64": lambda: generate(GenSpec("pairwise", 64, 2400, seed=3)),
+}
+
+
+@pytest.mark.parametrize("name,po", [(name, po) for name in sorted(LOCKSTEP_TRACES)
+                                     for po in (HB, SHB, MAZ)])
+def test_single_pass_move_matches_the_two_pass_reference(name, po, monkeypatch):
+    """_move, which relinks each node as its gather finds it, in lockstep
+    with the two-pass reference, which gathers first and then rebuilds
+    backwards from parents it looks up in the source: after every event
+    the acting clock has the same dump() in both and all five counters
+    are equal, and at the end so does every clock."""
+    trace = LOCKSTEP_TRACES[name]()
+    one = analyses.Engine(po, trace.thread_count, "tree", debug=True)
+    with monkeypatch.context() as m:
+        m.setattr(analyses, "TreeClock", TwoPassTreeClock)
+        two = analyses.Engine(po, trace.thread_count, "tree", debug=True)
+    assert type(two.thread_clocks[0]) is TwoPassTreeClock
+
+    def counts(engine):
+        cnt = engine.counter
+        return (cnt.vt_work, cnt.impl_work, cnt.joins, cnt.copies,
+                cnt.increments)
+
+    def clocks(engine):
+        yield from engine.thread_clocks
+        for table in (engine.lock_clocks, engine.write_clocks,
+                      engine.read_clocks):
+            for key in sorted(table):
+                yield table[key]
+
+    moved = 0
+    for i, ev in enumerate(trace.events):
+        a, b = one.process(ev), two.process(ev)
+        assert a.dump() == b.dump(), f"event {i}"
+        assert counts(one) == counts(two), f"event {i}"
+        moved += a.links is not None
+    assert moved  # the acting clocks were dense, not only root-only
+    assert [x.dump() for x in clocks(one)] == [y.dump() for y in clocks(two)]
+    assert one.races == two.races
 
 
 STORAGE_TRACES = {
@@ -1520,7 +1571,7 @@ def walk_edges(tc):
     a clock without a link set has none."""
     if tc.links is None:
         return
-    aclk, _, nxt, _ = tc.links
+    aclk, nxt, _ = tc.links
     k = tc.k
     stack = [tc.root]
     while stack:
