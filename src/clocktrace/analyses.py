@@ -98,7 +98,12 @@ class Engine:
     With count_unordered set, the engine counts unordered conflicting
     pairs as it goes (see _count_unordered) in unordered_pairs. Under
     maz that count is 0 without an access log; with count_unordered
-    off it is None."""
+    off it is None.
+
+    With debug set, structural invariants are re-verified after every
+    clock operation, and every tree copy must take the path the engine
+    predicts (slow; metrics.cross_check runs such engines untimed for
+    analyze --debug and selfcheck)."""
 
     def __init__(self, po, thread_count, clock_kind="tree", *, debug=False,
                  count_unordered=True):
@@ -299,17 +304,15 @@ def _log_by_thread(log, entry):
         lists[1].append(c)
 
 
-def run_analysis(trace, po, clock_kind="tree", *, debug=False,
-                 count_unordered=True):
-    """Run one analysis over a whole trace and return an AnalysisRun.
+def run_analysis(trace, po, clock_kind="tree", *, count_unordered=True):
+    """Run one analysis over a whole trace and return an AnalysisRun;
+    its elapsed times the engine's loop and nothing else.
 
-    With debug set, structural invariants are re-verified after every
-    clock operation, and every tree copy must take the path the engine
-    predicts (slow; for tests). Callers that need each event's
-    timestamp or clock state drive an Engine themselves and take its
-    AnalysisRun from Engine.record(trace).
+    Callers that need each event's timestamp or clock state, or the
+    debug checks, drive an Engine themselves and take its AnalysisRun
+    from Engine.record(trace).
     """
-    engine = Engine(po, trace.thread_count, clock_kind, debug=debug,
+    engine = Engine(po, trace.thread_count, clock_kind,
                     count_unordered=count_unordered)
     t0 = time.perf_counter()
     for ev in trace.events:

@@ -6,12 +6,15 @@ Four commands:
   parses it and checks its lock discipline; run one partial order over
   it with tree clocks, vector clocks, or both, print a summary line per
   run, optionally append each run's record to a JSON-lines file, and
-  list races. With both clocks, or with --oracle (small inputs only),
-  metrics.cross_check then replays the trace untimed through one engine
-  per clock kind in lockstep and compares every event's timestamp, the
-  race reports and vt_work across the kinds and, with --oracle, with
-  the brute-force oracle. The timed runs' unordered-pair counts must
-  agree as well; the first problem found is printed as a divergence.
+  list races. With both clocks, --oracle (small inputs only) or
+  --debug, metrics.cross_check then replays the trace untimed through
+  one engine per clock kind in lockstep and compares every event's
+  timestamp, the race reports and vt_work across the kinds and, with
+  --oracle, with the brute-force oracle. The timed runs' unordered-pair
+  counts must agree as well; the first problem found is printed as a
+  divergence. --debug turns on the engines' invariant and copy-path
+  checks in that pass only, so each kind is checked once and the timed
+  runs stay plain.
 - gen: write a synthetic trace from the deterministic generator.
   GenSpec.validate is the one check of pattern and star-style names.
 - bench: run a (pattern x thread-count x clock) matrix, print and
@@ -25,8 +28,9 @@ discipline (the first bad line in file order, malformed or misusing a
 lock, is named), and an analyze input with no events; 3 out of memory,
 reported as one line that names the command and, when an engine run was
 in progress, its thread count k and clock kind. Timing uses a
-monotonic clock, covers only the engine (not parsing or the comparison
-pass), and reports the median over --repeat runs (default 3).
+monotonic clock, covers only the engine (not parsing, the comparison
+pass or its --debug checks), and reports the median over --repeat runs
+(default 3).
 
 Every command runs with the cyclic garbage collector off: the pipeline
 builds no reference cycles, so a collection would only scan the clocks'
@@ -87,7 +91,8 @@ def _build_parser():
     p.add_argument("--oracle", action="store_true",
                    help=f"cross-check against the brute-force oracle (<= {ORACLE_MAX_EVENTS} events)")
     p.add_argument("--debug", action="store_true",
-                   help="re-verify structural invariants after every clock operation")
+                   help="re-verify structural invariants after every clock "
+                        "operation, once per clock kind, in the untimed pass")
     p.add_argument("--repeat", type=_positive_int, default=3, metavar="N",
                    help="timing repetitions; the median is reported (default 3)")
     p.set_defaults(func=_cmd_analyze)
@@ -140,7 +145,7 @@ def _read_trace(path):
         return parse_trace(fh)
 
 
-def _timed_runs(trace, po, kind, repeat, debug=False, count_unordered=True):
+def _timed_runs(trace, po, kind, repeat, count_unordered=True):
     """Run `repeat` (>= 1) times; return (last run, median elapsed ms,
     every run's elapsed ms in ascending order). The median is taken as
     statistics.median takes it (the mean of the middle two for an even
@@ -150,8 +155,7 @@ def _timed_runs(trace, po, kind, repeat, debug=False, count_unordered=True):
     for _ in range(repeat):
         run = None
         with _engine_context(trace, kind):
-            run = run_analysis(trace, po, kind, debug=debug,
-                               count_unordered=count_unordered)
+            run = run_analysis(trace, po, kind, count_unordered=count_unordered)
         elapsed.append(run.elapsed)
     elapsed.sort()
     m = len(elapsed) // 2
@@ -208,7 +212,7 @@ def _cmd_analyze(args):
         print(f"error: {args.input}: trace has no events", file=sys.stderr)
         return 2
     kinds = [args.clock] if args.clock != "both" else ["tree", "vector"]
-    compare = args.clock == "both" or args.oracle
+    compare = args.clock == "both" or args.oracle or args.debug
     if args.oracle and len(trace) > ORACLE_MAX_EVENTS:
         print(f"error: --oracle is limited to {ORACLE_MAX_EVENTS} events, "
               f"trace has {len(trace)}", file=sys.stderr)
@@ -221,7 +225,7 @@ def _cmd_analyze(args):
     records, races = [], None
     with _json_lines(args.json) as write:
         for kind in kinds:
-            run, ms, _ = _timed_runs(trace, args.po, kind, args.repeat, args.debug)
+            run, ms, _ = _timed_runs(trace, args.po, kind, args.repeat)
             verify_bounds(run)
             records.append(_record(name, run, ms))
             print(_summary_line(records[-1]))
@@ -241,8 +245,8 @@ def _cmd_analyze(args):
     if not compare:
         return 0
     with _engine_context(trace, "+".join(kinds)):
-        _, kind_problems, oracle_problems = cross_check(trace, args.po, kinds,
-                                                        args.oracle)
+        _, kind_problems, oracle_problems = cross_check(
+            trace, args.po, kinds, args.oracle, debug=args.debug)
     a, b = records[0], records[-1]
     if a["pairs_unordered"] != b["pairs_unordered"]:  # cross_check counts none
         kind_problems.append(f"unordered pairs differ ({a['clock']}={a['pairs_unordered']}, "

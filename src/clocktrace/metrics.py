@@ -54,7 +54,7 @@ from .oracle import oracle_races, oracle_timestamps
 from .trace import READ, REL, WRITE, Trace
 
 
-def vtwork(trace: Trace, po: str) -> int:
+def vtwork(trace: Trace, po: str, stamps=None) -> int:
     """Reference vector-time work, read off the brute-force oracle.
 
     Every clock an event sets ends the event equal to its timestamp: the
@@ -67,11 +67,15 @@ def vtwork(trace: Trace, po: str) -> int:
     implementation or engine is involved, so this serves as the
     reference for the engines' incremental vt_work counters. Like the
     oracle, it raises ValueError on an unknown order or on a trace of
-    more than ORACLE_MAX_EVENTS (5000) events."""
+    more than ORACLE_MAX_EVENTS (5000) events. A caller that already
+    holds oracle_timestamps(trace, po) passes them as stamps, and the
+    oracle is not run again."""
+    if stamps is None:
+        stamps = oracle_timestamps(trace, po)
     zeros = (0,) * trace.thread_count
     last = {}  # clock -> its value after the last event that set it
     work = 0
-    for ev, stamp in zip(trace.events, oracle_timestamps(trace, po)):
+    for ev, stamp in zip(trace.events, stamps):
         clocks = [ev.tid]
         if ev.op == REL or (ev.op == WRITE and po != HB):
             clocks.append((ev.op, ev.target))
@@ -92,8 +96,10 @@ def cross_check(trace, po, kinds, oracle, debug=False):
     kinds must agree with each other: every event's timestamp, the race
     reports and vt_work of the first kind against the last. With oracle
     set, the first kind must also agree with the brute-force oracle:
-    oracle_timestamps, oracle_races and vtwork, so, as the kinds agree,
-    each kind does. debug is passed to the engines."""
+    oracle_timestamps, oracle_races and vtwork, which recounts from the
+    same oracle timestamps, so, as the kinds agree, each kind does.
+    debug is passed to the engines: this untimed pass is where analyze
+    --debug and selfcheck run the debug checks, once per kind."""
     engines = [Engine(po, trace.thread_count, kind, debug=debug,
                       count_unordered=False) for kind in kinds]
     want = oracle_timestamps(trace, po) if oracle else None
@@ -122,7 +128,7 @@ def cross_check(trace, po, kinds, oracle, debug=False):
             oracle_problems.append("engine timestamps differ from oracle")
         if race_event_indices(trace, a.races) != oracle_races(trace, po):
             oracle_problems.append("engine races differ from oracle")
-        want_work = vtwork(trace, po)
+        want_work = vtwork(trace, po, want)
         if a.vt_work != want_work:
             oracle_problems.append(f"engine vt_work differs from oracle "
                                    f"(engine={a.vt_work}, oracle={want_work})")

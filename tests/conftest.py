@@ -8,8 +8,8 @@ from clocktrace.tracegen import SplitMix64, random_trace
 from clocktrace.trace import Trace
 from clocktrace.vclock import VectorClock
 
-__all__ = ["random_trace", "corpus_trace", "each_event", "engine_timestamps",
-           "inject_fault"]
+__all__ = ["random_trace", "corpus_trace", "each_event", "debug_run",
+           "engine_timestamps", "inject_fault"]
 
 
 def each_event(trace, po, debug=False):
@@ -19,6 +19,15 @@ def each_event(trace, po, debug=False):
     for i, ev in enumerate(trace.events):
         engine.process(ev)
         yield i, ev, engine
+
+
+def debug_run(trace, po, kind="tree"):
+    """Drive an Engine with its debug checks on over the whole trace
+    and return its AnalysisRun."""
+    engine = Engine(po, trace.thread_count, kind, debug=True)
+    for ev in trace.events:
+        engine.process(ev)
+    return engine.record(trace)
 
 
 def engine_timestamps(trace, po, kind):
@@ -49,7 +58,9 @@ def inject_fault(monkeypatch, fault, trace, po):
     vector engine's "vector timestamps", "vector races" (its last race
     dropped) or "vector vt_work" (one more), or in the oracle's "oracle
     timestamps" (the last one raised), "oracle races" (the last dropped)
-    or "oracle vt_work" (one more). Each fault reaches no other check."""
+    or "oracle vt_work" (one more). Each fault reaches no other check,
+    but for "oracle timestamps": the oracle's vt_work recount reads the
+    same doctored list, so it moves as well."""
     work = metrics.vtwork(trace, po)
     real_ts, real_races = metrics.oracle_timestamps, metrics.oracle_races
 
@@ -73,11 +84,10 @@ def inject_fault(monkeypatch, fault, trace, po):
         monkeypatch.setattr(VectorClock, "flatten",
                             lambda self: tuple(v + 1 for v in real_flatten(self)))
     if fault == "oracle timestamps":
-        # vtwork reads the same oracle; keep its recount as it was
         monkeypatch.setattr(metrics, "oracle_timestamps", doctored_ts)
-        monkeypatch.setattr(metrics, "vtwork", lambda trace, po: work)
     if fault == "oracle races":
         monkeypatch.setattr(metrics, "oracle_races",
                             lambda trace, po: real_races(trace, po)[:-1])
     if fault == "oracle vt_work":
-        monkeypatch.setattr(metrics, "vtwork", lambda trace, po: work + 1)
+        monkeypatch.setattr(metrics, "vtwork",
+                            lambda trace, po, stamps=None: work + 1)

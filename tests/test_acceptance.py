@@ -12,7 +12,7 @@ import json
 import time
 
 import pytest
-from conftest import corpus_trace, each_event
+from conftest import corpus_trace, debug_run, each_event
 from oracles import oracle_forced_deep_copies, pruning_violations, vc_work
 
 from clocktrace.analyses import (
@@ -156,7 +156,7 @@ def test_criterion_05_debug_runs_trigger_no_precondition_violations():
     for seed in range(1000):
         trace = corpus_trace(seed)
         for po in ORDERS:
-            run_analysis(trace, po, "tree", debug=True)
+            debug_run(trace, po)
 
 
 def test_criterion_06_pruning_monotonicity_after_every_event():

@@ -6,7 +6,7 @@ import gc
 import weakref
 
 import pytest
-from conftest import corpus_trace, engine_timestamps
+from conftest import corpus_trace, debug_run, engine_timestamps
 from oracles import (
     flat_unordered_pairs,
     oracle_forced_deep_copies,
@@ -295,8 +295,8 @@ def test_run_metadata_fields():
 def test_debug_mode_is_clean_on_legal_traces(po):
     for seed in range(3):
         trace = random_trace(seed + 11, events=100)
-        run_analysis(trace, po, "tree", debug=True)
-        run_analysis(trace, po, "vector", debug=True)
+        debug_run(trace, po, "tree")
+        debug_run(trace, po, "vector")
 
 
 def test_debug_reports_a_copy_off_the_predicted_path(monkeypatch):
@@ -314,7 +314,7 @@ def test_debug_reports_a_copy_off_the_predicted_path(monkeypatch):
     run_analysis(trace, HB, "tree")  # unchecked without debug
     with pytest.raises(AssertionError, match="event 1: monotone copy where "
                                              "the engine predicts deep"):
-        run_analysis(trace, HB, "tree", debug=True)
+        debug_run(trace, HB)
 
 
 @pytest.mark.parametrize("po,kind,message", [

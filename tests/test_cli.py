@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import weakref
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -20,7 +21,7 @@ from conftest import inject_fault
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clocktrace import cli, tracegen
+from clocktrace import analyses, cli, metrics, tracegen
 from clocktrace.analyses import HB, MAZ, ORDERS, run_analysis
 from clocktrace.metrics import cross_check
 from clocktrace.trace import Event, Trace, parse_trace, serialize_trace, validate_trace
@@ -65,6 +66,21 @@ def gen_trace(tmp_path, name="t.trace", pattern="skewed_locks", threads=4,
     ])
     assert rc == 0
     return out
+
+
+# a root-only tree clock that stores a second key, which the debug
+# checks catch when a lock's deep copy takes that key
+DOCTORED_TREE_CLOCK = (
+    "from clocktrace import analyses\n"
+    "class Doctored(analyses.TreeClock):\n"
+    "    __slots__ = ()\n"
+    "    @classmethod\n"
+    "    def owned(cls, tid, size, counter):\n"
+    "        clock = super().owned(tid, size, counter)\n"
+    "        clock.clk[(tid + 1) % size] = 0\n"
+    "        return clock\n"
+    "analyses.TreeClock = Doctored\n"
+)
 
 
 def run_optimized(args):
@@ -272,6 +288,29 @@ class TestAnalyze:
         assert rc == 0
         capsys.readouterr()
 
+    def test_debug_checks_run_once_per_kind_in_the_untimed_pass(
+            self, tmp_path, capsys, monkeypatch):
+        # the timed runs build plain engines through analyses; the pass
+        # builds one debug engine per kind through metrics
+        trace = gen_trace(tmp_path, events=100)
+        built = []
+
+        def counted(where):
+            class Counted(analyses.Engine):
+                def __init__(self, *args, debug=False, **kw):
+                    built.append((where, debug))
+                    super().__init__(*args, debug=debug, **kw)
+            return Counted
+
+        timed, checked = counted("timed"), counted("pass")
+        monkeypatch.setattr(analyses, "Engine", timed)
+        monkeypatch.setattr(metrics, "Engine", checked)
+        rc = cli.main(["analyze", "--po", "shb", "--clock", "both", "--debug",
+                       "--input", str(trace), "--repeat", "3"])
+        assert rc == 0
+        assert "clocks agree" in capsys.readouterr().out
+        assert Counter(built) == {("timed", False): 6, ("pass", True): 2}
+
 
 class TestExitCodes:
     def test_missing_input_file(self, tmp_path, capsys):
@@ -478,23 +517,15 @@ class TestExitCodes:
 
     def test_debug_checks_run_under_optimize(self, tmp_path):
         # the debug checks are explicit raises: python -O keeps them, so
-        # a root-only tree clock that stores a second key is caught there
-        # too, when a lock's deep copy takes that key
+        # the doctored tree clock is caught there too
         trace = gen_trace(tmp_path, events=40)
-        script = (
-            "from clocktrace import analyses\n"
+        script = DOCTORED_TREE_CLOCK + (
             "from clocktrace.trace import parse_trace\n"
-            "class Doctored(analyses.TreeClock):\n"
-            "    __slots__ = ()\n"
-            "    @classmethod\n"
-            "    def owned(cls, tid, size, counter):\n"
-            "        clock = super().owned(tid, size, counter)\n"
-            "        clock.clk[(tid + 1) % size] = 0\n"
-            "        return clock\n"
-            "analyses.TreeClock = Doctored\n"
             f"with open({str(trace)!r}) as fh:\n"
             "    trace = parse_trace(fh)\n"
-            "analyses.run_analysis(trace, 'hb', 'tree', debug=True)\n"
+            "engine = analyses.Engine('hb', trace.thread_count, 'tree', debug=True)\n"
+            "for ev in trace.events:\n"
+            "    engine.process(ev)\n"
         )
         proc = run_optimized(["-c", script])
         assert proc.returncode == 1, proc.stdout + proc.stderr
@@ -505,6 +536,25 @@ class TestExitCodes:
                               "--input", str(trace), "--debug", "--repeat", "1"])
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "clocks agree" in proc.stdout
+
+    @pytest.mark.parametrize("clock", ["tree", "both"])
+    def test_analyze_debug_catches_a_doctored_tree_clock_under_optimize(
+            self, tmp_path, clock):
+        # the timed runs check nothing, so each prints its summary line;
+        # the untimed pass, which a single-kind --debug run gets too, then
+        # fails on the doctored clock
+        trace = gen_trace(tmp_path, events=40)
+        script = DOCTORED_TREE_CLOCK + (
+            "import sys\n"
+            "from clocktrace import cli\n"
+            f"sys.exit(cli.main(['analyze', '--po', 'hb', '--clock', {clock!r},"
+            f" '--debug', '--input', {str(trace)!r}, '--repeat', '1']))\n"
+        )
+        proc = run_optimized(["-c", script])
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert proc.stderr.startswith("assertion failed: sparse clock rooted at ")
+        assert "stores keys" in proc.stderr
+        assert len(proc.stdout.splitlines()) == (1 if clock == "tree" else 2)
 
     def test_divergence_exits_1(self, tmp_path, capsys, monkeypatch):
         # hb engines never flatten, so only the comparison pass sees the skew

@@ -7,6 +7,7 @@ import pytest
 from conftest import inject_fault
 from oracles import vc_work
 
+from clocktrace import metrics
 from clocktrace.analyses import HB, MAZ, ORDERS, SHB, run_analysis
 from clocktrace.metrics import cross_check, verify_bounds, vtwork
 from clocktrace.oracle import ORACLE_MAX_EVENTS, oracle_races, oracle_timestamps
@@ -89,8 +90,25 @@ class TestCrossCheck:
         _, kind_problems, oracle_problems = cross_check(
             trace, HB, ["tree", "vector"], oracle=True)
         expected = [message.format(w=work, w1=work + 1)]
+        if fault == "oracle timestamps":
+            # vtwork recounts from the same doctored list, in which every
+            # entry of the last event's timestamp changes: 2 more here
+            expected.append(f"engine vt_work differs from oracle "
+                            f"(engine={work}, oracle={work + 2})")
         assert (kind_problems, oracle_problems) == (
             (expected, []) if group == "kinds" else ([], expected))
+
+    def test_oracle_timestamps_are_computed_once(self, monkeypatch):
+        # the vt_work recount reads the list cross_check already holds
+        trace = random_trace(41, events=40, threads=3, locks=2, variables=2)
+        calls = []
+        real = metrics.oracle_timestamps
+        monkeypatch.setattr(metrics, "oracle_timestamps",
+                            lambda *args: calls.append(args) or real(*args))
+        _, kind_problems, oracle_problems = cross_check(
+            trace, HB, ["tree", "vector"], oracle=True)
+        assert kind_problems == oracle_problems == []
+        assert calls == [(trace, HB)]
 
 
 class TestBounds:

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import each_event
+from conftest import debug_run, each_event
 
 from clocktrace import analyses
 from clocktrace.analyses import HB, MAZ, SHB, run_analysis
@@ -464,7 +464,7 @@ class TestLinkArrays:
 
         trace = STORAGE_TRACES[name]()
         monkeypatch.setattr(analyses, "TreeClock", Kept)
-        run_analysis(trace, po, "tree", debug=True)
+        debug_run(trace, po)
         linked = [clock for clock in built if clock.links is not None]
         assert linked == [clock for clock in built
                           if len(list(walk_nodes(clock))) >= 2]
@@ -1380,7 +1380,7 @@ class TestCopyCheckMonotone:
 
         monkeypatch.setattr(analyses, "TreeClock", Checked)
         for make in STORAGE_TRACES.values():
-            run_analysis(make(), po, "tree", debug=True)
+            debug_run(make(), po)
         assert set(sources) == {True, False}  # both paths reached
 
     def test_deep_copy_counts_every_node_of_both_trees(self):
