@@ -287,12 +287,6 @@ def _tree_clock():
     return cls
 
 
-def __getattr__(name):
-    if name == "TreeClock":
-        return _tree_clock()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def _log_by_thread(log, entry):
     """Append an access (tid, local time, is write) to a per-thread log."""
     t, c, wr = entry

@@ -17,9 +17,9 @@ Four commands:
   runs stay plain.
 - gen: write a synthetic trace from the deterministic generator.
   GenSpec.validate is the one check of pattern and star-style names.
-- bench: run a (pattern x thread-count x clock) matrix, print and
-  optionally append each run's record as analyze does, then print each
-  cell's vector/tree wall-time and impl_work ratios.
+- bench: run a (pattern x thread-count x clock) matrix, print each
+  cell's summary lines as the cell finishes and append records as
+  analyze does, then print each cell's vector/tree time and work ratios.
 - selfcheck: run the embedded fixture suite.
 
 Exit codes: 0 success; 1 divergence, race-check mismatch, or assertion
@@ -51,7 +51,7 @@ from contextlib import contextmanager
 from .analyses import CLOCK_KINDS, ORDERS, run_analysis
 from .metrics import cross_check, verify_bounds
 from .oracle import ORACLE_MAX_EVENTS
-from .trace import TraceParseError, parse_trace, serialize_trace
+from .trace import parse_trace, serialize_trace
 
 def main(argv=None):
     parser = _build_parser()
@@ -60,7 +60,7 @@ def main(argv=None):
     gc.disable()
     try:
         return args.func(args)
-    except (OSError, TraceParseError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:
@@ -145,24 +145,6 @@ def _read_trace(path):
         return parse_trace(fh)
 
 
-def _timed_runs(trace, po, kind, repeat, count_unordered=True):
-    """Run `repeat` (>= 1) times; return (last run, median elapsed ms,
-    every run's elapsed ms in ascending order). The median is taken as
-    statistics.median takes it (the mean of the middle two for an even
-    count) without that module's import cost. Each repeat starts after
-    the previous run, race list included, has been released."""
-    elapsed = []
-    for _ in range(repeat):
-        run = None
-        with _engine_context(trace, kind):
-            run = run_analysis(trace, po, kind, count_unordered=count_unordered)
-        elapsed.append(run.elapsed)
-    elapsed.sort()
-    m = len(elapsed) // 2
-    return (run, (elapsed[m] + elapsed[~m]) / 2 * 1000.0,
-            [e * 1000.0 for e in elapsed])
-
-
 @contextmanager
 def _engine_context(trace, kind):
     """Re-raise a MemoryError from the engine runs inside it with the
@@ -193,6 +175,29 @@ def _summary_line(record):
     return " ".join(f"{key}={'-' if v is None else v}" for key, v in shown.items())
 
 
+def _measure(trace, name, po, kind, repeat, write, prefix="",
+             count_unordered=True):
+    """Time `repeat` (>= 1) runs of one clock kind, each after the last
+    has been released, race list included; check the last run's bounds;
+    print its record's summary line after `prefix` and write the record.
+    The median time is taken as statistics.median takes it, without that
+    module's import cost. Returns the last run, its record and every
+    run's elapsed ms in ascending order."""
+    elapsed = []
+    for _ in range(repeat):
+        run = None
+        with _engine_context(trace, kind):
+            run = run_analysis(trace, po, kind, count_unordered=count_unordered)
+        elapsed.append(run.elapsed)
+    elapsed.sort()
+    m = len(elapsed) // 2
+    verify_bounds(run)
+    record = _record(name, run, (elapsed[m] + elapsed[~m]) / 2 * 1000.0)
+    print(prefix + _summary_line(record))
+    write(record)
+    return run, record, [e * 1000.0 for e in elapsed]
+
+
 @contextmanager
 def _json_lines(path):
     """Yield a function that appends a record to `path` as one line of
@@ -209,27 +214,22 @@ def _json_lines(path):
 def _cmd_analyze(args):
     trace = _read_trace(args.input)
     if not trace.events:  # e.g. the empty output of a failed upstream gen
-        print(f"error: {args.input}: trace has no events", file=sys.stderr)
-        return 2
+        raise ValueError(f"{args.input}: trace has no events")
     kinds = [args.clock] if args.clock != "both" else ["tree", "vector"]
     compare = args.clock == "both" or args.oracle or args.debug
     if args.oracle and len(trace) > ORACLE_MAX_EVENTS:
-        print(f"error: --oracle is limited to {ORACLE_MAX_EVENTS} events, "
-              f"trace has {len(trace)}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--oracle is limited to {ORACLE_MAX_EVENTS} events, "
+                         f"trace has {len(trace)}")
 
-    name = "-" if args.input == "-" else os.path.basename(args.input)
+    name = os.path.basename(args.input)
     # a run's race list can be hundreds of MB: keep only the printed one,
     # the first kind's, and each run's record; release every run before
     # the next kind's runs and the cross-check start
     records, races = [], None
     with _json_lines(args.json) as write:
         for kind in kinds:
-            run, ms, _ = _timed_runs(trace, args.po, kind, args.repeat)
-            verify_bounds(run)
-            records.append(_record(name, run, ms))
-            print(_summary_line(records[-1]))
-            write(records[-1])
+            run, record, _ = _measure(trace, name, args.po, kind, args.repeat, write)
+            records.append(record)
             if args.races and races is None:
                 races = run.races
             run = None
@@ -291,15 +291,13 @@ def _cmd_bench(args):
     else:
         patterns = [p.strip() for p in args.patterns.split(",") if p.strip()]
     if not patterns:
-        print(f"error: no pattern in {args.patterns!r}", file=sys.stderr)
-        return 2
+        raise ValueError(f"no pattern in {args.patterns!r}")
     try:
         grid = [int(s) for s in args.threads.split(",") if s.strip()]
     except ValueError:
         grid = []
     if not grid:
-        print(f"error: bad thread grid {args.threads!r}", file=sys.stderr)
-        return 2
+        raise ValueError(f"bad thread grid {args.threads!r}")
 
     specs = [GenSpec(pattern, k, args.events or 100 * k, seed=args.seed,
                      star_style=args.star_style)
@@ -315,15 +313,11 @@ def _cmd_bench(args):
             if spec.pattern == "star":
                 name += f"-{args.star_style}"
             for kind in ("tree", "vector"):
-                run, ms, elapsed = _timed_runs(trace, args.po, kind, args.repeat,
-                                               count_unordered=False)
-                verify_bounds(run)
-                records.append(_record(name, run, ms))
-                write(records[-1])
+                _, record, elapsed = _measure(trace, name, args.po, kind, args.repeat,
+                                              write, f"{name}: ", count_unordered=False)
+                records.append(record)
                 times.append(elapsed)
 
-    for record in records:
-        print(f"{record['trace']}: {_summary_line(record)}")
     _print_speedups(records, times)
     return 0
 

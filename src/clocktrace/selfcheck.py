@@ -199,9 +199,8 @@ def run(report=print):
     for name, check in CHECKS:
         fails = check()
         failures.extend(fails)
-        if report is not None:
-            status = "ok" if not fails else f"FAIL ({len(fails)})"
-            report(f"selfcheck {name}: {status}")
-            for f in fails:
-                report(f"  - {f}")
+        status = "ok" if not fails else f"FAIL ({len(fails)})"
+        report(f"selfcheck {name}: {status}")
+        for f in fails:
+            report(f"  - {f}")
     return failures

@@ -309,7 +309,7 @@ def test_debug_reports_a_copy_off_the_predicted_path(monkeypatch):
             status = super().copy_check_monotone(src)
             return "monotone" if status == "deep" else "deep"
 
-    monkeypatch.setattr(analyses, "TreeClock", Misreported)
+    monkeypatch.setattr(analyses, "TreeClock", Misreported, raising=False)
     trace = parse_trace("t0 acq l\nt0 rel l\n")
     run_analysis(trace, HB, "tree")  # unchecked without debug
     with pytest.raises(AssertionError, match="event 1: monotone copy where "

@@ -14,7 +14,6 @@ import sys
 import tempfile
 import weakref
 from collections import Counter
-from types import SimpleNamespace
 
 import pytest
 from conftest import inject_fault
@@ -71,8 +70,8 @@ def gen_trace(tmp_path, name="t.trace", pattern="skewed_locks", threads=4,
 # a root-only tree clock that stores a second key, which the debug
 # checks catch when a lock's deep copy takes that key
 DOCTORED_TREE_CLOCK = (
-    "from clocktrace import analyses\n"
-    "class Doctored(analyses.TreeClock):\n"
+    "from clocktrace import analyses, treeclock\n"
+    "class Doctored(treeclock.TreeClock):\n"
     "    __slots__ = ()\n"
     "    @classmethod\n"
     "    def owned(cls, tid, size, counter):\n"
@@ -489,7 +488,7 @@ class TestExitCodes:
         def boom(*a, **kw):
             raise AssertionError("invariant broken")
 
-        monkeypatch.setattr(cli, "_timed_runs", boom)
+        monkeypatch.setattr(cli, "_measure", boom)
         rc = cli.main(["analyze", "--po", "hb", "--input", str(trace),
                        "--repeat", "1"])
         assert rc == 1
@@ -737,6 +736,27 @@ class TestBench:
         assert calls == []
         assert not path.exists()
 
+    def test_finished_cells_print_before_a_later_cell_fails(self, monkeypatch,
+                                                            capsys):
+        # a cell prints its summary lines as it finishes, so a failure in
+        # the second cell's first run leaves the first cell's two lines
+        checked = []
+
+        def third_fails(run):
+            checked.append(run)
+            if len(checked) == 3:
+                raise AssertionError("bounds broken")
+            metrics.verify_bounds(run)
+
+        monkeypatch.setattr(cli, "verify_bounds", third_fails)
+        rc = cli.main(["bench", "--patterns", "single_lock", "--threads", "3,5",
+                       "--events", "40", "--repeat", "1"])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert [line.split(" events=")[0] for line in out.splitlines()] == [
+            "single_lock-k3: po=hb clock=tree", "single_lock-k3: po=hb clock=vector"]
+        assert err == "assertion failed: bounds broken\n"
+
     @pytest.mark.parametrize("flag", ["--patterns", "--threads"])
     @pytest.mark.parametrize("value", ["", " , ", "a,b"])
     def test_empty_grid_exits_2(self, tmp_path, capsys, flag, value):
@@ -942,14 +962,20 @@ class TestRendering:
 
 
 @pytest.mark.parametrize("repeat", [1, 2, 3, 4])
-def test_timed_runs_median_matches_statistics(monkeypatch, repeat):
+def test_timed_runs_median_matches_statistics(monkeypatch, capsys, repeat):
     elapsed = [0.3, 0.1, 0.7, 0.2][:repeat]
-    runs = iter(SimpleNamespace(elapsed=e) for e in elapsed)
+    trace = parse_trace("t0 w x\n")
+    real = run_analysis(trace, HB, "tree")
+    runs = iter(real._replace(elapsed=e) for e in elapsed)
     monkeypatch.setattr(cli, "run_analysis", lambda *a, **kw: next(runs))
-    run, ms, times = cli._timed_runs(None, HB, "tree", repeat)
+    written = []
+    run, record, times = cli._measure(trace, "t", HB, "tree", repeat,
+                                      written.append, "cell: ")
     assert run.elapsed == elapsed[-1]
-    assert ms == statistics.median(elapsed) * 1000.0
+    assert record["time_ms"] == statistics.median(elapsed) * 1000.0
     assert times == sorted(e * 1000.0 for e in elapsed)  # every repeat, kept
+    assert written == [record]
+    assert capsys.readouterr().out == f"cell: {cli._summary_line(record)}\n"
 
 
 @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
@@ -998,7 +1024,7 @@ class TestGcState:
         def boom(*a, **kw):
             raise AssertionError("invariant broken")
 
-        monkeypatch.setattr(cli, "_timed_runs", boom)
+        monkeypatch.setattr(cli, "_measure", boom)
         assert cli.main(["analyze", "--po", "hb", "--input", str(trace)]) == 1
         assert gc.isenabled() is gc_state
         capsys.readouterr()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from clocktrace import tracegen
 from clocktrace.tracegen import (
     PATTERNS,
     STAR_STYLES,
@@ -10,7 +11,7 @@ from clocktrace.tracegen import (
     _pair_lock,
     generate,
 )
-from clocktrace.trace import ACQ, REL, serialize_trace, validate_trace
+from clocktrace.trace import ACQ, REL, Violation, serialize_trace, validate_trace
 
 
 class TestSplitMix64:
@@ -68,6 +69,15 @@ class TestPatterns:
         assert validate_trace(t1) == []
         assert {ev.op for ev in t1.events} <= {ACQ, REL}
         assert t1.var_count == 0
+
+    def test_an_illegal_trace_is_an_assertion_failure(self, monkeypatch):
+        # the generator checks its own output's lock discipline
+        message = "event 1: thread #0 acquires lock #0 already held by thread #0"
+        monkeypatch.setattr(tracegen, "validate_trace",
+                            lambda trace: [Violation(1, "reacquire", message)])
+        with pytest.raises(AssertionError) as exc:
+            generate(spec("single_lock"))
+        assert str(exc.value) == f"generator produced an illegal trace: {message}"
 
     def test_seeds_change_the_trace(self):
         a = serialize_trace(generate(spec("skewed_locks", seed=1)))

@@ -463,7 +463,7 @@ class TestLinkArrays:
                 built.append(self)
 
         trace = STORAGE_TRACES[name]()
-        monkeypatch.setattr(analyses, "TreeClock", Kept)
+        monkeypatch.setattr(analyses, "TreeClock", Kept, raising=False)
         debug_run(trace, po)
         linked = [clock for clock in built if clock.links is not None]
         assert linked == [clock for clock in built
@@ -772,7 +772,7 @@ class TestDetached:
                                  variables=4)
         drop = analyses.Engine(po, trace.thread_count, "tree", debug=True)
         with monkeypatch.context() as m:
-            m.setattr(analyses, "TreeClock", Kept)
+            m.setattr(analyses, "TreeClock", Kept, raising=False)
             keep = analyses.Engine(po, trace.thread_count, "tree", debug=True)
 
         def clocks(engine):
@@ -830,7 +830,7 @@ def test_single_pass_move_matches_the_two_pass_reference(name, po, monkeypatch):
     trace = LOCKSTEP_TRACES[name]()
     one = analyses.Engine(po, trace.thread_count, "tree", debug=True)
     with monkeypatch.context() as m:
-        m.setattr(analyses, "TreeClock", TwoPassTreeClock)
+        m.setattr(analyses, "TreeClock", TwoPassTreeClock, raising=False)
         two = analyses.Engine(po, trace.thread_count, "tree", debug=True)
     assert type(two.thread_clocks[0]) is TwoPassTreeClock
 
@@ -1378,7 +1378,7 @@ class TestCopyCheckMonotone:
                         assert target == (None, src.root)
                 return status
 
-        monkeypatch.setattr(analyses, "TreeClock", Checked)
+        monkeypatch.setattr(analyses, "TreeClock", Checked, raising=False)
         for make in STORAGE_TRACES.values():
             debug_run(make(), po)
         assert set(sources) == {True, False}  # both paths reached
