@@ -16,7 +16,8 @@ Four commands:
   checks in that pass only, so each kind is checked once and the timed
   runs stay plain.
 - gen: write a synthetic trace from the deterministic generator.
-  GenSpec.validate is the one check of pattern and star-style names.
+  GenSpec.validate is the one check of pattern and star-style names; gen
+  validates the spec, then opens --out, then generates.
 - bench: run a (pattern x thread-count x clock) matrix, print each
   cell's summary lines as the cell finishes and append records as
   analyze does, then print each cell's vector/tree time and work ratios.
@@ -46,7 +47,7 @@ import argparse
 import gc
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 from .analyses import CLOCK_KINDS, ORDERS, run_analysis
 from .metrics import cross_check, verify_bounds
@@ -132,8 +133,12 @@ def _positive_int(text):
     return n
 
 
+# analyze reads its input in blocks of at most this many characters
+_READ_BLOCK = 16 * 1024
+
+
 def _read_trace(path):
-    """Parse a trace file, or stdin for "-", line by line as it is read
+    """Parse a trace file, or stdin for "-", block by block as it is read
     (see parse_trace). Raises TraceParseError, naming the line, at the
     first line that is not UTF-8 (file and stdin are decoded alike, see
     clocktrace.trace), is malformed or breaks lock discipline."""
@@ -142,7 +147,25 @@ def _read_trace(path):
     # when the descriptor is closed, which open reports as an OSError)
     with open(0 if stdin else path, encoding="utf-8",
               errors="surrogateescape", closefd=not stdin) as fh:
-        return parse_trace(fh)
+        return parse_trace(_whole_lines(fh))
+
+
+def _whole_lines(fh):
+    """Yield the text of fh in pieces that end at a line break: each
+    block read is cut after its last newline, and the rest is carried
+    into the next piece. The reader turns CRLF and lone CR line ends
+    into newlines, so no line break spans two pieces, and each piece
+    splits into whole lines."""
+    carry = []
+    for block in iter(lambda: fh.read(_READ_BLOCK), ""):
+        cut = block.rfind("\n") + 1
+        if cut:
+            carry.append(block[:cut])
+            yield "".join(carry)
+            carry = [block[cut:]]
+        else:
+            carry.append(block)
+    yield "".join(carry)
 
 
 @contextmanager
@@ -274,12 +297,12 @@ def _cmd_gen(args):
         seed=args.seed,
         star_style=args.star_style,
     )
-    text = serialize_trace(generate(spec))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # a bad spec leaves --out untouched, and a bad --out fails before
+    # any draw
+    spec.validate()
+    with (open(args.out, "w", encoding="utf-8") if args.out
+          else nullcontext(sys.stdout)) as fh:
+        fh.write(serialize_trace(generate(spec)))
     return 0
 
 

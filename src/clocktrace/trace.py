@@ -14,17 +14,22 @@ lock, r/w -> variable). Names are interned to dense integer ids in order
 of first occurrence; the parsed Trace keeps the thread and variable
 names by id, so reports can name what the text named.
 
-parse_trace reads a trace in one pass, from text or line by line from a
-file, and checks lock discipline in the same pass, so the first bad line
-in file order, malformed or misusing a lock, is the one reported.
+parse_trace reads a trace in one pass, from text or from pieces of it
+that each end at a line break (a file's lines, or the 16 KiB blocks
+analyze reads, each cut after its last line break), and checks lock
+discipline in the same pass, so the first bad line in file order,
+malformed or misusing a lock, is the one reported.
 validate_trace checks lock discipline of a trace built in memory and
 reports its first misuse. Both apply one rule, _lock_misuse.
 
 parse_trace builds one Event per distinct line text: a line that repeats
 an earlier one, byte for byte, comment included, gets the same Event
-object, so events are shared and never mutated. Its memo, dropped when
-parse_trace returns, holds one copy of each distinct line while parsing:
-in the worst case, a trace with no repeated line, the whole text once.
+object, so events are shared and never mutated; the generator shares
+each distinct round's events alike. Its memo, dropped when parse_trace
+returns, holds one copy of each distinct line while parsing: in the
+worst case, a trace with no repeated line, the whole text once.
+serialize_trace renders each thread's name and each op and target's text
+once, on first use, and joins the whole text once.
 Trace text is UTF-8. Readers decode it with errors="surrogateescape",
 and parse_trace names the first line, comment included, that holds the
 lone surrogate a byte that is not UTF-8 becomes.
@@ -124,9 +129,11 @@ event's index (0-based), its kind ("reacquire" | "release-not-held" |
 def parse_trace(source):
     """Parse a trace, checking lock discipline as it goes, into a Trace.
 
-    source is the trace text or any iterable of its lines, such as an
-    open file or sys.stdin, which is read once, line by line. Either way
-    lines are numbered as str.splitlines numbers them. Raises
+    source is the trace text or any iterable of pieces of it that each
+    end at a line break (or at the end of the text), such as an open
+    file, which is read once, one piece at a time. Each piece is split
+    with one str.splitlines call, and lines are numbered as
+    str.splitlines numbers the whole text. Raises
     TraceParseError, naming the line, at the first line in the trace
     that is not UTF-8, malformed or breaks lock discipline (_lock_misuse):
     the analyses assume well-formed lock use and would answer wrongly.
@@ -231,12 +238,33 @@ def _lock_misuse(holder, tid, op, lock):
 
 
 def serialize_trace(trace):
-    """Render a Trace back to canonical text (t<i>, l<i>, x<i> names)."""
-    lines = []
+    """Render a Trace back to canonical text (t<i>, l<i>, x<i> names).
+
+    Each thread's "t<i> " and each op and target's "acq l<j>", with its
+    line end, is rendered once, the first time an event uses it, and the
+    text is joined once. The renderings are kept by id, not by position
+    in a list sized by the trace's counts, so any integer id is written
+    as itself, whatever the counts say."""
+    threads = {}
+    # op -> {target id -> the op, the target's name and a line end}
+    texts = {ACQ: {}, REL: {}, READ: {}, WRITE: {}}
+    parts = []
+    append = parts.append
     for ev in trace.events:
-        prefix = "l" if ev.op in (ACQ, REL) else "x"
-        lines.append(f"t{ev.tid} {ev.op} {prefix}{ev.target}")
-    return "\n".join(lines) + ("\n" if lines else "")
+        tid = ev.tid
+        thread = threads.get(tid)
+        if thread is None:
+            thread = threads[tid] = f"t{tid} "
+        op = ev.op
+        target = ev.target
+        named = texts[op]
+        text = named.get(target)
+        if text is None:
+            prefix = "l" if op in (ACQ, REL) else "x"
+            text = named[target] = f"{op} {prefix}{target}\n"
+        append(thread)
+        append(text)
+    return "".join(parts)
 
 
 _MISUSE_MESSAGES = {

@@ -25,6 +25,14 @@ Event counts round down to whole rounds (2 or 4 events each); a count
 below one round is refused, as it would give an empty trace. These
 patterns emit no read or write events; var_count is 0.
 
+Set-up work is done once per distinct thing. SplitMix64.below runs the
+mix inline and computes each bound's rejection limit once. single_lock,
+skewed_locks and both star styles build a round's events the first time
+the round is drawn, in a list indexed by the round's thread and lock
+ids, and every later draw of it shares them, as parse_trace shares one
+Event per distinct line; pairwise builds each round's, since its
+k(k - 1) ordered rounds rarely repeat.
+
 random_trace draws small legal traces that mix lock events with reads
 and writes, for tests and the selfcheck sweep.
 """
@@ -37,6 +45,7 @@ PATTERNS = ("single_lock", "skewed_locks", "star", "pairwise")
 STAR_STYLES = ("paired", "relay")
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
 
 # skewed_locks' fixed shape: 50 locks chosen uniformly, and a hot fifth
 # of the threads each 5 times as likely to act as any other
@@ -45,30 +54,38 @@ _SKEWED_HOT_WEIGHT = 5
 
 
 class SplitMix64:
-    """splitmix64 PRNG (Steele-Lea-Vigna constants), 64-bit state."""
+    """splitmix64 PRNG (Steele-Lea-Vigna constants), 64-bit state.
 
-    GAMMA = 0x9E3779B97F4A7C15
+    below() runs the mix inline and keeps each bound's rejection limit,
+    so a draw costs no call beyond its own and checks its bound only the
+    first time it sees it. next() is below(2**64), the same draw."""
 
     def __init__(self, seed: int):
         self.state = seed & _MASK64
+        # bound -> the largest multiple of bound <= 2**64, which no kept
+        # draw reaches
+        self._limits = {}
 
     def next(self) -> int:
-        self.state = (self.state + self.GAMMA) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        return self.below(1 << 64)
 
     def below(self, bound: int) -> int:
         """Unbiased draw from range(bound), 0 < bound <= 2**64, by
         rejection sampling."""
-        if not 0 < bound <= 1 << 64:
-            raise ValueError(f"bound must be in 1..2**64, got {bound}")
-        limit = (1 << 64) - ((1 << 64) % bound)
+        limit = self._limits.get(bound)
+        if limit is None:
+            if not 0 < bound <= 1 << 64:
+                raise ValueError(f"bound must be in 1..2**64, got {bound}")
+            limit = self._limits[bound] = (1 << 64) - (1 << 64) % bound
+        state = self.state
         while True:
-            r = self.next()
-            if r < limit:
-                return r % bound
+            state = (state + _GAMMA) & _MASK64
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            z ^= z >> 31
+            if z < limit:
+                self.state = state
+                return z % bound
 
 
 @dataclass(frozen=True)
@@ -100,49 +117,45 @@ class GenSpec:
 def generate(spec: GenSpec) -> Trace:
     """Generate the trace described by spec. Deterministic in spec."""
     spec.validate()
-    rng = SplitMix64(spec.seed)
+    below = SplitMix64(spec.seed).below
     k = spec.threads
-    events = []
-    emit = events.append
 
     if spec.pattern == "single_lock":
         lock_count = 1
-        for _ in range(spec.events // 2):
-            t = rng.below(k)
-            emit(Event(t, ACQ, 0))
-            emit(Event(t, REL, 0))
+        events = _share_rounds([below(k) for _ in range(spec.events // 2)], k,
+                               lambda t: _round(t, 0))
     elif spec.pattern == "skewed_locks":
         lock_count = _SKEWED_LOCKS
         hot = -(-k // 5)  # the first ceil(k / 5) threads
         w = _SKEWED_HOT_WEIGHT
         total = hot * w + (k - hot)
+        draws = []  # thread * lock_count + lock
         for _ in range(spec.events // 2):
-            r = rng.below(total)
+            r = below(total)
             t = r // w if r < hot * w else hot + (r - hot * w)
-            lock = rng.below(lock_count)
-            emit(Event(t, ACQ, lock))
-            emit(Event(t, REL, lock))
+            draws.append(t * lock_count + below(lock_count))
+        events = _share_rounds(draws, k * lock_count,
+                               lambda i: _round(*divmod(i, lock_count)))
     elif spec.pattern == "star":
         lock_count = k - 1  # lock i is client (i + 1)'s dedicated lock
         if spec.star_style == "paired":
-            for _ in range(spec.events // 4):
-                lock = rng.below(k - 1)
-                client = lock + 1
-                emit(Event(client, ACQ, lock))
-                emit(Event(client, REL, lock))
-                emit(Event(0, ACQ, lock))
-                emit(Event(0, REL, lock))
+            events = _share_rounds(
+                [below(k - 1) for _ in range(spec.events // 4)], k - 1,
+                lambda lock: _round(lock + 1, lock) + _round(0, lock))
         else:  # relay
+            draws = []  # a client's lock, or lock_count + the server's lock
             for _ in range(spec.events // 2):
-                t = rng.below(k)
-                lock = rng.below(k - 1) if t == 0 else t - 1
-                emit(Event(t, ACQ, lock))
-                emit(Event(t, REL, lock))
-    else:  # pairwise
+                t = below(k)
+                draws.append(t - 1 if t else lock_count + below(k - 1))
+            events = _share_rounds(draws, 2 * lock_count, lambda i: (
+                _round(i + 1, i) if i < lock_count else _round(0, i - lock_count)))
+    else:  # pairwise: its k(k - 1) ordered rounds rarely repeat
         lock_count = k * (k - 1) // 2
+        events = []
+        emit = events.append
         for _ in range(spec.events // 4):
-            i = rng.below(k)
-            j = rng.below(k - 1)
+            i = below(k)
+            j = below(k - 1)
             if j >= i:
                 j += 1
             lock = _pair_lock(min(i, j), max(i, j), k)
@@ -157,6 +170,32 @@ def generate(spec: GenSpec) -> Trace:
         raise AssertionError(
             f"generator produced an illegal trace: {problems[0].message}")
     return trace
+
+
+def _round(t, lock):
+    """Thread t's acquire and release of lock."""
+    return Event(t, ACQ, lock), Event(t, REL, lock)
+
+
+def _share_rounds(draws, size, build):
+    """The events of the rounds drawn, in order. draws holds each round's
+    index in range(size), and build(i) makes round i's events: once per
+    distinct index, the first time it is drawn, after which every draw of
+    it shares them, as parse_trace shares one Event per distinct line.
+    The table of built rounds has no more slots than there are draws;
+    a round past it is built each time it is drawn."""
+    table = [None] * min(size, len(draws))
+    cap = len(table)
+    events = []
+    extend = events.extend
+    for i in draws:
+        evs = table[i] if i < cap else None
+        if evs is None:
+            evs = build(i)
+            if i < cap:
+                table[i] = evs
+        extend(evs)
+    return events
 
 
 def _pair_lock(a: int, b: int, k: int) -> int:

@@ -116,6 +116,20 @@ class TestGen:
         b = gen_trace(tmp_path, "b.trace", seed=5)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_unwritable_out_exits_2_before_any_draw(self, tmp_path, capsys,
+                                                     monkeypatch):
+        drawn = []
+        monkeypatch.setattr(tracegen, "SplitMix64",
+                            lambda seed: drawn.append(seed))
+        out = tmp_path / "no" / "such" / "x.txt"
+        assert cli.main(["gen", "--pattern", "single_lock", "--threads", "64",
+                         "--events", "400000", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and str(out) in captured.err
+        assert captured.err.count("\n") == 1
+        assert drawn == [] and not out.parent.exists()
+
     def test_bad_spec_exits_2(self, tmp_path):
         assert cli.main(["gen", "--pattern", "single_lock", "--threads", "1",
                          "--events", "4"]) == 2

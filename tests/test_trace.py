@@ -1,9 +1,14 @@
 """Trace parsing, serialization, and lock-discipline validation."""
 
 import io
+import os
+import pickle
+import subprocess
+import sys
 
 import pytest
 
+from clocktrace import cli
 from clocktrace.tracegen import SplitMix64
 from clocktrace.trace import (
     ACQ,
@@ -181,6 +186,93 @@ def test_file_stream_and_text_agree(tmp_path, text, lineno):
         assert from_text[0] == lineno
 
 
+def as_read(raw):
+    """raw as a file reader returns it, with CRLF and lone CR line ends
+    read as LF: the reader's blocks are counted in that text."""
+    return raw.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def filler(raw, upto):
+    """Whole CRLF-ended lines that bring raw, as read, to upto characters."""
+    gap = upto - len(as_read(raw))
+    assert gap >= 9
+    return "t1 w x\r\n" * (gap // 7 - 1) + "#" * (gap % 7 + 6) + "\r\n"
+
+
+def multi_block_trace(fault):
+    """A trace four read blocks long, ending without a line break: one
+    line straddles the first block boundary, the second block ends with
+    a form feed and the third starts with U+2028, and CRLF and lone-CR
+    line ends mix. fault ("undecodable", "misuse" or None) puts an
+    undecodable byte in the second block or a lock misuse in the third."""
+    block = cli._READ_BLOCK
+    raw = "t0 acq l0\r\n"
+    raw += filler(raw, block - 4) + "t2 w x  # across the boundary\r\n"
+    if fault == "undecodable":
+        raw += "t1 r x  # caf\udce9\r\n"
+    raw += filler(raw, 2 * block - 7) + "t1 r x\x0c\u2028t0 r x\n"
+    raw += "t2 r x\rt1 r x\r" * 10
+    if fault == "misuse":
+        raw += "t1 rel l0\r\n"
+    raw += filler(raw, 3 * block + 5) + "t0 rel l0\r\nt2 acq l1\rt2 rel l1"
+    text = as_read(raw)
+    assert text[block - 5] == "\n"
+    assert text[block - 4:].startswith("t2 w x  # across")
+    assert text[2 * block - 1:2 * block + 1] == "\x0c\u2028"
+    assert len(text) > 3 * block and not text.endswith("\n")
+    return raw
+
+
+# reads stdin as analyze does and pickles the outcome as parse_outcome
+# gives it
+STDIN_PROBE = """
+import pickle, sys
+from clocktrace.cli import _read_trace
+from clocktrace.trace import TraceParseError
+try:
+    outcome = _read_trace("-")
+except TraceParseError as exc:
+    outcome = exc.lineno, str(exc)
+sys.stdout.buffer.write(pickle.dumps(outcome))
+"""
+
+
+@pytest.mark.parametrize("fault, error", [
+    (None, None),
+    ("undecodable", "undecodable byte 0xe9 (traces are UTF-8)"),
+    ("misuse", "lock discipline violated (release-not-held): 't1 rel l0'"),
+], ids=["legal", "undecodable", "misuse"])
+def test_block_reads_parse_as_the_text_does(tmp_path, fault, error):
+    """analyze reads a file, and stdin, in blocks cut at their last line
+    break: the Trace, or the line and message of the error, match
+    parse_trace on the whole text."""
+    raw = multi_block_trace(fault)
+    data = raw.encode("utf-8", "surrogateescape")
+    path = tmp_path / "t.trace"
+    path.write_bytes(data)
+    from_text = parse_outcome(raw)
+    if error is None:
+        assert isinstance(from_text, Trace)
+        assert (from_text.thread_count, from_text.lock_count) == (3, 2)
+    else:
+        lineno, message = from_text
+        assert message == f"line {lineno}: {error}"
+        first_block = as_read(raw)[:cli._READ_BLOCK]
+        assert lineno > len(first_block.splitlines())
+    try:
+        from_file = cli._read_trace(str(path))
+    except TraceParseError as exc:
+        from_file = exc.lineno, str(exc)
+    assert from_file == from_text
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    proc = subprocess.run([sys.executable, "-c", STDIN_PROBE], input=data,
+                          capture_output=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert pickle.loads(proc.stdout) == from_text
+
+
 def test_unsupported_ops_are_named():
     with pytest.raises(TraceParseError, match="unsupported operation 'fork'"):
         parse_trace("t0 fork t1\n")
@@ -199,6 +291,15 @@ def test_serialize_round_trip():
 def test_serialize_renames_canonically():
     tr = parse_trace("t7 acq biglock\nt7 rel biglock\n")
     assert serialize_trace(tr) == "t0 acq l0\nt0 rel l0\n"
+
+
+def test_serialize_writes_each_id_as_itself_whatever_the_counts():
+    # names are rendered once per id, and kept by id, not in lists
+    # sized by the trace's counts
+    tr = Trace([Event(5, ACQ, 9), Event(-1, WRITE, 3), Event(0, READ, 12),
+                Event(5, REL, 9), Event(-1, WRITE, 3)], 1, 1, 1)
+    assert serialize_trace(tr) == (
+        "t5 acq l9\nt-1 w x3\nt0 r x12\nt5 rel l9\nt-1 w x3\n")
 
 
 def test_validate_clean():

@@ -1,5 +1,7 @@
 """Tests for the deterministic trace generator and its RNG."""
 
+import hashlib
+
 import pytest
 
 from clocktrace import tracegen
@@ -44,6 +46,17 @@ class TestSplitMix64:
     def test_below_one_is_always_zero(self):
         rng = SplitMix64(5)
         assert all(rng.below(1) == 0 for _ in range(10))
+
+    def test_below_draws_are_pinned(self):
+        # three passes over bounds that reject no draw, some and half of
+        # them, in turn, so each pass changes the bound between draws
+        rng = SplitMix64(3)
+        bounds = (1, 2, 3, 7, 160, 1279, 2**63 + 1, 2**64)
+        assert [rng.below(b) for b in bounds * 3] == [
+            0, 1, 0, 0, 86, 1213, 2493001065868230072, 16393961507643560470,
+            0, 0, 0, 6, 52, 456, 5645703015062601190, 1916716703724845557,
+            0, 1, 2, 4, 51, 1185, 3980598000218139604, 2230844239267079357,
+        ]
 
     def test_below_takes_the_full_64_bit_range(self):
         # a larger bound is refused; tests/test_cli.py checks that in a
@@ -175,6 +188,53 @@ class TestPatterns:
             _pair_lock(a, b, k) for a in range(k) for b in range(a + 1, k)
         }
         assert locks == set(range(k * (k - 1) // 2))
+
+
+SHAPES = [("single_lock", "paired"), ("skewed_locks", "paired"),
+          ("star", "paired"), ("star", "relay"), ("pairwise", "paired")]
+
+
+@pytest.mark.parametrize("threads, events, seed, digests", [
+    (7, 1000, 3, [
+        "e8ffcecd04457636c8fb3c2210581a088dbb4ace67e8a2cf4d817744604bc7d9",
+        "afb7a2d207a260dc3504a964e2450b6bfeb6175cc0180c90bcab63efc6191a05",
+        "061293e7dd280f3c4c2996f5938469cab204ad7043bea17aa7569c01ae291ee3",
+        "8003223777fb86bd90b3a9059593a91dd11267f2cec562beaa11271ab863b3d7",
+        "05ee01930e884ee5485d487eff8c7072ef0b1436d132bd8f09dac5c8426e5bbe",
+    ]),
+    (160, 16_000, 0, [
+        "1f07d0d0b31ec00eb9f54bfe0446baa56be651a3da48e9f75b2c776d07a0b5df",
+        "bbfa624f18a7d983d85f18889662aabe397e8ff46999b7340e91af4b6298f534",
+        "9b2457240194039f2e7ec066a7e1a44af7a209cc9eea2f92696ca62ca13804c8",
+        "925df6eba0e7fbbe02a7241dae0d795aef784a1490e5154352badd290e7cc830",
+        "39a614e74c2268591f56610ef151dcf9db2f1052f6a03fb4d1feca8832346d8b",
+    ]),
+    (3000, 2000, 1, [
+        "85ee03c0f6f5fac0fbb497cf7d9d1846e9ebf819355920490903266e7dacf7c2",
+        "c7bfb6b7e8a5969f123f2df5dd01bb8ae52b3739201ded8d5fedb2c1e1b9900b",
+        "a6de9b8aa0b86107cf335d6f91e6d652e5dc2e9eccfff38d1b8bf957e31c9ea3",
+        "822ae4d12b3b142c3f237cb56374101402c73d0ad7a722253750c7d063109692",
+        "8efba30e1a20a1edac22a0cd7aa10ee606057583f0e1efd0e237bb59ff35eae6",
+    ]),
+])
+def test_generated_text_is_pinned(threads, events, seed, digests):
+    # the SHA-256 of each pattern's and star style's serialized trace,
+    # so every byte gen writes stays the same across releases; at
+    # k=3000 most rounds fall past the generator's table of shared
+    # rounds, which has no more slots than there are rounds
+    got = [hashlib.sha256(serialize_trace(generate(GenSpec(
+        pattern, threads, events, seed, style))).encode()).hexdigest()
+        for pattern, style in SHAPES]
+    assert got == digests
+
+
+@pytest.mark.parametrize("pattern, style", SHAPES[:4])  # all but pairwise
+def test_repeated_rounds_share_their_events(pattern, style):
+    # one Event object per distinct event, as parse_trace shares one per
+    # distinct line
+    events = generate(GenSpec(pattern, 7, 2000, 1, style)).events
+    distinct = {(ev.tid, ev.op, ev.target) for ev in events}
+    assert len(set(map(id, events))) == len(distinct) < len(events)
 
 
 class TestSpecValidation:
