@@ -25,18 +25,20 @@ Event counts round down to whole rounds (2 or 4 events each); a count
 below one round is refused, as it would give an empty trace. These
 patterns emit no read or write events; var_count is 0.
 
-Set-up work is done once per distinct thing. SplitMix64.below runs the
-mix inline and computes each bound's rejection limit once. single_lock,
-skewed_locks and both star styles build a round's events the first time
-the round is drawn, in a list indexed by the round's thread and lock
-ids, and every later draw of it shares them, as parse_trace shares one
-Event per distinct line; pairwise builds each round's, since its
-k(k - 1) ordered rounds rarely repeat.
+Set-up work is done once per distinct thing. SplitMix64 computes its
+outputs _BLOCK at a time with a few operations on one big int, and
+below() takes them from a list, keeping each bound's rejection limit.
+single_lock, skewed_locks and both star styles build a round's events
+the first time the round is drawn, in a list indexed by the round's
+thread and lock ids, and every later draw of it shares them, as
+parse_trace shares one Event per distinct line; pairwise builds each
+round's, since its k(k - 1) ordered rounds rarely repeat.
 
 random_trace draws small legal traces that mix lock events with reads
 and writes, for tests and the selfcheck sweep.
 """
 
+import struct
 from dataclasses import dataclass
 
 from .trace import ACQ, READ, REL, WRITE, Event, Trace, validate_trace
@@ -47,6 +49,17 @@ STAR_STYLES = ("paired", "relay")
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
+# SplitMix64 mixes _BLOCK states at once, one per 128-bit lane of a big
+# int: _LANES has a 1 at the bottom of each lane, lane i - 1 of _STEPS
+# holds i * _GAMMA mod 2**64, and _LOW keeps each lane's low 64 bits
+_BLOCK = 256
+_LANES = ((1 << 128 * _BLOCK) - 1) // ((1 << 128) - 1)
+_STEPS = int.from_bytes(b"".join((i * _GAMMA & _MASK64).to_bytes(16, "little")
+                                 for i in range(1, _BLOCK + 1)), "little")
+_LOW = _MASK64 * _LANES
+# every other little-endian word of the mixed int is a lane's low 64 bits
+_WORDS = struct.Struct("<%dQ" % (2 * _BLOCK)).unpack
+
 # skewed_locks' fixed shape: 50 locks chosen uniformly, and a hot fifth
 # of the threads each 5 times as likely to act as any other
 _SKEWED_LOCKS = 50
@@ -56,12 +69,27 @@ _SKEWED_HOT_WEIGHT = 5
 class SplitMix64:
     """splitmix64 PRNG (Steele-Lea-Vigna constants), 64-bit state.
 
-    below() runs the mix inline and keeps each bound's rejection limit,
-    so a draw costs no call beyond its own and checks its bound only the
-    first time it sees it. next() is below(2**64), the same draw."""
+    The state after output i is seed + i * gamma mod 2**64, whatever the
+    bounds drawn from, and each rejection-sampling attempt uses exactly
+    one output, so outputs can be computed ahead of the draws that use
+    them. A refill puts the next _BLOCK states in the low 64 bits of
+    their own 128-bit lanes of one int and runs the mix on the whole
+    int. Each right shift pulls the next lane's low bits into the top of
+    this lane; masking with _LOW after the shift and before the multiply
+    drops them, so each 64 x 64-bit product stays inside its lane, and
+    the draws are the ones a state stepped one output at a time gives.
+    The words are unpacked in explicit little-endian order, so every
+    platform reads the same draws. A trace with few draws still pays for
+    one whole block.
+
+    _state is the state after the buffered block; _block holds its
+    unused outputs, next last. below() keeps each bound's rejection
+    limit and checks a bound only the first time it sees it. next() is
+    below(2**64), the same draw."""
 
     def __init__(self, seed: int):
-        self.state = seed & _MASK64
+        self._state = seed & _MASK64
+        self._block = []
         # bound -> the largest multiple of bound <= 2**64, which no kept
         # draw reaches
         self._limits = {}
@@ -77,14 +105,18 @@ class SplitMix64:
             if not 0 < bound <= 1 << 64:
                 raise ValueError(f"bound must be in 1..2**64, got {bound}")
             limit = self._limits[bound] = (1 << 64) - (1 << 64) % bound
-        state = self.state
+        block = self._block
         while True:
-            state = (state + _GAMMA) & _MASK64
-            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-            z ^= z >> 31
+            if not block:
+                z = (self._state * _LANES + _STEPS) & _LOW
+                z = ((z ^ z >> 30) & _LOW) * 0xBF58476D1CE4E5B9 & _LOW
+                z = ((z ^ z >> 27) & _LOW) * 0x94D049BB133111EB & _LOW
+                z ^= z >> 31
+                # to_bytes has no default length or byte order before 3.11
+                block.extend(_WORDS(z.to_bytes(16 * _BLOCK, "little"))[-2::-2])
+                self._state = (self._state + _BLOCK * _GAMMA) & _MASK64
+            z = block.pop()
             if z < limit:
-                self.state = state
                 return z % bound
 
 
@@ -112,6 +144,16 @@ class GenSpec:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
         if self.star_style not in STAR_STYLES:
             raise ValueError(f"unknown star_style {self.star_style!r}; expected one of {STAR_STYLES}")
+        # the bound of generate's first draw, refused here with below()'s
+        # message so that no draw is made and no output file is created
+        if self.pattern == "skewed_locks":
+            first = _skewed_total(self.threads)[1]
+        elif shape == "star paired":
+            first = self.threads - 1
+        else:
+            first = self.threads
+        if first > 1 << 64:
+            raise ValueError(f"bound must be in 1..2**64, got {first}")
 
 
 def generate(spec: GenSpec) -> Trace:
@@ -126,9 +168,8 @@ def generate(spec: GenSpec) -> Trace:
                                lambda t: _round(t, 0))
     elif spec.pattern == "skewed_locks":
         lock_count = _SKEWED_LOCKS
-        hot = -(-k // 5)  # the first ceil(k / 5) threads
+        hot, total = _skewed_total(k)
         w = _SKEWED_HOT_WEIGHT
-        total = hot * w + (k - hot)
         draws = []  # thread * lock_count + lock
         for _ in range(spec.events // 2):
             r = below(total)
@@ -170,6 +211,13 @@ def generate(spec: GenSpec) -> Trace:
         raise AssertionError(
             f"generator produced an illegal trace: {problems[0].message}")
     return trace
+
+
+def _skewed_total(k):
+    """skewed_locks' hot threads, the first ceil(k / 5), and the weighted
+    total its acting thread is drawn from."""
+    hot = -(-k // 5)
+    return hot, hot * _SKEWED_HOT_WEIGHT + (k - hot)
 
 
 def _round(t, lock):

@@ -1,14 +1,17 @@
 """Reference checks that only tests use: the vector-clock price of a run,
 the pruning soundness conditions of a tree clock, a tree clock whose join
 and monotone copy take two passes, the brute-force counts of unordered
-conflicting pairs and of writes that force a deep last-write copy, and a
-flat-scan count of unordered pairs from given timestamps."""
+conflicting pairs and of writes that force a deep last-write copy, a
+flat-scan count of unordered pairs from given timestamps, and a splitmix64
+generator that computes one output per call."""
 
 from clocktrace.analyses import SHB
 from clocktrace.oracle import oracle_order
 from clocktrace.trace import READ, WRITE
 from clocktrace.treeclock import NIL, TreeClock
 from clocktrace.vclock import ClockContractError
+
+_MASK64 = (1 << 64) - 1
 
 
 def vc_work(run):
@@ -219,3 +222,27 @@ def oracle_forced_deep_copies(trace):
                 n += 1
             last_write[ev.target] = i
     return n
+
+
+class OneDrawSplitMix64:
+    """splitmix64 stepped and mixed one output per call, the reference for
+    tracegen.SplitMix64's blocks of outputs: the same next() and below()."""
+
+    def __init__(self, seed):
+        self.state = seed & _MASK64
+
+    def next(self):
+        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return z ^ (z >> 31)
+
+    def below(self, bound):
+        if not 0 < bound <= 1 << 64:
+            raise ValueError(f"bound must be in 1..2**64, got {bound}")
+        limit = (1 << 64) - (1 << 64) % bound
+        while True:
+            z = self.next()
+            if z < limit:
+                return z % bound

@@ -175,6 +175,30 @@ class TestGen:
         assert all(repr(name) in captured.err for name in valid)
         assert drawn == [] and not out.exists()
 
+    @pytest.mark.parametrize("argv, first", [
+        (["gen", "--pattern", "single_lock", "--threads", "46116860184273879040"],
+         46116860184273879040),
+        (["gen", "--pattern", "skewed_locks", "--threads", "15000000000000000000"],
+         27000000000000000000),
+        (["bench", "--patterns", "single_lock,skewed_locks",
+          "--threads", "4,15000000000000000000"], 27000000000000000000),
+    ], ids=["gen-single_lock", "gen-skewed_locks", "bench-skewed_locks"])
+    def test_first_draw_past_2_64_exits_2_before_any_draw(self, tmp_path, capsys,
+                                                           monkeypatch, argv, first):
+        # GenSpec.validate refuses the bound of generate's first draw with
+        # below()'s message, so --out is never created, and bench refuses
+        # the cell before its k=4 cells run
+        drawn = []
+        monkeypatch.setattr(tracegen, "SplitMix64",
+                            lambda seed: drawn.append(seed))
+        out = tmp_path / "out"
+        argv = argv + ["--events", "2", "--out" if argv[0] == "gen" else "--json", str(out)]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bound must be in 1..2**64, got {first}\n"
+        assert drawn == [] and not out.exists()
+
 
 class TestAnalyze:
     def test_both_clocks_agree_and_report(self, tmp_path, capsys):

@@ -14,6 +14,7 @@ from clocktrace.tracegen import (
     generate,
 )
 from clocktrace.trace import ACQ, REL, Violation, serialize_trace, validate_trace
+from oracles import OneDrawSplitMix64
 
 
 class TestSplitMix64:
@@ -57,6 +58,23 @@ class TestSplitMix64:
             0, 0, 0, 6, 52, 456, 5645703015062601190, 1916716703724845557,
             0, 1, 2, 4, 51, 1185, 3980598000218139604, 2230844239267079357,
         ]
+
+    def test_blocks_match_one_draw_at_a_time(self):
+        # bounds that reject no output (3, 2**64), some (160, 1279) and
+        # about half (2**63 + 1), with next() between them; each draw uses
+        # at least one output, so five blocks' worth of draws cross at
+        # least four refills. Seed 2**64 - 1 wraps on the first step, and
+        # 200 more seeds come from the reference itself
+        bounds = (3, 160, 1279, 2**63 + 1, 2**64, None)
+        seeder = OneDrawSplitMix64(17)
+        for seed in [0, 3, 2**64 - 1] + [seeder.next() for _ in range(200)]:
+            ref, rng = OneDrawSplitMix64(seed), SplitMix64(seed)
+            for i in range(5 * tracegen._BLOCK):
+                bound = bounds[i % len(bounds)]
+                if bound is None:
+                    assert rng.next() == ref.next(), (seed, i)
+                else:
+                    assert rng.below(bound) == ref.below(bound), (seed, i)
 
     def test_below_takes_the_full_64_bit_range(self):
         # a larger bound is refused; tests/test_cli.py checks that in a
@@ -272,6 +290,20 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=f"events must be >= {size}, "
                                              f"one {pattern}.* round, got {size - 1}"):
             generate(GenSpec(pattern, 3, size - 1, seed=1, star_style=style))
+
+    @pytest.mark.parametrize("pattern, style, most", [
+        ("single_lock", "paired", 2**64), ("skewed_locks", "paired", 10248191152060862008),
+        ("star", "paired", 2**64 + 1), ("star", "relay", 2**64), ("pairwise", "paired", 2**64),
+    ])
+    def test_threads_past_the_first_draw_are_refused(self, pattern, style, most):
+        # the first draw's bound is k, k - 1 for star paired, and the
+        # weighted total for skewed_locks; validate refuses one past 2**64
+        # with below()'s message, before any draw, and generate's draws
+        # take every k it accepts
+        assert len(generate(GenSpec(pattern, most, 4, star_style=style)).events) == 4
+        with pytest.raises(ValueError) as exc:
+            GenSpec(pattern, most + 1, 4, star_style=style).validate()
+        assert str(exc.value) == f"bound must be in 1..2**64, got {2**64 + 1}"
 
     def test_star_styles_are_enumerated(self):
         assert set(STAR_STYLES) == {"paired", "relay"}
