@@ -12,10 +12,13 @@ Two cost models for the same run:
 - impl_work: how many entries/nodes the clock representation touched,
   including reads that led to no update. For vectors this is exactly
   thread_count * (joins + copies) + increments, since every join and
-  copy reads all k entries: an entrywise one scans them, and one whose
-  clocks differ at most in the acting thread's entry reads them all in
-  the list comparison that finds this, which runs at C speed but is
-  still k reads. For trees it is the nodes a join or
+  copy reads all k entries on each of its paths: one whose clocks
+  differ at most in the acting thread's entry reads them all in the
+  list comparison that finds this; a copy into a fresh target, all
+  zeros, reads them in the count(0) scans that find this and count the
+  source's nonzero entries; and any other join or copy scans them
+  entrywise. The first two run at C speed but are still k reads. For
+  trees it is the nodes a join or
   monotone copy examined in its gather plus the nodes it relinked,
   1 per early exit or increment, and 2·|source tree| + |target tree|
   per deep copy; the whole point of the tree representation is keeping
@@ -38,13 +41,25 @@ and with the brute-force oracle; `analyze` and `selfcheck` both run it.
   beyond the increment, and every release's copy changes the lock's
   single entry, so the ceiling n*1 would reject every release.
 
-The upper bound is a theorem about the pure lock order only. Under
-"shb" it fails outright: two threads alternating writes to one variable
-make the last-write clock swing between their unordered clocks, so each
-event changes ~3 entries at k=2 (vt_work = 3n - 1 for that family,
-above n*k = 2n). Under "maz" each read both gains entries in the
-thread clock and mirrors those gains into its reader clock, so the
-per-event total can exceed k as well.
+The ceiling and the 3x tree bound are theorems about the pure lock
+order only, and each fails under each stronger order:
+
+- the ceiling under "shb": two threads alternating writes to one
+  variable make the last-write clock swing between their unordered
+  clocks, so each event changes ~3 entries at k=2 (vt_work = 3n - 1 for
+  that family, above n*k = 2n);
+- the ceiling under "maz": each read both gains entries in the thread
+  clock and mirrors those gains into its reader clock, so the
+  per-event total can exceed k ("t1 w x", "t0 r x" gives 6 > 2*2);
+- the 3x tree bound under "shb": after 32 threads sync through one
+  lock, 1000 rounds of two alternating unordered writes deep-copy a
+  32-node clock each time (impl_work 197,420 > 3 * 7,710);
+- the 3x tree bound under "maz": after 4 threads sync, 100 such rounds
+  each join the last-write clock and copy back into it, with one
+  increment for both (impl_work 1,991 > 3 * 644).
+
+The acceptance suite pins the shb ceiling and both 3x counterexamples
+as strict expected failures.
 """
 
 from operator import ne
@@ -142,8 +157,9 @@ def verify_bounds(run: AnalysisRun) -> None:
 
     The lower bound holds for every order; the upper bound (exact with one
     thread) and the 3x optimality bound are theorems about the pure lock
-    order (see the module docstring for why the upper bound cannot hold
-    under the stronger orders)."""
+    order, and both fail under "shb" and under "maz" (the module
+    docstring gives a counterexample for each bound and order), so
+    neither is checked there."""
     n, k = run.events, run.threads
     if n == 0:
         if run.vt_work != 0:

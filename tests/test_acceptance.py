@@ -3,9 +3,10 @@
 pinned in each test body; every comparison is exact unless a tolerance
 constant appears next to it.
 
-Criteria 3 and 4 each also have a strict expected failure, placed after
-criterion 4: the bound read beyond its provable scope (the weakest order),
-with a pinned counterexample — see the docstrings of those tests.
+Criteria 3 and 4 also have strict expected failures, placed after
+criterion 4: each bound read beyond its provable scope (the weakest
+order), with a pinned counterexample; criterion 3 has one under shb and
+one under maz — see the docstrings of those tests.
 """
 
 import json
@@ -144,6 +145,27 @@ def test_criterion_03_tree_work_bound_read_for_shb():
              for op in ("acq", "rel")]
     lines += ["t0 w x", "t1 w x"] * 1000
     run = run_analysis(parse_trace("\n".join(lines) + "\n"), SHB, "tree")
+    assert run.impl_work <= 3 * run.vt_work
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the 3x tree-work bound is specific to the weakest order: under "
+    "maz each write joins the last-write clock and copies back into it, "
+    "with one increment for both (impl_work 1,991 > 3 * vt_work 644, and "
+    "metrics.vtwork also gives 644)",
+)
+def test_criterion_03_tree_work_bound_read_for_maz():
+    """The 3x bound on tree work read for maz fails: all 4 threads take
+    and release one lock in turn, twice, then two threads alternate 100
+    rounds of writes to one variable. Under maz each write joins the
+    last write and monotone-copies into it (re-rooting it), which costs
+    about 19/6 units per changed entry; under hb the same join and copy
+    fall on two events with an increment each."""
+    lines = [f"t{t} {op} l0" for _ in range(2) for t in range(4)
+             for op in ("acq", "rel")]
+    lines += ["t0 w x", "t1 w x"] * 100
+    run = run_analysis(parse_trace("\n".join(lines) + "\n"), MAZ, "tree")
     assert run.impl_work <= 3 * run.vt_work
 
 

@@ -121,7 +121,9 @@ def test_epoch_fields():
 def _cases(rng, k):
     """(acting index a, mine, theirs), plain lists covering every way two
     clocks can differ relative to the acting thread a: equal, at a only
-    (up or down), at a and at index 0 or k-1, and elsewhere only."""
+    (up or down), at a and at index 0 or k-1, and elsewhere only; then an
+    all-zero (fresh) mine against all-zero, one-entry, partly zero and
+    all-nonzero theirs, and a mine that is zero at a only."""
     a = rng.randrange(k)
     base = [rng.randrange(1, 9) for _ in range(k)]
 
@@ -140,6 +142,12 @@ def _cases(rng, k):
         if others:
             picked = rng.sample(others, rng.randrange(1, len(others) + 1))
             yield a, base, moved(picked, up)
+    zeros = [0] * k
+    yield a, zeros, zeros[:]
+    yield a, zeros, [base[a] if j == a else 0 for j in range(k)]
+    yield a, zeros, [v if rng.randrange(2) else 0 for v in base]
+    yield a, zeros, base[:]
+    yield a, [0 if j == a else v for j, v in enumerate(base)], base[:]
 
 
 def _check(op, dst, src, want, want_vt):
@@ -221,3 +229,18 @@ def test_one_entry_join_and_copy_do_not_iterate():
     lock.clk[0] = 9
     with pytest.raises(_Tripwire):
         t.join(lock)
+
+
+def test_copy_into_fresh_clock_does_not_iterate():
+    c = WorkCounter()
+    fresh = _tripwire_clock([0] * 6, None, c)
+    t = VectorClock(6, c, owner=2)
+    t.clk[:] = [4, 0, 9, 1, 0, 3]  # nonzero well beyond its owner's entry
+    assert fresh.copy_check_monotone(t) == "monotone"
+    assert fresh.clk == [4, 0, 9, 1, 0, 3]
+    assert (c.copies, c.impl_work, c.vt_work) == (1, 6, 4)
+    # a used target is diffed entrywise, so the tripwire is live
+    t.clk[2] += 1
+    t.clk[4] = 7
+    with pytest.raises(_Tripwire):
+        fresh.copy_check_monotone(t)
