@@ -59,10 +59,11 @@ CLOCK_KINDS = ("tree", "vector")
 FLAT_LOG_LIMIT = 256
 
 
-RaceReport = namedtuple("RaceReport", ("kind", "var", "earlier", "later", "index"))
+RaceReport = namedtuple("RaceReport", ("kind", "var", "earlier", "later"))
 RaceReport.__doc__ = """One reported race: its kind ("write-write" | "write-read" |
-"read-write"), the variable, the Epochs of the earlier and the later
-access, and index, the later access's position in the trace."""
+"read-write"), the variable, and the Epochs of the earlier and the later
+access. An Epoch (tid, clk) names the clk-th event of thread tid, so it
+fixes the access's trace position (race_event_indices)."""
 
 
 class AnalysisRun(namedtuple("AnalysisRun", (
@@ -114,9 +115,13 @@ class Engine:
         self.po = po
         self.clock_kind = clock_kind
         self.counter = WorkCounter(debug=debug)
-        # read the class from the module globals now (a caller may swap in
-        # a subclass); bind it, not self, so the engine holds no cycle
-        cls = _tree_clock() if clock_kind == "tree" else VectorClock
+        # import treeclock only for a tree run, and read its TreeClock now
+        # (a caller may swap in a subclass); bind the class, not self, so
+        # the engine holds no cycle
+        if clock_kind == "tree":
+            from .treeclock import TreeClock as cls
+        else:
+            cls = VectorClock
         self._aux = partial(cls.aux, thread_count, self.counter)
         self.thread_clocks = [cls.owned(t, thread_count, self.counter)
                               for t in range(thread_count)]
@@ -130,11 +135,8 @@ class Engine:
         # var -> its accesses so far (see _count_unordered); under maz no
         # pair is unordered, so nothing is logged
         self._access_log = {} if count_unordered and po != MAZ else None
-        self.index = 0
 
     def process(self, ev):
-        i = self.index
-        self.index = i + 1
         t = ev.tid
         C = self.thread_clocks[t]
         C.increment()
@@ -156,7 +158,7 @@ class Engine:
                 lw = self.write_clocks.get(x)
                 if lw is not None:
                     C.join(lw)
-            self._race_with_last_write("write-read", x, t, C, i)
+            self._race_with_last_write("write-read", x, t, C)
             if po == MAZ:
                 dst = self.read_clocks.get((x, t))
                 if dst is None:
@@ -185,12 +187,12 @@ class Engine:
                 if multi:
                     net = sum(map(ne, pre, C.flatten()))
                     self.counter.vt_work = vt0 + net
-            unordered = self._race_with_last_write("write-write", x, t, C, i)
+            unordered = self._race_with_last_write("write-write", x, t, C)
             if not unordered:
                 for rt, rc in self.read_epochs.get(x, {}).items():
                     if C.clk[rt] < rc:
                         self.races.append(RaceReport(
-                            "read-write", x, Epoch(rt, rc), Epoch(t, C.clk[t]), i))
+                            "read-write", x, Epoch(rt, rc), Epoch(t, C.clk[t])))
                         break
             if po != HB:
                 # unordered is never set under maz: C has just joined lw
@@ -205,19 +207,22 @@ class Engine:
             if self.counter.debug and self.clock_kind == "tree":
                 expected = "deep" if deep else "monotone"
                 if status != expected:
+                    # every event increments exactly one thread clock, and
+                    # first, so the count so far numbers this event
                     raise AssertionError(
-                        f"event {i}: {status} copy where the engine predicts {expected}")
+                        f"event {self.counter.increments - 1}: {status} copy "
+                        f"where the engine predicts {expected}")
         if self._access_log is not None and (ev.op == READ or ev.op == WRITE):
             self._count_unordered(ev, C)
         return C
 
-    def _race_with_last_write(self, kind, x, t, C, i):
+    def _race_with_last_write(self, kind, x, t, C):
         """Report a `kind` race if x's last write is not ordered before
         this access (an O(1) epoch test); return whether it reported one."""
         ew = self.write_epochs.get(x)
         if ew is None or C.clk[ew.tid] >= ew.clk:
             return False
-        self.races.append(RaceReport(kind, x, ew, Epoch(t, C.clk[t]), i))
+        self.races.append(RaceReport(kind, x, ew, Epoch(t, C.clk[t])))
         return True
 
     def record(self, trace, elapsed=0.0):
@@ -276,17 +281,6 @@ class Engine:
             _log_by_thread(log, entry)
 
 
-def _tree_clock():
-    """The module's TreeClock, imported on first use, so a vector run
-    never loads treeclock. A caller may set analyses.TreeClock to a
-    subclass; Engine reads the name when it is built."""
-    cls = globals().get("TreeClock")
-    if cls is None:
-        from .treeclock import TreeClock as cls
-        globals()["TreeClock"] = cls
-    return cls
-
-
 def _log_by_thread(log, entry):
     """Append an access (tid, local time, is write) to a per-thread log."""
     t, c, wr = entry
@@ -315,11 +309,12 @@ def run_analysis(trace, po, clock_kind="tree", *, count_unordered=True):
 
 
 def race_event_indices(trace, races):
-    """Map race reports to (kind, var, earlier_index, later_index) using
-    each thread's event positions; the brute-force oracle reports races
-    in this index form."""
+    """Map race reports to (kind, var, earlier_index, later_index): an
+    Epoch (tid, clk) is thread tid's clk-th event, found in a list of
+    each thread's trace positions. The brute-force oracle reports races
+    in this index form, and analyze --races prints later_index."""
     nth = {}
     for i, ev in enumerate(trace.events):
         nth.setdefault(ev.tid, []).append(i)
-    return [(r.kind, r.var, nth[r.earlier.tid][r.earlier.clk - 1], r.index)
-            for r in races]
+    return [(r.kind, r.var, nth[r.earlier.tid][r.earlier.clk - 1],
+             nth[r.later.tid][r.later.clk - 1]) for r in races]

@@ -49,7 +49,7 @@ import os
 import sys
 from contextlib import contextmanager, nullcontext
 
-from .analyses import CLOCK_KINDS, ORDERS, run_analysis
+from .analyses import CLOCK_KINDS, ORDERS, race_event_indices, run_analysis
 from .metrics import cross_check, verify_bounds
 from .oracle import ORACLE_MAX_EVENTS
 from .trace import parse_trace, serialize_trace
@@ -258,11 +258,11 @@ def _cmd_analyze(args):
             run = None
 
     if args.races:
-        for r in races:
+        for r, (_, _, _, later) in zip(races, race_event_indices(trace, races)):
             print(f"race {r.kind} var={trace.var_name(r.var)} "
                   f"earlier={trace.thread_name(r.earlier.tid)}@{r.earlier.clk} "
                   f"later={trace.thread_name(r.later.tid)}@{r.later.clk} "
-                  f"event={r.index}")
+                  f"event={later}")
         races = None
 
     if not compare:

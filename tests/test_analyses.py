@@ -13,7 +13,7 @@ from oracles import (
     oracle_unordered_pairs,
 )
 
-from clocktrace import analyses
+from clocktrace import treeclock
 from clocktrace.analyses import (
     CLOCK_KINDS,
     FLAT_LOG_LIMIT,
@@ -57,8 +57,10 @@ def test_order_strength_nests(seed):
         for a, b in zip(stamps[weak], stamps[strong]):
             assert all(x <= y for x, y in zip(a, b))
         assert runs[strong].unordered_pairs <= runs[weak].unordered_pairs
-        weak_keys = {(r.var, r.index) for r in runs[weak].races}
-        strong_keys = {(r.var, r.index) for r in runs[strong].races}
+        weak_keys = {(var, later) for _, var, _, later
+                     in race_event_indices(trace, runs[weak].races)}
+        strong_keys = {(var, later) for _, var, _, later
+                       in race_event_indices(trace, runs[strong].races)}
         assert strong_keys <= weak_keys
     # the strongest order relates every conflicting pair by construction,
     # so its engine counts none (the oracle test below checks the theorem)
@@ -96,9 +98,9 @@ class TestRaceReporting:
         # three earlier unordered writes, one later write: a single report
         trace = parse_trace("t0 w x\nt1 w x\nt2 w x\nt3 w x\n")
         run = run_analysis(trace, HB, "tree")
-        later = [(r.var, r.index) for r in run.races]
+        later = [(var, i) for _, var, _, i in race_event_indices(trace, run.races)]
         assert len(later) == len(set(later))
-        assert [r.index for r in run.races] == [1, 2, 3]
+        assert [i for _, i in later] == [1, 2, 3]
         assert all(r.kind == "write-write" for r in run.races)
 
     def test_reads_do_not_race_each_other(self):
@@ -108,7 +110,7 @@ class TestRaceReporting:
     @pytest.mark.parametrize("make, text", [
         (lambda: run_analysis(parse_trace("t0 w x\nt1 r x\n"), HB, "tree").races[0],
          "RaceReport(kind='write-read', var=0, earlier=Epoch(tid=0, clk=1), "
-         "later=Epoch(tid=1, clk=1), index=1)"),
+         "later=Epoch(tid=1, clk=1))"),
         (lambda: Violation(1, "reacquire", "event 1: thread #1 acquires lock #0"),
          "Violation(index=1, kind='reacquire', "
          "message='event 1: thread #1 acquires lock #0')"),
@@ -118,9 +120,9 @@ class TestRaceReporting:
         assert repr(report) == text
         assert isinstance(report, tuple)
         with pytest.raises(AttributeError):
-            report.index = 2
+            report.kind = "x"
         with pytest.raises(AttributeError):
-            del report.index
+            del report.kind
         twin = make()  # built apart, so equal but not the same object
         assert twin == report and twin is not report
         assert hash(twin) == hash(report)
@@ -309,8 +311,9 @@ def test_debug_reports_a_copy_off_the_predicted_path(monkeypatch):
             status = super().copy_check_monotone(src)
             return "monotone" if status == "deep" else "deep"
 
-    monkeypatch.setattr(analyses, "TreeClock", Misreported, raising=False)
+    monkeypatch.setattr(treeclock, "TreeClock", Misreported)
     trace = parse_trace("t0 acq l\nt0 rel l\n")
+    assert type(Engine(HB, 1).thread_clocks[0]) is Misreported
     run_analysis(trace, HB, "tree")  # unchecked without debug
     with pytest.raises(AssertionError, match="event 1: monotone copy where "
                                              "the engine predicts deep"):
@@ -342,7 +345,8 @@ def test_process_returns_the_acting_threads_clock(kind):
     engine = Engine(SHB, trace.thread_count, kind)
     for ev in trace.events:
         assert engine.process(ev) is engine.thread_clocks[ev.tid]
-    assert engine.index == len(trace.events)
+    # the debug check numbers events by this count
+    assert engine.counter.increments == len(trace.events)
 
 
 @pytest.mark.parametrize("kind", ["tree", "vector"])

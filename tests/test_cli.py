@@ -21,8 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clocktrace import analyses, cli, metrics, tracegen
-from clocktrace.analyses import HB, MAZ, ORDERS, run_analysis
+from clocktrace.analyses import HB, MAZ, ORDERS, SHB, run_analysis
 from clocktrace.metrics import cross_check
+from clocktrace.oracle import oracle_races
 from clocktrace.trace import Event, Trace, parse_trace, serialize_trace, validate_trace
 from clocktrace.tracegen import random_trace
 from clocktrace.vclock import VectorClock
@@ -78,7 +79,9 @@ DOCTORED_TREE_CLOCK = (
     "        clock = super().owned(tid, size, counter)\n"
     "        clock.clk[(tid + 1) % size] = 0\n"
     "        return clock\n"
-    "analyses.TreeClock = Doctored\n"
+    "treeclock.TreeClock = Doctored\n"
+    "if type(analyses.Engine('hb', 2).thread_clocks[0]) is not Doctored:\n"
+    "    raise SystemExit('the engine builds no Doctored clocks')\n"
 )
 
 
@@ -291,6 +294,27 @@ class TestAnalyze:
             "race write-read var=foo earlier=t7@1 later=t5@2 event=2",
             "race write-read var=bar earlier=t5@1 later=t7@2 event=3",
         ]
+
+    @pytest.mark.parametrize("clock", ["tree", "vector", "both"])
+    @pytest.mark.parametrize("po", [HB, SHB])
+    def test_race_lines_give_the_oracles_later_positions(
+            self, tmp_path, capsys, po, clock):
+        # each line's event= is the later access's trace position, as the
+        # brute-force oracle finds it, in the oracle's order
+        lines = 0
+        for seed in range(5):
+            trace = random_trace(seed + 70, events=120, threads=4, locks=2,
+                                 variables=3)
+            path = tmp_path / f"{seed}.trace"
+            path.write_text(serialize_trace(trace))
+            assert cli.main(["analyze", "--po", po, "--clock", clock, "--input",
+                             str(path), "--races", "--repeat", "1"]) == 0
+            events = [int(l.rsplit(" event=", 1)[1])
+                      for l in capsys.readouterr().out.splitlines()
+                      if l.startswith("race ")]
+            assert events == [later for _, _, _, later in oracle_races(trace, po)]
+            lines += len(events)
+        assert lines > 50
 
     def test_oracle_mode_confirms_agreement(self, tmp_path, capsys):
         trace = gen_trace(tmp_path, events=120)

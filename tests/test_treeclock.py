@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from conftest import debug_run, each_event
 
-from clocktrace import analyses
+from clocktrace import analyses, treeclock
 from clocktrace.analyses import HB, MAZ, SHB, run_analysis
 from clocktrace.trace import ACQ, parse_trace
 from clocktrace.tracegen import GenSpec, SplitMix64, generate, random_trace
@@ -463,7 +463,7 @@ class TestLinkArrays:
                 built.append(self)
 
         trace = STORAGE_TRACES[name]()
-        monkeypatch.setattr(analyses, "TreeClock", Kept, raising=False)
+        monkeypatch.setattr(treeclock, "TreeClock", Kept)
         debug_run(trace, po)
         linked = [clock for clock in built if clock.links is not None]
         assert linked == [clock for clock in built
@@ -772,8 +772,9 @@ class TestDetached:
                                  variables=4)
         drop = analyses.Engine(po, trace.thread_count, "tree", debug=True)
         with monkeypatch.context() as m:
-            m.setattr(analyses, "TreeClock", Kept, raising=False)
+            m.setattr(treeclock, "TreeClock", Kept)
             keep = analyses.Engine(po, trace.thread_count, "tree", debug=True)
+        assert type(keep.thread_clocks[0]) is Kept
 
         def clocks(engine):
             yield from engine.thread_clocks
@@ -830,7 +831,7 @@ def test_single_pass_move_matches_the_two_pass_reference(name, po, monkeypatch):
     trace = LOCKSTEP_TRACES[name]()
     one = analyses.Engine(po, trace.thread_count, "tree", debug=True)
     with monkeypatch.context() as m:
-        m.setattr(analyses, "TreeClock", TwoPassTreeClock, raising=False)
+        m.setattr(treeclock, "TreeClock", TwoPassTreeClock)
         two = analyses.Engine(po, trace.thread_count, "tree", debug=True)
     assert type(two.thread_clocks[0]) is TwoPassTreeClock
 
@@ -1378,7 +1379,7 @@ class TestCopyCheckMonotone:
                         assert target == (None, src.root)
                 return status
 
-        monkeypatch.setattr(analyses, "TreeClock", Checked, raising=False)
+        monkeypatch.setattr(treeclock, "TreeClock", Checked)
         for make in STORAGE_TRACES.values():
             debug_run(make(), po)
         assert set(sources) == {True, False}  # both paths reached
